@@ -221,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=EXIT_CODES_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    ap.add_argument("--workers", type=int, default=1,
-                    help="worker hint; all reductions are fixed-order, results do not depend on it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sub.add_parser("constants", help="certify normalizing constants against the closed forms")
@@ -273,9 +271,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
     try:
         return _COMMANDS[args.command](args)
     except SkyrmeError as exc:

@@ -45,9 +45,22 @@ class LogRangeError(SkyrmeError):
 
 
 class FlatnessError(SkyrmeError):
-    """Connection fails the flatness gate where a flat one is required."""
+    """Connection fails the flatness gate where a flat one is required.
+
+    Raised by the developing-map gate, it says where: `corner` is the
+    failing cube's corner site, `vertex` its cover vertex (None for a
+    single cube), `residual` its curvature residual and `gate` the bound
+    it exceeded.  Errors from other checks leave these None.
+    """
 
     exit_code = 5
+
+    def __init__(self, message, *, vertex=None, corner=None, residual=None, gate=None):
+        super().__init__(message)
+        self.vertex = vertex
+        self.corner = corner
+        self.residual = residual
+        self.gate = gate
 
 
 class AtlasError(SkyrmeError):

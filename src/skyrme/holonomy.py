@@ -8,6 +8,11 @@ Per-link steps stay exactly on the group:
     link-sampled a:  g <- g exp(h a_i(x))           (exact on log derivatives)
     site-sampled a:  g <- g exp(q + h^2/12 [a0,a1]) (4-point quadrature q)
 
+All cubes of a cover are developed in one batched sweep with a leading
+cube axis.  The curvature density is computed once on the torus (from
+the per-link transports, or from `flatness_residual` for site data) and
+each cube's flatness residual is its window sum over the cube interior.
+
 The holonomy of the torus is read off a cubical cover: one chart per
 coarse vertex, constant edge labels g_[p,q] estimated on star overlaps,
 and generator loops multiplied along circuits that close through the
@@ -23,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, group_exp
+from .algebra import LieAlgebra, group_exp, group_log
 from .errors import AtlasError, FlatnessError, HolonomyMismatchError
-from .lattice import AlgebraOneForm, GroupField, TorusLattice, flatness_residual
+from .lattice import PLANES, AlgebraOneForm, GroupField, TorusLattice, flatness_residual
 
 __all__ = [
     "CubicalCover",
@@ -95,10 +100,6 @@ class CubicalCover:
         return tuple((v[i] * self.spacing - self.spacing) % self.lattice.dims[i]
                      for i in range(3))
 
-    @property
-    def star_shape(self) -> tuple[int, int, int]:
-        return (2 * self.spacing + 1,) * 3
-
     def neighbor(self, v, axis: int):
         w = list(v)
         w[axis] = (w[axis] + 1) % self.shape[axis]
@@ -133,15 +134,11 @@ class CubicalCover:
             v = self.neighbor(v, axis)
         return out
 
-    def overlap_slices(self, v, axis: int):
-        """Local index slices of st(v) and st(v+e_axis) covering their overlap."""
-        s = self.spacing
-        full = slice(0, 2 * s + 1)
-        sl_p = [full, full, full]
-        sl_q = [full, full, full]
-        sl_p[axis] = slice(s, 2 * s + 1)
-        sl_q[axis] = slice(0, s + 1)
-        return tuple(sl_p), tuple(sl_q)
+    def star_indices(self) -> np.ndarray:
+        """Wrapped site indices of every star, (S, 3, 2s+1) in vertices() order."""
+        corners = np.array([self.star_corner(v) for v in self.vertices()])
+        dims = np.array(self.lattice.dims)
+        return (corners[:, :, None] + np.arange(2 * self.spacing + 1)) % dims[:, None]
 
 
 # ----------------------------------------------------------------------
@@ -158,102 +155,121 @@ class CubeChart:
     values: np.ndarray  # (n1, n2, n3, N, N)
 
 
-def _extract_cube(a: AlgebraOneForm, corner, shape) -> np.ndarray:
-    idx = [np.arange(corner[i], corner[i] + shape[i]) % a.lattice.dims[i] for i in range(3)]
-    return a.coeffs[:, idx[0]][:, :, idx[1]][:, :, :, idx[2]]
+def _grid(windows) -> tuple:
+    """Index tuple picking the (S, n1, n2, n3) sites of S cubes from their
+    wrapped per-axis windows, three arrays of shape (S, n_i)."""
+    w0, w1, w2 = windows
+    return w0[:, :, None, None], w1[:, None, :, None], w2[:, None, None, :]
 
 
-def _cube_flatness(a: AlgebraOneForm, cube: np.ndarray) -> float:
-    """Curvature L2 norm over the cube interior, in the discretization the
-    sweep actually uses.
-
-    Site-sampled data: forward-difference d_i a_j - d_j a_i + [a_i, a_j].
-    Link-sampled data: plaquette defect of the per-link transports,
-    log(T_i(x) T_j(x+e_i) (T_j(x) T_i(x+e_j))^-1) / (h_i h_j), which is
-    identically zero for a log derivative however steep the field.
-    """
-    alg = a.algebra
-    h = a.lattice.spacings
-    f = alg.structure_constants
-    total = 0.0
-    inner = tuple(slice(0, n - 1) for n in cube.shape[1:4])
-    if a.sampling == "link":
-        from .algebra import group_log
-
-        T = [group_exp(alg, h[i] * cube[i]) for i in range(3)]
-        for i, j in ((1, 2), (2, 0), (0, 1)):
-            left = np.einsum("...ab,...bc->...ac", T[i], np.roll(T[j], -1, axis=i))
-            right = np.einsum("...ab,...bc->...ac", T[j], np.roll(T[i], -1, axis=j))
-            plaq = np.einsum("...ab,...cb->...ac", left, right.conj())
-            coords, _ = group_log(alg, plaq, threshold=1.99)
-            F = coords[inner] / (h[i] * h[j])
-            total += np.einsum("...a,ab,...b->...", F, alg.norm_gram, F).sum()
-    else:
-        for i, j in ((1, 2), (2, 0), (0, 1)):
-            di_aj = (np.roll(cube[j], -1, axis=i) - cube[j]) / h[i]
-            dj_ai = (np.roll(cube[i], -1, axis=j) - cube[i]) / h[j]
-            br = np.einsum("...a,...b,abc->...c", cube[i], cube[j], f)
-            F = (di_aj - dj_ai + br)[inner]
-            total += np.einsum("...a,ab,...b->...", F, alg.norm_gram, F).sum()
-    return float(np.sqrt(a.lattice.cell_volume * total))
-
-
-def _line_steps(alg: LieAlgebra, comps: np.ndarray, h: float, sampling: str) -> np.ndarray:
-    """Per-link transport exponents along one axis of a (non-periodic) line.
+def _line_steps(alg: LieAlgebra, comps: np.ndarray, h: float) -> np.ndarray:
+    """Site-sampled transports along one axis of a (non-periodic) line.
 
     comps has the line axis first: (n, ..., dim); returns (n-1, ..., N, N)
     step matrices for the hops k -> k+1.
     """
-    f = alg.structure_constants
     a0 = comps[:-1]
     a1 = comps[1:]
-    if sampling == "link":
-        om = h * a0
-    else:
-        comm = np.einsum("...a,...b,abc->...c", a0, a1, f)
-        om = h * (a0 + a1) / 2.0 + (h * h / 12.0) * comm
-        if comps.shape[0] >= 4:
-            # interior links get the 4-point quadrature (third-order sweep)
-            q = (h / 24.0) * (-comps[:-3] + 13.0 * comps[1:-2] + 13.0 * comps[2:-1] - comps[3:])
-            om[1:-1] = q + (h * h / 12.0) * comm[1:-1]
+    comm = np.einsum("...a,...b,abc->...c", a0, a1, alg.structure_constants)
+    om = h * (a0 + a1) / 2.0 + (h * h / 12.0) * comm
+    if comps.shape[0] >= 4:
+        # interior links get the 4-point quadrature (third-order sweep)
+        q = (h / 24.0) * (-comps[:-3] + 13.0 * comps[1:-2] + 13.0 * comps[2:-1] - comps[3:])
+        om[1:-1] = q + (h * h / 12.0) * comm[1:-1]
     return group_exp(alg, om)
+
+
+def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
+             vertices=None) -> np.ndarray:
+    """Integrate u' = u a over S cubes at once, each with u(corner) = 1.
+
+    `windows` holds the cubes' wrapped site indices, three (S, n_i) arrays;
+    returns the (S, n1, n2, n3, N, N) charts.  The curvature is computed
+    once per torus site, in the discretization the sweep uses: for link
+    data the plaquette defect of the transports T_i = exp(h_i a_i) (zero for
+    a log derivative however steep the field), for site data the forward
+    differences of `flatness_residual`.  A cube's residual is
+    sqrt(cell volume * window sum of |F|^2 over its interior); the first
+    cube above the gate (default 10 * max spacing) raises FlatnessError.
+    """
+    alg = a.algebra
+    lattice = a.lattice
+    h = lattice.spacings
+    N = alg.rep_dim
+    w0, w1, w2 = windows
+    if flatness_gate is None:
+        flatness_gate = DEFAULT_FLATNESS_FACTOR * max(h)
+    interior = _grid([w[:, :-1] for w in windows])
+    if a.sampling == "link":
+        # transports on the sites the cubes use, plaquettes on their interiors
+        used = np.zeros(lattice.dims, dtype=bool)
+        used[_grid(windows)] = True
+        core = np.zeros(lattice.dims, dtype=bool)
+        core[interior] = True
+        T = np.zeros((3,) + lattice.dims + (N, N), dtype=complex)
+        T[:, used] = group_exp(alg, np.asarray(h)[:, None, None] * a.coeffs[:, used])
+        density = np.zeros(lattice.dims)
+        for i, j in PLANES:
+            plaq = (T[i][core] @ np.roll(T[j], -1, axis=i)[core]
+                    @ (T[j][core] @ np.roll(T[i], -1, axis=j)[core]).conj().swapaxes(-1, -2))
+            F = group_log(alg, plaq, threshold=1.99)[0] / (h[i] * h[j])
+            density[core] += np.einsum("...a,ab,...b->...", F, alg.norm_gram, F)
+    else:
+        F = flatness_residual(a)[0].coeffs
+        density = np.einsum("p...a,ab,p...b->...", F, alg.norm_gram, F)
+    resid = np.sqrt(lattice.cell_volume * density[interior].sum(axis=(1, 2, 3)))
+    if (resid > flatness_gate).any():
+        s = int(np.argmax(resid > flatness_gate))
+        corner = tuple(int(w[s, 0]) for w in windows)
+        vertex = None if vertices is None else tuple(vertices[s])
+        where = "cube" if vertex is None else f"star of vertex {vertex}"
+        raise FlatnessError(f"connection not flat on {where} at corner {corner} (residual "
+                            f"{resid[s]:.3e} > {flatness_gate:.3e})", vertex=vertex,
+                            corner=corner, residual=float(resid[s]), gate=float(flatness_gate))
+
+    def steps(ax, sel):
+        """Transports along axis `ax` for the hops inside the windows `sel`."""
+        if a.sampling == "link":
+            sel = list(sel)
+            sel[ax] = sel[ax][:, :-1]
+            return T[ax][_grid(sel)]
+        comps = np.moveaxis(a.coeffs[ax][_grid(sel)], ax + 1, 0)
+        return np.moveaxis(_line_steps(alg, comps, h[ax]), 0, ax + 1)
+
+    shape = tuple(w.shape[1] for w in windows)
+    u = np.empty((w0.shape[0],) + shape + (N, N), dtype=complex)
+    u[:, 0, 0, 0] = np.eye(N)
+    steps3 = steps(2, (w0[:, :1], w1[:, :1], w2))[:, 0, 0]  # (S, n3-1, N, N)
+    for z in range(1, shape[2]):
+        u[:, 0, 0, z] = u[:, 0, 0, z - 1] @ steps3[:, z - 1]
+    steps2 = steps(1, (w0[:, :1], w1, w2))[:, 0]  # (S, n2-1, n3, N, N)
+    for y in range(1, shape[1]):
+        u[:, 0, y] = u[:, 0, y - 1] @ steps2[:, y - 1]
+    # link transports are gathered one x-slab at a time to bound memory;
+    # the site quadrature needs whole lines along the first axis
+    steps1 = None if a.sampling == "link" else steps(0, windows)
+    for x in range(1, shape[0]):
+        step = (steps(0, (w0[:, x - 1:x + 1], w1, w2))[:, 0] if steps1 is None
+                else steps1[:, x - 1])  # (S, n2, n3, N, N)
+        u[:, x] = u[:, x - 1] @ step
+    return u
 
 
 def develop_cube(a: AlgebraOneForm, corner, shape,
                  flatness_gate: float | None = None) -> CubeChart:
     """Integrate u' = u a over a cube with u(corner) = 1.
 
-    The sweep fills the last axis from the corner, then the middle axis on
-    each slice, then the first axis through the volume.  Requires the
-    restriction to pass the flatness gate (default 10 * max spacing);
-    path dependence would otherwise make the sweep meaningless.
+    The one-cube case of the batched developer.  The sweep fills the last
+    axis from the corner, then the middle axis on each slice, then the
+    first axis through the volume.  The curvature density, computed per
+    site as for a whole cover, is summed over the cube interior, which must
+    pass the flatness gate (default 10 * max spacing); path dependence
+    would otherwise make the sweep meaningless.
     """
-    alg = a.algebra
     corner = tuple(int(c) for c in corner)
-    shape = tuple(int(n) for n in shape)
-    cube = _extract_cube(a, corner, shape)
-    if flatness_gate is None:
-        flatness_gate = DEFAULT_FLATNESS_FACTOR * max(a.lattice.spacings)
-    resid = _cube_flatness(a, cube)
-    if resid > flatness_gate:
-        raise FlatnessError(f"connection not flat on cube (residual {resid:.3e} > {flatness_gate:.3e})")
-
-    h = a.lattice.spacings
-    n1, n2, n3 = shape
-    N = alg.rep_dim
-    u = np.empty(shape + (N, N), dtype=complex)
-    u[0, 0, 0] = np.eye(N)
-
-    steps3 = _line_steps(alg, cube[2, 0, 0, :], h[2], a.sampling)  # (n3-1, N, N)
-    for z in range(1, n3):
-        u[0, 0, z] = u[0, 0, z - 1] @ steps3[z - 1]
-    steps2 = _line_steps(alg, cube[1, 0], h[1], a.sampling)  # (n2-1, n3, N, N)
-    for y in range(1, n2):
-        u[0, y] = np.einsum("zij,zjk->zik", u[0, y - 1], steps2[y - 1])
-    steps1 = _line_steps(alg, cube[0], h[0], a.sampling)  # (n1-1, n2, n3, N, N)
-    for x in range(1, n1):
-        u[x] = np.einsum("...ij,...jk->...ik", u[x - 1], steps1[x - 1])
-    return CubeChart(a.lattice, alg, corner, u)
+    dims = a.lattice.dims
+    windows = [(corner[i] + np.arange(int(shape[i])))[None] % dims[i] for i in range(3)]
+    return CubeChart(a.lattice, a.algebra, corner, _develop(a, windows, flatness_gate)[0])
 
 
 def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
@@ -374,32 +390,25 @@ class HolonomyRep:
 def build_atlas(a: AlgebraOneForm, cover: CubicalCover,
                 tol: float = DEFAULT_ATLAS_TOL,
                 flatness_gate: float | None = None) -> DevelopingAtlas:
-    """Develop every star and estimate the constant edge labels.
+    """Develop every star in one batched sweep and estimate the constant
+    edge labels.
 
     The label of an oriented edge [p, q] is the overlap mean of
-    u_p(x) u_q(x)^-1 projected back to the group; its recorded score is
-    the sup deviation from constancy and must stay below `tol`.
+    u_p(x) u_q(x)^-1 projected back to the group (`pair_label`); its
+    recorded score is the sup deviation from constancy and must stay
+    below `tol`.
     """
-    charts = {}
-    for v in cover.vertices():
-        chart = develop_cube(a, cover.star_corner(v), cover.star_shape,
-                             flatness_gate=flatness_gate)
-        charts[v] = chart.values
-    labels, scores = {}, {}
+    verts = cover.vertices()
+    charts = _develop(a, cover.star_indices().transpose(1, 0, 2), flatness_gate, verts)
+    atlas = DevelopingAtlas(cover, a.algebra, dict(zip(verts, charts)), {}, {}, tol)
     for v, ax in cover.edges():
-        q = cover.neighbor(v, ax)
-        sl_p, sl_q = cover.overlap_slices(v, ax)
-        up = charts[v][sl_p]
-        uq = charts[q][sl_q]
-        prod = np.einsum("...ij,...kj->...ik", up, uq.conj())
-        g = _project_group(a.algebra, prod.reshape(-1, *prod.shape[-2:]).mean(axis=0))
-        score = float(np.abs(prod - g).max())
+        g, score = atlas.pair_label(v, cover.neighbor(v, ax))
         if score > tol:
             raise AtlasError(f"overlap constancy violated on edge {v}+e{ax + 1} "
                              f"(score {score:.3e} > {tol:.1e})")
-        labels[(v, ax)] = g
-        scores[(v, ax)] = score
-    return DevelopingAtlas(cover, a.algebra, charts, labels, scores, tol)
+        atlas.edge_labels[(v, ax)] = g
+        atlas.edge_scores[(v, ax)] = score
+    return atlas
 
 
 def holonomy_rep(a: AlgebraOneForm, cover: CubicalCover | None = None,
@@ -503,30 +512,21 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
         raise HolonomyMismatchError(f"holonomies differ (circuit defect {worst:.3e})")
 
     # glue (u^1)^-1 k u^2 from the chart of the nearest vertex
-    dims = cover.lattice.dims
     s = cover.spacing
-    N = a1.algebra.rep_dim
-    out = np.empty(dims + (N, N), dtype=complex)
-    gauges = {v: np.einsum("...ji,jk,...kl->...il", A1.charts[v].conj(), k[v], A2.charts[v])
-              for v in cover.vertices()}
-    owner_written = np.zeros(dims, dtype=bool)
-    overlap_dev = 0.0
+    stars = cover.star_indices()
+    gauges = [np.einsum("...ji,jk,...kl->...il", A1.charts[v].conj(), k[v], A2.charts[v])
+              for v in cover.vertices()]
+    out = np.empty(cover.lattice.dims + gauges[0].shape[-2:], dtype=complex)
+    owner_written = np.zeros(cover.lattice.dims, dtype=bool)
     # ownership: the central s x s x s block of each star tiles the torus
     lo, hi = s - s // 2, s - s // 2 + s
-    for v in cover.vertices():
-        corner = cover.star_corner(v)
-        idx = [np.arange(corner[i], corner[i] + 2 * s + 1) % dims[i] for i in range(3)]
-        tgt = np.ix_(idx[0][lo:hi], idx[1][lo:hi], idx[2][lo:hi])
-        out[tgt] = gauges[v][lo:hi, lo:hi, lo:hi]
-        owner_written[tgt] = True
+    owned = _grid(stars[:, :, lo:hi].transpose(1, 0, 2))
+    out[owned] = np.stack([g[lo:hi, lo:hi, lo:hi] for g in gauges])
+    owner_written[owned] = True
     if not owner_written.all():
         raise AtlasError("atlas inconsistent: ownership tiling left gaps")
     # overlap agreement: compare every chart against the assembled field
-    for v in cover.vertices():
-        corner = cover.star_corner(v)
-        idx = [np.arange(corner[i], corner[i] + 2 * s + 1) % dims[i] for i in range(3)]
-        ref = out[np.ix_(*idx)]
-        overlap_dev = max(overlap_dev, float(np.abs(ref - gauges[v]).max()))
+    overlap_dev = max(float(np.abs(out[np.ix_(*w)] - g).max()) for w, g in zip(stars, gauges))
     if overlap_dev > 50 * tol:
         raise AtlasError(f"atlas inconsistent (overlap deviation {overlap_dev:.3e})")
     return GroupField(cover.lattice, a1.algebra, out)

@@ -118,6 +118,75 @@ def test_path_transport(su2, lat16):
         hol.path_transport(a, [(0, 0, 0), (2, 0, 0)])
 
 
+def _smooth_form(alg, n, sampling, seed=4):
+    w = lat.make_random(lat.TorusLattice((n, n, n)), alg, seed=seed, smoothness=2.0,
+                        amplitude=0.5)
+    a = lat.log_derivative(w)
+    return lat.AlgebraOneForm(a.lattice, alg, a.coeffs, sampling=sampling)
+
+
+@pytest.mark.parametrize("spec", [("su", 2), ("su", 3), ("spin", 7), ("g2", None)],
+                         ids=["su2", "su3", "spin7", "g2"])
+@pytest.mark.parametrize("sampling", ["link", "site"])
+@pytest.mark.parametrize("n,spacing", [(6, 2), (8, 4)])
+def test_batched_atlas_matches_per_star_development(spec, sampling, n, spacing):
+    # both covers have stars that wrap the torus (corner -s, and at 8^3 a
+    # star of 9 sites revisits its first plane)
+    alg = al.build_algebra(*spec)
+    a = _smooth_form(alg, n, sampling)
+    cover = hol.CubicalCover(a.lattice, spacing)
+    # site data is not an exact derivative: its overlaps are not constant
+    atlas = hol.build_atlas(a, cover, tol=1e-6 if sampling == "link" else np.inf)
+    side = 2 * spacing + 1
+    for v in cover.vertices():
+        ref = hol.develop_cube(a, cover.star_corner(v), (side,) * 3).values
+        assert np.abs(atlas.charts[v] - ref).max() <= 1e-13
+    if sampling == "link":
+        # independent check: the sweep's path, multiplied link by link
+        c = cover.star_corner(cover.base)
+        m = side - 1
+        path = ([(c[0], c[1], c[2] + k) for k in range(side)]
+                + [(c[0], c[1] + k, c[2] + m) for k in range(1, side)]
+                + [(c[0] + k, c[1] + m, c[2] + m) for k in range(1, side)])
+        g = hol.path_transport(a, path)
+        assert np.abs(atlas.charts[cover.base][m, m, m] - g).max() <= 1e-12
+
+
+def test_site_gate_residual_is_windowed_flatness_density(su2, lat8):
+    a = _smooth_form(su2, 8, "site", seed=12)
+    cover = hol.CubicalCover(lat8, 2)
+    with pytest.raises(FlatnessError) as info:
+        hol.build_atlas(a, cover, flatness_gate=0.0)
+    exc = info.value
+    assert exc.vertex == cover.base and exc.corner == cover.star_corner(cover.base)
+    F, _ = lat.flatness_residual(a)
+    density = np.einsum("p...a,ab,p...b->...", F.coeffs, su2.norm_gram, F.coeffs)
+    window = cover.star_indices()[0]
+    interior = np.ix_(*(w[:-1] for w in window))
+    expect = np.sqrt(lat8.cell_volume * density[interior].sum())
+    assert abs(exc.residual - expect) <= 1e-12 * expect
+
+
+def test_flatness_error_names_the_star_of_a_bump(su2, lat16, cover16):
+    bump = (9, 5, 13)
+    a = lat.zero_one_form(lat16, su2, sampling="site")
+    a.coeffs[0][bump] = 5.0
+    with pytest.raises(FlatnessError, match="not flat") as info:
+        hol.build_atlas(a, cover16)
+    exc = info.value
+    assert exc.exit_code == 5 and exc.residual > exc.gate
+    assert f"vertex {exc.vertex}" in str(exc) and f"corner {exc.corner}" in str(exc)
+    verts = cover16.vertices()
+    windows = cover16.star_indices()
+    assert all(bump[i] in windows[verts.index(exc.vertex)][i] for i in range(3))
+    # a_1 at the bump curves the sites whose forward differences reach it;
+    # the named star is the first in vertex order with one in its interior
+    curved = [bump, (9, 4, 13), (9, 5, 12)]
+    failing = [v for v, w in zip(verts, windows)
+               if any(all(x[i] in w[i][:-1] for i in range(3)) for x in curved)]
+    assert exc.vertex == failing[0]
+
+
 # ----------------------------------------------------------------------
 # atlas
 # ----------------------------------------------------------------------
