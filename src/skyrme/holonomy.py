@@ -292,8 +292,7 @@ def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
             raise ValueError(f"path hop {p} -> {q} is not a single link")
         ax, d = moves[0]
         forward = d == 1
-        tail = p if forward else q
-        head = q if forward else p
+        tail, head = (p, q) if forward else (q, p)
         if a.sampling == "link":
             om = h[ax] * a.coeffs[(ax,) + tail]
         else:
@@ -379,12 +378,8 @@ class HolonomyRep:
         return np.einsum("lii->l", self.elements)
 
     def commutator_defect(self) -> float:
-        d = 0.0
-        for i in range(3):
-            for j in range(i + 1, 3):
-                d = max(d, np.abs(self.elements[i] @ self.elements[j]
-                                  - self.elements[j] @ self.elements[i]).max())
-        return float(d)
+        e = self.elements
+        return float(max(np.abs(e[i] @ e[j] - e[j] @ e[i]).max() for i, j in PLANES))
 
 
 def build_atlas(a: AlgebraOneForm, cover: CubicalCover,
@@ -396,9 +391,17 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover,
     The label of an oriented edge [p, q] is the overlap mean of
     u_p(x) u_q(x)^-1 projected back to the group (`pair_label`); its
     recorded score is the sup deviation from constancy and must stay
-    below `tol`.
+    below `tol`.  An identically zero form is not developed: F = 0 passes
+    any gate, and every chart and edge label is the identity (read-only).
     """
     verts = cover.vertices()
+    if a.is_zero():
+        n, eye = 2 * cover.spacing + 1, a.algebra.group_identity()
+        eye.flags.writeable = False
+        charts = np.broadcast_to(eye, (len(verts), n, n, n) + eye.shape)
+        return DevelopingAtlas(cover, a.algebra, dict(zip(verts, charts)),
+                               dict.fromkeys(cover.edges(), eye),
+                               dict.fromkeys(cover.edges(), 0.0), tol)
     charts = _develop(a, cover.star_indices().transpose(1, 0, 2), flatness_gate, verts)
     atlas = DevelopingAtlas(cover, a.algebra, dict(zip(verts, charts)), {}, {}, tol)
     for v, ax in cover.edges():
@@ -440,10 +443,7 @@ def _align_constant(alg: LieAlgebra, rho1: np.ndarray, rho2: np.ndarray,
     """
     N = alg.rep_dim
     eye = np.eye(N)
-    rows = []
-    for r1, r2 in zip(rho1, rho2):
-        rows.append(np.kron(eye, r2.T) - np.kron(r1, eye))
-    M = np.concatenate(rows, axis=0)
+    M = np.concatenate([np.kron(eye, r2.T) - np.kron(r1, eye) for r1, r2 in zip(rho1, rho2)])
     _, svals, Vh = np.linalg.svd(M)
     null = Vh.conj()[svals < 1e-8 * max(1.0, svals.max())]
     if null.shape[0] == 0:
@@ -498,9 +498,7 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
         if par is None:
             continue
         p, ax = par
-        g1 = A1.label(p, ax)
-        g2 = A2.label(p, ax)
-        k[v] = g1.conj().T @ k[p] @ g2
+        k[v] = A1.label(p, ax).conj().T @ k[p] @ A2.label(p, ax)
 
     # all corrected labels must now match; non-tree edges test the holonomy
     worst = 0.0
@@ -514,7 +512,7 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
     # glue (u^1)^-1 k u^2 from the chart of the nearest vertex
     s = cover.spacing
     stars = cover.star_indices()
-    gauges = [np.einsum("...ji,jk,...kl->...il", A1.charts[v].conj(), k[v], A2.charts[v])
+    gauges = [np.einsum("...ji,...jl->...il", A1.charts[v].conj(), k[v] @ A2.charts[v])
               for v in cover.vertices()]
     out = np.empty(cover.lattice.dims + gauges[0].shape[-2:], dtype=complex)
     owner_written = np.zeros(cover.lattice.dims, dtype=bool)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import LieAlgebra, factor_constant, group_log
-from .errors import LogRangeError, NoLiftError, SectorError
+from .errors import HolonomyMismatchError, LogRangeError, NoLiftError, SectorError
 from .lattice import (
     GroupField,
     TorusLattice,
@@ -47,10 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_SECTOR_TOL = 0.25
-
-_EPS3 = [(0, 1, 2, +1), (1, 2, 0, +1), (2, 0, 1, +1),
-         (2, 1, 0, -1), (0, 2, 1, -1), (1, 0, 2, -1)]
-
 
 @dataclass(frozen=True)
 class SectorInvariants:
@@ -103,24 +99,33 @@ def _symmetrized_log_derivative(u: GroupField) -> np.ndarray:
     return np.stack([0.5 * (L[i] + np.roll(L[i], 1, axis=i)) for i in range(3)])
 
 
+def _killing_3form(alg: LieAlgebra, idx: slice = slice(None)) -> np.ndarray:
+    """T_abd = B([e_a, e_b], e_d) on the basis block `idx`."""
+    B = np.where(np.isnan(alg.killing_matrix), 0.0, alg.killing_matrix)
+    return np.einsum("abc,cd->abd", alg.structure_constants[idx, idx, idx], B[idx, idx])
+
+
 def topological_charge(u: GroupField, v_ref: GroupField | None = None) -> np.ndarray:
-    """Unrounded per-factor charges of u relative to v_ref (identity if None)."""
+    """Unrounded per-factor charges of u relative to v_ref (identity if None).
+
+    The six-term sum over permutations is exactly 6 B([Lb_1, Lb_2], Lb_3):
+    T_abd = B([e_a, e_b], e_d) is antisymmetric in (a, b), and in (b, d)
+    because the Killing form is ad-invariant, B([X, Y], Z) = -B(Y, [X, Z]).
+    T(Lb_1, Lb_2, Lb_3) is one matmul of Lb_1 against T as (d, d^2), then
+    a contraction with Lb_2 and Lb_3.
+    """
     alg = u.algebra
     w = u if v_ref is None else multiply(u, inverse_field(v_ref))
     Lb = _symmetrized_log_derivative(w)
-    f = alg.structure_constants
-    B = np.where(np.isnan(alg.killing_matrix), 0.0, alg.killing_matrix)
     out = []
     for k, fac in enumerate(alg.factors):
         idx = slice(fac.start, fac.stop)
-        T = np.einsum("abc,cd->abd", f[idx, idx, idx], B[idx, idx])
-        dens = 0.0
-        comps = [Lb[i][..., idx] for i in range(3)]
-        for i, j, l, sgn in _EPS3:
-            dens = dens + sgn * np.einsum("...a,...b,...d,abd->...",
-                                          comps[i], comps[j], comps[l], T)
+        d = fac.stop - fac.start
+        L1, L2, L3 = (Lb[i][..., idx].reshape(-1, d) for i in range(3))
+        M = (L1 @ _killing_3form(alg, idx).reshape(d, d * d)).reshape(-1, d, d)
+        total = 6.0 * np.einsum("xb,xb->", L2, np.einsum("xbd,xd->xb", M, L3))
         K = float(factor_constant(alg, k))
-        out.append(-(K / (192.0 * np.pi ** 2)) * u.lattice.cell_volume * dens.sum())
+        out.append(-(K / (192.0 * np.pi ** 2)) * u.lattice.cell_volume * total)
     return np.array(out)
 
 
@@ -152,7 +157,6 @@ def _winding_u1(line: np.ndarray) -> int:
 
 def _lift_sign_so3(line: np.ndarray, block: LieAlgebra) -> int:
     """Parity of the unit-quaternion lift of a closed SO(3) loop."""
-    n = line.shape[0]
     links = np.einsum("xji,xjk->xik", np.conj(line), np.roll(line, -1, axis=0))
     coords, _ = group_log(block, links, threshold=1.9)
     angles = np.linalg.norm(coords, axis=-1)
@@ -161,15 +165,14 @@ def _lift_sign_so3(line: np.ndarray, block: LieAlgebra) -> int:
     # lift each link to SU(2) near 1: rotation by theta about n -> exp(theta/2 n.isig)
     half = 0.5 * coords
     th = np.linalg.norm(half, axis=-1)
-    q = np.empty((n, 2, 2), dtype=complex)
     cos = np.cos(th)
     sinc = np.where(th > 1e-300, np.sin(th) / np.maximum(th, 1e-300), 1.0)
     sig = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
     axis_part = np.einsum("xa,aij->xij", half * sinc[:, None], 1j * sig)
     q = cos[:, None, None] * np.eye(2) + axis_part
     total = np.eye(2, dtype=complex)
-    for k in range(n):
-        total = total @ q[k]
+    for qk in q:
+        total = total @ qk
     tr = total[0, 0] + total[1, 1]
     if abs(abs(tr.real) - 2.0) > 1e-6 or abs(tr.imag) > 1e-6:
         raise LogRangeError("SO(3) lift did not close on a deck element")
@@ -313,7 +316,6 @@ def invariant_of_connection(a, b, cover=None, tol: float = DEFAULT_SECTOR_TOL,
     reports the invariants of u; fails when a and b sit in different
     holonomy strata.
     """
-    from .errors import HolonomyMismatchError
     from .holonomy import CubicalCover, gauge_from_holonomy
 
     if cover is None:

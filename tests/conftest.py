@@ -132,3 +132,32 @@ def link_distances(u):
         link = np.einsum("...ji,...jk->...ik", u.values.conj(), np.roll(u.values, -1, axis=ax))
         out.append(np.abs(np.linalg.eigvals(link) - 1.0).max(axis=-1))
     return np.stack(out)
+
+
+_EPS3 = [(0, 1, 2, +1), (1, 2, 0, +1), (2, 0, 1, +1),
+         (2, 1, 0, -1), (0, 2, 1, -1), (1, 0, 2, -1)]
+
+
+def six_term_charge(u, v_ref=None):
+    """Per-factor charges as the explicit sum over the six permutations
+    eps^{ijl} T(Lb_i, Lb_j, Lb_l), one four-operand contraction per term:
+    the reference for `topological_charge`'s single contraction."""
+    from skyrme.algebra import factor_constant
+    from skyrme.invariants import _symmetrized_log_derivative
+    from skyrme.lattice import inverse_field, multiply
+
+    alg = u.algebra
+    w = u if v_ref is None else multiply(u, inverse_field(v_ref))
+    Lb = _symmetrized_log_derivative(w)
+    f = alg.structure_constants
+    B = np.where(np.isnan(alg.killing_matrix), 0.0, alg.killing_matrix)
+    out = []
+    for k, fac in enumerate(alg.factors):
+        idx = slice(fac.start, fac.stop)
+        T = np.einsum("abc,cd->abd", f[idx, idx, idx], B[idx, idx])
+        comps = [Lb[i][..., idx] for i in range(3)]
+        dens = sum(sgn * np.einsum("...a,...b,...d,abd->...", comps[i], comps[j], comps[l], T)
+                   for i, j, l, sgn in _EPS3)
+        K = float(factor_constant(alg, k))
+        out.append(-(K / (192.0 * np.pi ** 2)) * u.lattice.cell_volume * dens.sum())
+    return np.array(out)

@@ -198,6 +198,32 @@ def test_atlas_zero_form(su2, lat16, cover16):
         assert atlas.edge_scores[(v, ax)] < 1e-13
 
 
+@pytest.mark.parametrize("spec", ["su2", "su3", "spin7"])
+@pytest.mark.parametrize("sampling", ["link", "site"])
+def test_zero_form_atlas_skips_development(spec, sampling, monkeypatch):
+    alg = al.parse_algebra(spec)
+    z = lat.zero_one_form(lat.TorusLattice((8, 8, 8)), alg, sampling=sampling)
+    cover = hol.CubicalCover(z.lattice, 2)
+    developed = hol._develop(z, cover.star_indices().transpose(1, 0, 2), None)
+    reference = hol.DevelopingAtlas(cover, alg, dict(zip(cover.vertices(), developed)),
+                                    {}, {}, hol.DEFAULT_ATLAS_TOL)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the zero form was developed")
+
+    monkeypatch.setattr(hol, "_develop", refuse)
+    atlas = hol.build_atlas(z, cover)
+    for v, ref in zip(cover.vertices(), developed):
+        assert not atlas.charts[v].flags.writeable
+        assert np.abs(atlas.charts[v] - ref).max() <= 1e-14
+    assert sorted(atlas.edge_labels) == sorted(cover.edges())
+    for (v, ax), g in atlas.edge_labels.items():
+        assert not g.flags.writeable
+        assert np.array_equal(g, np.eye(alg.rep_dim)) and atlas.edge_scores[(v, ax)] == 0.0
+        g_ref, score_ref = reference.pair_label(v, cover.neighbor(v, ax))
+        assert np.abs(g - g_ref).max() <= 1e-14 and score_ref <= 1e-14
+
+
 def test_atlas_log_derivative_scores(su2, lat16, cover16):
     w = lat.make_random(lat16, su2, seed=5, smoothness=2.5, amplitude=0.5)
     atlas = hol.build_atlas(lat.log_derivative(w), cover16)
@@ -306,12 +332,14 @@ def test_gauge_from_holonomy_trivial(su2, lat16, cover16):
     assert np.abs(u.values - u.values[0, 0, 0]).max() < 1e-12
 
 
-def test_gauge_from_holonomy_recovers_gauge(su2, lat16, cover16):
-    z = lat.zero_one_form(lat16, su2)
-    w = lat.make_random(lat16, su2, seed=9, smoothness=2.5, amplitude=0.6)
+@pytest.mark.parametrize("spec", ["su2", "su3"])
+def test_gauge_from_holonomy_recovers_gauge(spec, lat16, cover16):
+    alg = al.parse_algebra(spec)
+    z = lat.zero_one_form(lat16, alg)
+    w = lat.make_random(lat16, alg, seed=9, smoothness=2.5, amplitude=0.6)
     a2 = lat.gauge_transform(z, w)
     u = hol.gauge_from_holonomy(z, a2, cover16)
-    assert sup_deviation_mod_constant(su2, u.values, w.values) <= 1e-6
+    assert sup_deviation_mod_constant(alg, u.values, w.values) <= 1e-6
     # direction convention: a2 = gauge_transform(a1, u)
     back = lat.gauge_transform(z, u)
     assert np.abs(back.coeffs - a2.coeffs).max() < 1e-9
@@ -325,6 +353,17 @@ def test_gauge_from_holonomy_nonzero_reference(su2, lat16, cover16):
     u = hol.gauge_from_holonomy(a1, a2, cover16, tol=1e-2)
     back = lat.gauge_transform(a1, u)
     assert np.abs(back.coeffs - a2.coeffs).max() < 1e-2
+
+
+def test_gauge_from_holonomy_between_curved_charts(lat16, cover16):
+    # both potentials are nonzero and non-abelian, so the first atlas's charts
+    # are neither the identity nor diagonal and the glue must invert them.
+    # a1 = D w1 and a2 = D(w1 w2); any gauge u has w1 u = K w1 w2, K constant
+    su3 = al.parse_algebra("su3")
+    w1 = lat.make_random(lat16, su3, seed=21, smoothness=2.5, amplitude=0.6)
+    w12 = lat.multiply(w1, lat.make_random(lat16, su3, seed=22, smoothness=2.5, amplitude=0.6))
+    u = hol.gauge_from_holonomy(lat.log_derivative(w1), lat.log_derivative(w12), cover16)
+    assert sup_deviation_mod_constant(su3, lat.multiply(w1, u).values, w12.values) <= 1e-6
 
 
 def test_gauge_from_holonomy_mismatch(su2, lat16, cover16):

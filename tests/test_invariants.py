@@ -1,6 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import six_term_charge
 from skyrme import algebra as al
 from skyrme import invariants as inv
 from skyrme import lattice as lat
@@ -45,6 +50,47 @@ def test_charge_additivity(su2):
     cw = inv.topological_charge(w)[0]
     cuw = inv.topological_charge(lat.multiply(u, w))[0]
     assert abs(cuw - cu - cw) < 0.04
+
+
+@lru_cache(maxsize=None)
+def _algebra(spec):
+    return al.parse_algebra(spec)
+
+
+CHART_SPECS = [s for s in al.SUPPORTED_SPECS + ("u1", "so3", "su2+su3", "spin7+u1")
+               if _algebra(s).has_group_chart]
+
+
+@pytest.mark.parametrize("spec", CHART_SPECS)
+def test_killing_3form_is_totally_antisymmetric(spec):
+    # the identity behind topological_charge's single contraction: every
+    # permutation term of the six-term sum is sgn * T(Lb_1, Lb_2, Lb_3)
+    T = inv._killing_3form(_algebra(spec))
+    assert np.abs(T + T.transpose(1, 0, 2)).max() <= 1e-12
+    assert np.abs(T + T.transpose(0, 2, 1)).max() <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=st.sampled_from(["su2", "su3", "sp2", "spin7", "g2", "so3", "su2+su3"]),
+       seed=st.integers(0, 2 ** 32 - 2),
+       smoothness=st.floats(1.0, 2.5),
+       amplitude=st.floats(0.1, 0.8))
+def test_charge_of_random_field_matches_six_term_sum(spec, seed, smoothness, amplitude):
+    alg = _algebra(spec)
+    L = lat.TorusLattice((6, 6, 6))
+    u = lat.make_random(L, alg, seed=seed, smoothness=smoothness, amplitude=amplitude)
+    v = lat.make_random(L, alg, seed=seed + 1, smoothness=2.5, amplitude=0.3)
+    for ref in (None, v):
+        assert np.abs(inv.topological_charge(u, ref) - six_term_charge(u, ref)).max() <= 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(spec=st.sampled_from(["su2", "su3", "sp2", "spin7", "g2"]),
+       center=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+       charge=st.sampled_from([1, -1]))
+def test_charge_of_hedgehog_matches_six_term_sum(spec, center, charge):
+    u = lat.make_hedgehog(lat.TorusLattice((6, 6, 6)), _algebra(spec), 0.45, charge, center)
+    assert np.abs(inv.topological_charge(u) - six_term_charge(u)).max() <= 1e-12
 
 
 def test_u1_winding_invariant(u1, lat12):
@@ -119,9 +165,11 @@ def test_invariant_of_connection_trivial(su2, lat16):
     assert s.alpha == (0, 0, 0) and s.charges == (0,)
 
 
-def test_invariant_of_connection_hedgehog(su2, lat16):
-    b = lat.zero_one_form(lat16, su2)
-    a = lat.gauge_transform(b, lat.make_hedgehog(lat16, su2, 0.45))
+@pytest.mark.parametrize("spec", ["su2", "su3"])
+def test_invariant_of_connection_hedgehog(spec, lat16):
+    alg = _algebra(spec)
+    b = lat.zero_one_form(lat16, alg)
+    a = lat.gauge_transform(b, lat.make_hedgehog(lat16, alg, 0.45))
     s = inv.invariant_of_connection(a, b)
     assert s.charges == (1,)
 
