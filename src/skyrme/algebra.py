@@ -3,10 +3,11 @@
 Families: su(n) for 2 <= n <= 5, spin(m) for 3 <= m <= 9 (even Clifford
 products as basis, spinor representation of dimension 2^floor(m/2)),
 sp(n) for 1 <= n <= 3 (quaternionic unitary realization as 2n x 2n
-complex matrices), the 7 x 7 realization of g2, the partial
-spin(9) (+) Delta_9 realization of f4, u(1), and so(3) in its vector
+complex matrices), the 7 x 7 realization of g2, f4 = spin(9) (+) Delta_9
+in its 52 x 52 adjoint representation, u(1), and so(3) in its vector
 representation.  Direct sums of these are supported for the fields that
-need product groups.
+need product groups.  Every algebra has a complete bracket and a matrix
+chart, so exp and log are defined for all of them.
 
 Algebra elements are real coordinate vectors in the stored basis; the
 norm is |X|^2 = -(1/8) Tr(ad X ad X), computed from structure-constant
@@ -17,19 +18,16 @@ su(2) embedding.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import clifford
 from .errors import (
     CertificationError,
     ConstructionError,
     LogRangeError,
-    PartialBracketError,
     UnsupportedAlgebraError,
 )
 
@@ -74,10 +72,6 @@ class Factor:
     start: int
     stop: int
 
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(self.start, self.stop)
-
 
 @dataclass(frozen=True)
 class Su2Embedding:
@@ -102,17 +96,14 @@ class LieAlgebra:
     name : identifier such as "su3", "g2", or "su2+u1"
     dim : algebra dimension
     rep_dim : size N of the stored N x N matrix basis
-    basis : (dim, N, N) complex, anti-Hermitian except the f4 spinor part
+    basis : (dim, N, N) complex, anti-Hermitian
     structure_constants : f[a, b, c] with [e_a, e_b] = sum_c f[a,b,c] e_c
-    killing_matrix : B[a, b] = Tr(ad e_a ad e_b); NaN outside the
-        ad-complete block when the bracket is partial
+    killing_matrix : B[a, b] = Tr(ad e_a ad e_b)
     factors : simple-factor blocks (empty for u1)
-    partial_bracket : True for f4 (spinor x spinor brackets not stored)
     """
 
     def __init__(self, name, family, basis, *, factors, pi1="trivial",
-                 group_kind="special_unitary", blocks=(), f_table=None,
-                 ad_complete=None, partial_bracket=False):
+                 group_kind="special_unitary", blocks=(), f_table=None):
         self.name = name
         self.family = family
         self.basis = np.asarray(basis, dtype=complex)
@@ -122,34 +113,18 @@ class LieAlgebra:
         self.pi1 = pi1  # "trivial" | "integers" | "order2" (atomic algebras)
         self.group_kind = group_kind
         self.blocks = tuple(blocks)
-        self.partial_bracket = partial_bracket
-        if ad_complete is None:
-            ad_complete = np.ones(self.dim, dtype=bool)
-        self.ad_complete = np.asarray(ad_complete, dtype=bool)
 
-        if self.partial_bracket:
-            if f_table is None:
-                raise ConstructionError("partial algebras need a prebuilt bracket table")
-            self.structure_constants = f_table
-            self._gram = None
-            self._gram_inv = None
-        else:
-            self._gram = np.real(np.einsum("aji,bij->ab", self.basis.conj().transpose(0, 2, 1),
-                                           self.basis))
-            cond = np.linalg.cond(self._gram)
-            if not np.isfinite(cond) or cond > 1e8:
-                raise ConstructionError(f"{name}: ill-conditioned basis gram (cond={cond:.1e})")
-            self._gram_inv = np.linalg.inv(self._gram)
-            if f_table is not None:
-                self.structure_constants = f_table
-            else:
-                self.structure_constants = self._structure_from_basis()
-
-        f = self.structure_constants
-        self.killing_matrix = self._killing_from_table(f)
+        self._gram = np.real(np.einsum("aji,bij->ab", self.basis.conj().transpose(0, 2, 1),
+                                       self.basis))
+        cond = np.linalg.cond(self._gram)
+        if not np.isfinite(cond) or cond > 1e8:
+            raise ConstructionError(f"{name}: ill-conditioned basis gram (cond={cond:.1e})")
+        self._gram_inv = np.linalg.inv(self._gram)
+        f = self._structure_from_basis() if f_table is None else f_table
+        self.structure_constants = f
+        self.killing_matrix = np.real(np.einsum("aqc,bcq->ab", f, f))
         # norm gram: |X|^2 = -(1/8) x^T B x, positive semidefinite
-        kb = np.where(np.isnan(self.killing_matrix), 0.0, self.killing_matrix)
-        self.norm_gram = -kb / 8.0
+        self.norm_gram = -self.killing_matrix / 8.0
         self._validate()
         self._k_cache: dict[int, Fraction] = {}
         self._su2_cache: Su2Embedding | None = None
@@ -171,45 +146,29 @@ class LieAlgebra:
             raise ConstructionError(f"{self.name}: bracket closure residual {worst:.2e}")
         return f
 
-    def _killing_from_table(self, f) -> np.ndarray:
-        if not self.partial_bracket:
-            return np.real(np.einsum("aqc,bcq->ab", f, f))
-        # partial case: only pairs with complete ad have a defined entry
-        B = np.full((self.dim, self.dim), np.nan)
-        idx = np.where(self.ad_complete)[0]
-        for a in idx:
-            ada = f[a].T  # ad(e_a)[c, b] = f[a, b, c]
-            for b in idx:
-                B[a, b] = np.real(np.trace(ada @ f[b].T))
-        return B
-
     def _validate(self) -> None:
         f = self.structure_constants
         anti = np.abs(f + f.transpose(1, 0, 2)).max()
         if anti > 1e-12:
             raise ConstructionError(f"{self.name}: antisymmetry violated ({anti:.2e})")
         self._check_jacobi()
-        # compact semisimple blocks: Killing negative definite (restricted to
-        # the ad-complete part when the bracket is partial)
+        # compact semisimple blocks: Killing negative definite
         for fac in self.factors:
-            idx = fac.indices[self.ad_complete[fac.indices]]
-            blk = self.killing_matrix[np.ix_(idx, idx)]
+            blk = self.killing_matrix[fac.start:fac.stop, fac.start:fac.stop]
             w = np.linalg.eigvalsh((blk + blk.T) / 2)
             if w.max() >= 0:
                 raise ConstructionError(f"{self.name}: Killing form not negative definite on {fac.name}")
-        if not self.partial_bracket:
-            herm = np.abs(self.basis + self.basis.conj().transpose(0, 2, 1)).max()
-            if herm > 1e-12:
-                raise ConstructionError(f"{self.name}: basis not anti-Hermitian ({herm:.2e})")
+        herm = np.abs(self.basis + self.basis.conj().transpose(0, 2, 1)).max()
+        if herm > 1e-12:
+            raise ConstructionError(f"{self.name}: basis not anti-Hermitian ({herm:.2e})")
 
     def _check_jacobi(self) -> None:
-        # equivalent form: ad[e_a, e_b] = [ad e_a, ad e_b] on the complete domain
+        # equivalent form: ad[e_a, e_b] = [ad e_a, ad e_b]
         f = self.structure_constants
-        idx = np.where(self.ad_complete)[0]
         worst = 0.0
-        for a in idx:
+        for a in range(self.dim):
             ada = f[a].T
-            for b in idx:
+            for b in range(self.dim):
                 lhs = ada @ f[b].T - f[b].T @ ada
                 rhs = np.tensordot(f[a, b], f.transpose(0, 2, 1), axes=(0, 0))
                 worst = max(worst, np.abs(lhs - rhs).max())
@@ -242,28 +201,18 @@ class LieAlgebra:
         Returns (coords, residual); raises when the residual exceeds
         span_tol (pass None to skip the gate).
         """
-        if self._gram_inv is None:
-            raise PartialBracketError(f"{self.name}: no matrix-coordinate chart")
         coords, res = self._matrix_coords(np.asarray(M, dtype=complex))
         if span_tol is not None and res > span_tol:
             raise LogRangeError(f"{self.name}: element outside basis span (residual {res:.2e})")
         return coords, res
 
     def bracket(self, X, Y) -> np.ndarray:
-        """[X, Y] in coordinates; gates the partial-bracket domain."""
-        X = np.asarray(X)
-        Y = np.asarray(Y)
-        if self.partial_bracket:
-            bad = ~self.ad_complete
-            if np.abs(X[..., bad]).max(initial=0.0) > 1e-12 and \
-               np.abs(Y[..., bad]).max(initial=0.0) > 1e-12:
-                raise PartialBracketError(f"{self.name}: partial bracket: ad undefined")
-        out = np.einsum("...a,...b,abc->...c", X, Y, self.structure_constants)
-        return np.real(out) if not np.iscomplexobj(self.structure_constants) else out
+        """[X, Y] in coordinates."""
+        return np.einsum("...a,...b,abc->...c", np.asarray(X), np.asarray(Y),
+                         self.structure_constants)
 
     def ad_matrix(self, X) -> np.ndarray:
         """Matrix of ad(X) acting on coordinates, rows = output index."""
-        self._require_ad(X)
         return np.einsum("a,abc->cb", np.asarray(X), self.structure_constants)
 
     @cached_property
@@ -278,17 +227,7 @@ class LieAlgebra:
         ad = self.structure_constants.transpose(0, 2, 1)
         return R, R_inv, np.einsum("ij,ajk,kl->ail", R, ad, R_inv)
 
-    def _require_ad(self, X) -> None:
-        if self.partial_bracket:
-            X = np.asarray(X)
-            if np.abs(X[..., ~self.ad_complete]).max(initial=0.0) > 1e-12:
-                raise PartialBracketError(f"{self.name}: partial bracket: ad undefined")
-
     # ----- group realization -----
-
-    @property
-    def has_group_chart(self) -> bool:
-        return not self.partial_bracket
 
     def group_identity(self) -> np.ndarray:
         return np.eye(self.rep_dim, dtype=complex)
@@ -433,109 +372,45 @@ def _u1_basis() -> np.ndarray:
     return np.array([[[1j]]])
 
 
-def _blades_to_matrix(elem: clifford.CliffordElement, gam: np.ndarray) -> np.ndarray:
-    """Blade element -> matrix in the representation e_i = i gamma_i."""
-    dim = gam.shape[1]
-    out = np.zeros((dim, dim), dtype=complex)
-    for mask, c in elem.coeffs.items():
-        M = np.eye(dim, dtype=complex)
-        i = 0
-        while mask:
-            if mask & 1:
-                M = M @ (1j * gam[i])
-            mask >>= 1
-            i += 1
-        out += c * M
-    return out
-
-
-def _delta9_basis() -> list[clifford.CliffordElement]:
-    """The 16 spinor basis elements built from eps_j = 1 - e_{2j-1}e_{2j} (x) i
-    and omega_j = e_{2j-1} + e_{2j} (x) i inside complexified CL(10)."""
-    m = 10
-
-    def eps(j):
-        return clifford.CliffordElement(m, {0: 1.0}) + (-1j) * clifford.blade(m, 2 * j - 1, 2 * j)
-
-    def omg(j):
-        return clifford.generator(m, 2 * j - 1) + 1j * clifford.generator(m, 2 * j)
-
-    out = []
-    for r in (0, 2, 4):
-        for S in itertools.combinations(range(1, 6), r):
-            prod = clifford.CliffordElement(m, {0: 1.0})
-            for j in range(1, 6):
-                prod = prod * (omg(j) if j in S else eps(j))
-            out.append(prod)
-    return out
-
-
-def _clifford_vec(elem: clifford.CliffordElement, m: int) -> np.ndarray:
-    v = np.zeros(1 << m, dtype=complex)
-    for mask, c in elem.coeffs.items():
-        v[mask] = c
-    return v
-
-
 def _build_f4() -> LieAlgebra:
-    """f4 = spin(9) (+) Delta_9 with brackets limited to the spin(9) action.
+    """Compact f4 = spin(9) (+) Delta_9, stored as its adjoint matrices.
 
-    The spin(9)-internal bracket is the blade commutator; the mixed bracket
-    [a, v] = a v is left Clifford multiplication on the 16-dimensional
-    spinor block.  Spinor x spinor brackets are not constructed, so ad is
-    complete only for spin(9) elements.
+    The 16-dimensional spinor representation rho of spin(9) is real: the
+    solutions of C conj(rho(X)) = rho(X) C form one line.  With these gammas
+    it holds a real symmetric involution C, and R = (1 + C)/2 - i (1 - C)/2
+    is a unitary basis of the real form {v : C conj(v) = v}, in which every
+    rho(e_a) is a real skew matrix r_a.  Besides spin(9)'s own table, the
+    brackets are [e_a, s_j] = sum_k r_a[k, j] s_k and
+    [s_j, s_k] = sum_a r_a[k, j] e_a.  The constructor's Jacobi, Killing and
+    anti-Hermitian gates certify the table; its Killing form is -72 I.
     """
-    m = 10
-    clifford.check_relations(m)
-    spin_blades = [clifford.blade(m, i, j) for i, j in _spin_pairs(9)]
-    delta = _delta9_basis()
-    n_s, n_d = len(spin_blades), len(delta)
-    dim = n_s + n_d  # 36 + 16 = 52
-
-    # verify the spinor block: membership relation and linear independence
-    for j in range(1, 6):
-        op = 1j * clifford.blade(m, 2 * j - 1, 2 * j)
-        for v in delta:
-            if not (v * op + v).is_zero(1e-10):
-                raise ConstructionError("f4: spinor block fails its defining relation")
-    D = np.stack([_clifford_vec(v, m) for v in delta], axis=1)
-    if np.linalg.matrix_rank(D) != n_d:
-        raise ConstructionError("f4: spinor basis not independent")
-    spin_masks = {next(iter(b.coeffs)): k for k, b in enumerate(spin_blades)}
-
-    f = np.zeros((dim, dim, dim), dtype=complex)
-    for a, ba in enumerate(spin_blades):
-        # spin(9) x spin(9): blade commutators stay in the blade span
-        for b, bb in enumerate(spin_blades):
-            if a == b:
-                continue
-            comm = ba.commutator(bb)
-            for mask, c in comm.coeffs.items():
-                if mask not in spin_masks:
-                    raise ConstructionError("f4: spin(9) bracket left the blade span")
-                f[a, b, spin_masks[mask]] = c
-        # spin(9) x Delta_9: left multiplication, expanded in the spinor basis
-        for b, v in enumerate(delta):
-            prod = _clifford_vec(ba * v, m)
-            coef, res, *_ = np.linalg.lstsq(D, prod, rcond=None)
-            if np.linalg.norm(D @ coef - prod) > 1e-9:
-                raise ConstructionError("f4: spinor block not invariant under spin(9)")
-            f[a, n_s + b, n_s:] = coef
-            f[n_s + b, a, n_s:] = -coef
-
-    gam = _gamma_matrices(m)
-    basis = np.stack([_blades_to_matrix(b, gam) for b in spin_blades]
-                     + [_blades_to_matrix(v, gam) for v in delta])
-    ad_complete = np.zeros(dim, dtype=bool)
-    ad_complete[:n_s] = True
-    return LieAlgebra(
-        "f4", "f4", basis,
-        factors=[Factor("f4", 0, dim)],
-        group_kind="none",
-        f_table=f,
-        ad_complete=ad_complete,
-        partial_bracket=True,
-    )
+    spin9 = build_algebra("spin", 9)
+    rho, m, n = spin9.basis, spin9.dim, spin9.rep_dim
+    eye = np.eye(n)
+    # C conj(rho_a) - rho_a C = 0 for every a, one linear system in vec(C);
+    # its n^2 x n^2 normal matrix keeps the null-space solve small
+    A = np.concatenate([np.kron(eye, r.conj().T) - np.kron(r, eye) for r in rho])
+    w, V = np.linalg.eigh(A.conj().T @ A)
+    if w[1] < 1e-6 * w[-1]:
+        raise ConstructionError("f4: spinor real structure is not unique")
+    C = V[:, 0].reshape(n, n)
+    # fix the free phase on the first large entry, and the scale by C conj(C) = 1
+    lead = C.flat[np.flatnonzero(np.abs(C) > 0.5 * np.abs(C).max())[0]]
+    C = C * (abs(lead) / lead)
+    C = C / np.sqrt(np.real(C @ C.conj())[0, 0])
+    if np.abs(C.imag).max() > 1e-10 or np.abs(C.real @ C.real - eye).max() > 1e-10:
+        raise ConstructionError("f4: spinor real structure is not a real involution")
+    # closed form, so f4 files do not depend on how an eigensolver would
+    # split the degenerate +1 eigenspace of the involution
+    R = (eye + C.real) / 2 - 0.5j * (eye - C.real)
+    r = np.real(np.einsum("ji,ajk,kl->ail", R.conj(), rho, R))
+    f = np.zeros((m + n, m + n, m + n))
+    f[:m, :m, :m] = spin9.structure_constants
+    f[:m, m:, m:] = r.transpose(0, 2, 1)
+    f[m:, :m, m:] = -r.transpose(2, 0, 1)
+    f[m:, m:, :m] = r.transpose(2, 1, 0)
+    return LieAlgebra("f4", "f4", f.transpose(0, 2, 1), factors=[Factor("f4", 0, m + n)],
+                      group_kind="special_orthogonal", f_table=f)
 
 
 @lru_cache(maxsize=None)
@@ -608,8 +483,6 @@ def parse_algebra(spec: str) -> LieAlgebra:
 
 def direct_sum(*algs: LieAlgebra) -> LieAlgebra:
     """Block-diagonal direct sum; factors and lift data concatenate."""
-    if any(a.partial_bracket for a in algs):
-        raise UnsupportedAlgebraError("direct sums of partial algebras not supported")
     dim = sum(a.dim for a in algs)
     rep = sum(a.rep_dim for a in algs)
     basis = np.zeros((dim, rep, rep), dtype=complex)
@@ -635,12 +508,7 @@ def direct_sum(*algs: LieAlgebra) -> LieAlgebra:
 
 def killing_pairing(alg: LieAlgebra, X, Y) -> float:
     """Tr(ad X ad Y) from the adjoint tables; symmetric bilinear."""
-    X = np.asarray(X)
-    Y = np.asarray(Y)
-    alg._require_ad(X)
-    alg._require_ad(Y)
-    B = np.where(np.isnan(alg.killing_matrix), 0.0, alg.killing_matrix)
-    return float(np.einsum("...a,ab,...b->...", X, B, Y))
+    return float(np.einsum("...a,ab,...b->...", np.asarray(X), alg.killing_matrix, np.asarray(Y)))
 
 
 def algebra_norm_sq(alg: LieAlgebra, X) -> float:
@@ -752,17 +620,13 @@ def factor_constant(alg: LieAlgebra, k: int) -> Fraction:
         else:  # pragma: no cover
             raise ConstructionError("factor outside all blocks")
     else:
-        emb = primitive_su2(alg)
-        tr = killing_pairing(alg, emb.image_of_v, emb.image_of_v)
-        if abs(tr - round(tr)) > _TRACE_INT_TOL:
-            raise CertificationError(f"{alg.name}: non-integral Killing trace {tr!r}")
-        K = Fraction(-8, round(tr))
+        K = Fraction(-8, killing_trace_of_v(alg))
     alg._k_cache[k] = K
     return K
 
 
 def killing_trace_of_v(alg: LieAlgebra) -> int:
-    """Integer-certified Tr(ad(h(v))^2) used by the constants report."""
+    """Integer-certified Tr(ad(h(v))^2), the trace behind every constant K."""
     emb = primitive_su2(alg)
     tr = killing_pairing(alg, emb.image_of_v, emb.image_of_v)
     if abs(tr - round(tr)) > _TRACE_INT_TOL:
@@ -816,8 +680,6 @@ def theta_density(alg: LieAlgebra, k: int, X, Y, Z) -> float:
 
 def group_exp(alg: LieAlgebra, X) -> np.ndarray:
     """exp of algebra coordinates into the matrix group, batched."""
-    if not alg.has_group_chart:
-        raise PartialBracketError(f"{alg.name}: no group realization")
     M = alg.to_matrix(np.asarray(X))
     w, V = np.linalg.eigh(-1j * M)  # Hermitian for anti-Hermitian M
     phase = np.exp(1j * w)
@@ -834,8 +696,6 @@ def group_log(alg: LieAlgebra, g, threshold: float = 1.0,
     its `site` is the batch index of the worst matrix and `mask` marks
     every matrix out of range.
     """
-    if not alg.has_group_chart:
-        raise PartialBracketError(f"{alg.name}: no group realization")
     g = np.asarray(g, dtype=complex)
     w, V = np.linalg.eig(g)
     dist = np.abs(w - 1.0).max(axis=-1)

@@ -32,7 +32,7 @@ EXIT_CODES_HELP = """\
 exit codes:
   0 success                8 certification mismatch
   1 unexpected error       9 sector unresolved or drift
-  2 usage or config       10 partial bracket domain
+  2 usage or config       10 (retired)
   3 unsupported algebra   11 no covering-group lift
   4 log range / roughness 12 bad field file
   5 connection not flat   13 line search stalled

@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
 Every error class carries a distinct process exit code so the CLI can map
-failures to grep-stable one-line diagnostics.
+failures to grep-stable one-line diagnostics.  Code 10 is retired (it was
+the partial-bracket domain of an earlier f4) and is not reused.
 """
 
 
@@ -85,12 +86,6 @@ class SectorError(SkyrmeError):
     """Sector cannot be resolved or drifted during a run."""
 
     exit_code = 9
-
-
-class PartialBracketError(SkyrmeError):
-    """Operation needs ad of an element outside the supported bracket domain."""
-
-    exit_code = 10
 
 
 class NoLiftError(SkyrmeError):

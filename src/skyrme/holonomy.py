@@ -334,7 +334,6 @@ class DevelopingAtlas:
     charts: dict
     edge_labels: dict   # (v, axis) -> group element g_[v, v+e_axis]
     edge_scores: dict   # (v, axis) -> sup deviation of u_p u_q^-1 from g
-    tol: float
 
     def label(self, v, axis: int) -> np.ndarray:
         return self.edge_labels[(tuple(v), axis)]
@@ -401,9 +400,9 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover,
         charts = np.broadcast_to(eye, (len(verts), n, n, n) + eye.shape)
         return DevelopingAtlas(cover, a.algebra, dict(zip(verts, charts)),
                                dict.fromkeys(cover.edges(), eye),
-                               dict.fromkeys(cover.edges(), 0.0), tol)
+                               dict.fromkeys(cover.edges(), 0.0))
     charts = _develop(a, cover.star_indices().transpose(1, 0, 2), flatness_gate, verts)
-    atlas = DevelopingAtlas(cover, a.algebra, dict(zip(verts, charts)), {}, {}, tol)
+    atlas = DevelopingAtlas(cover, a.algebra, dict(zip(verts, charts)), {}, {})
     for v, ax in cover.edges():
         g, score = atlas.pair_label(v, cover.neighbor(v, ax))
         if score > tol:

@@ -21,10 +21,11 @@ unit-quaternion lift, and simply connected groups contribute zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import LieAlgebra, factor_constant, group_log
+from .algebra import LieAlgebra, _pauli, factor_constant, group_log, parse_algebra
 from .errors import HolonomyMismatchError, LogRangeError, NoLiftError, SectorError
 from .lattice import (
     GroupField,
@@ -101,8 +102,8 @@ def _symmetrized_log_derivative(u: GroupField) -> np.ndarray:
 
 def _killing_3form(alg: LieAlgebra, idx: slice = slice(None)) -> np.ndarray:
     """T_abd = B([e_a, e_b], e_d) on the basis block `idx`."""
-    B = np.where(np.isnan(alg.killing_matrix), 0.0, alg.killing_matrix)
-    return np.einsum("abc,cd->abd", alg.structure_constants[idx, idx, idx], B[idx, idx])
+    return np.einsum("abc,cd->abd", alg.structure_constants[idx, idx, idx],
+                     alg.killing_matrix[idx, idx])
 
 
 def topological_charge(u: GroupField, v_ref: GroupField | None = None) -> np.ndarray:
@@ -167,8 +168,7 @@ def _lift_sign_so3(line: np.ndarray, block: LieAlgebra) -> int:
     th = np.linalg.norm(half, axis=-1)
     cos = np.cos(th)
     sinc = np.where(th > 1e-300, np.sin(th) / np.maximum(th, 1e-300), 1.0)
-    sig = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
-    axis_part = np.einsum("xa,aij->xij", half * sinc[:, None], 1j * sig)
+    axis_part = np.einsum("xa,aij->xij", half * sinc[:, None], 1j * _pauli())
     q = cos[:, None, None] * np.eye(2) + axis_part
     total = np.eye(2, dtype=complex)
     for qk in q:
@@ -275,15 +275,17 @@ class ReferenceMaps:
         return field
 
 
-_REF_CACHE: dict[tuple, ReferenceMaps] = {}
+@lru_cache(maxsize=8)
+def _reference_maps(lattice: TorusLattice, name: str) -> ReferenceMaps:
+    return ReferenceMaps(lattice, parse_algebra(name))
 
 
 def reference_map(lattice: TorusLattice, algebra: LieAlgebra, alpha) -> GroupField:
-    """The fixed representative with the given holonomy coordinates."""
-    key = (lattice, algebra.name)
-    if key not in _REF_CACHE:
-        _REF_CACHE[key] = ReferenceMaps(lattice, algebra)
-    return _REF_CACHE[key].map_for(alpha)
+    """The fixed representative with the given holonomy coordinates.
+
+    Reference maps are cached per (lattice, algebra name) for the few most
+    recent pairs; the algebra is identified by its name."""
+    return _reference_maps(lattice, algebra.name).map_for(alpha)
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,7 @@ __all__ = [
     "skyrme_energy_connection",
     "flatness_residual",
     "gauge_transform",
+    "conjugate_coeffs",
     "make_hedgehog",
     "make_winding",
     "make_random",
@@ -242,22 +243,27 @@ def flatness_residual(a: AlgebraOneForm) -> tuple[AlgebraTwoForm, float]:
     return AlgebraTwoForm(a.lattice, alg, np.stack(planes)), scalar
 
 
+def conjugate_coeffs(b: AlgebraOneForm, u: GroupField) -> np.ndarray:
+    """Coordinates of u^-1 b_i u per axis, shape (3,) + dims + (dim,)."""
+    alg = b.algebra
+    out = np.empty_like(b.coeffs)
+    for i in range(3):
+        conj = np.einsum("...ji,...jk,...kl->...il", u.values.conj(),
+                         alg.to_matrix(b.coeffs[i]), u.values)
+        out[i], res = alg.to_coords(conj)
+        if res > 1e-9:
+            raise LogRangeError(f"conjugated component left the basis span ({res:.2e})")
+    return out
+
+
 def gauge_transform(b: AlgebraOneForm, u: GroupField,
                     threshold: float = LINK_LOG_THRESHOLD) -> AlgebraOneForm:
     """b |-> u^-1 b u + u^-1 du, componentwise on the lattice."""
-    alg = b.algebra
     L = log_derivative(u, threshold=threshold)
     if b.is_zero():
         return replace(L, sampling="link")
-    comps = np.empty_like(b.coeffs)
-    for i in range(3):
-        Bm = alg.to_matrix(b.coeffs[i])
-        conj = np.einsum("...ji,...jk,...kl->...il", u.values.conj(), Bm, u.values)
-        coords, res = alg.to_coords(conj)
-        if res > 1e-9:
-            raise LogRangeError(f"conjugated component left the basis span ({res:.2e})")
-        comps[i] = coords + L.coeffs[i]
-    return AlgebraOneForm(b.lattice, alg, comps, sampling=b.sampling)
+    return AlgebraOneForm(b.lattice, b.algebra, conjugate_coeffs(b, u) + L.coeffs,
+                          sampling=b.sampling)
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .lattice import (
     AlgebraOneForm,
     GroupField,
     TorusLattice,
+    conjugate_coeffs,
     flatness_residual,
     gauge_transform,
     log_derivative,
@@ -331,26 +332,15 @@ def minimize_connection(b: AlgebraOneForm, sector: SectorInvariants,
     _, resid = flatness_residual(b)
     if resid > flatness_gate:
         raise FlatnessError(f"reference potential not flat (residual {resid:.3e})")
-    alg = b.algebra
-    u0 = seed_field(b.lattice, alg, sector)
+    u0 = seed_field(b.lattice, b.algebra, sector)
 
     b_is_zero = b.is_zero()
-
-    def conj_b(u: GroupField) -> np.ndarray | None:
-        if b_is_zero:
-            return None
-        out = np.empty_like(b.coeffs)
-        for i in range(3):
-            Bm = alg.to_matrix(b.coeffs[i])
-            conj = np.einsum("...ji,...jk,...kl->...il", u.values.conj(), Bm, u.values)
-            out[i], _ = alg.to_coords(conj)
-        return out
 
     def energy_fn(u: GroupField) -> float:
         return skyrme_energy_connection(gauge_transform(b, u))
 
     def grad_fn(u: GroupField) -> np.ndarray:
-        return _gradient(u, conj_b=conj_b(u))
+        return _gradient(u, conj_b=None if b_is_zero else conjugate_coeffs(b, u))
 
     final_u, trace = _descend(u0, energy_fn, grad_fn, opts,
                               lambda u: sector_of(u, tol=opts.sector_tol))

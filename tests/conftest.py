@@ -150,7 +150,7 @@ def six_term_charge(u, v_ref=None):
     w = u if v_ref is None else multiply(u, inverse_field(v_ref))
     Lb = _symmetrized_log_derivative(w)
     f = alg.structure_constants
-    B = np.where(np.isnan(alg.killing_matrix), 0.0, alg.killing_matrix)
+    B = alg.killing_matrix
     out = []
     for k, fac in enumerate(alg.factors):
         idx = slice(fac.start, fac.stop)

@@ -6,7 +6,6 @@ from skyrme import algebra as al
 from skyrme.errors import (
     CertificationError,
     LogRangeError,
-    PartialBracketError,
     UnsupportedAlgebraError,
 )
 
@@ -21,23 +20,21 @@ def any_alg(request):
 def test_structure_tables(any_alg):
     f = any_alg.structure_constants
     assert np.abs(f + f.transpose(1, 0, 2)).max() < 1e-12
-    idx = np.where(any_alg.ad_complete)[0]
-    # closure against the matrix bracket, where the chart exists
-    if not any_alg.partial_bracket:
-        worst = 0.0
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            a, b = rng.integers(0, any_alg.dim, 2)
-            C = any_alg.basis[a] @ any_alg.basis[b] - any_alg.basis[b] @ any_alg.basis[a]
-            rec = any_alg.to_matrix(f[a, b])
-            worst = max(worst, np.abs(C - rec).max())
-        assert worst < 1e-10
-    # three-term Jacobi on the complete domain
+    # closure against the matrix bracket
+    worst = 0.0
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        a, b = rng.integers(0, any_alg.dim, 2)
+        C = any_alg.basis[a] @ any_alg.basis[b] - any_alg.basis[b] @ any_alg.basis[a]
+        rec = any_alg.to_matrix(f[a, b])
+        worst = max(worst, np.abs(C - rec).max())
+    assert worst < 1e-10
+    # three-term Jacobi
     worst = 0.0
     rng = np.random.default_rng(2)
     eye = np.eye(any_alg.dim)
     for _ in range(20):
-        a, b = rng.choice(idx, 2)
+        a, b = rng.choice(any_alg.dim, 2)
         c = rng.integers(0, any_alg.dim)
         j = (any_alg.bracket(f[a, b], eye[c])
              + any_alg.bracket(f[b, c], eye[a])
@@ -48,17 +45,13 @@ def test_structure_tables(any_alg):
 
 def test_killing_negative_definite(any_alg):
     for k, fac in enumerate(any_alg.factors):
-        idx = fac.indices[any_alg.ad_complete[fac.indices]]
-        blk = any_alg.killing_matrix[np.ix_(idx, idx)]
+        blk = any_alg.killing_matrix[fac.start:fac.stop, fac.start:fac.stop]
         assert np.abs(blk - blk.T).max() < 1e-9
         assert np.linalg.eigvalsh((blk + blk.T) / 2).max() < 0
 
 
 def test_basis_anti_hermitian(any_alg):
-    if any_alg.partial_bracket:
-        basis = any_alg.basis[any_alg.ad_complete]
-    else:
-        basis = any_alg.basis
+    basis = any_alg.basis
     assert np.abs(basis + basis.conj().transpose(0, 2, 1)).max() < 1e-12
 
 
@@ -92,32 +85,40 @@ def test_g2_killing_trace_of_v():
 
 def test_f4_structure():
     f4 = al.build_algebra("f4")
-    assert f4.dim == 52 and f4.ad_complete.sum() == 36
-    assert f4.partial_bracket
+    spin9 = al.build_algebra("spin", 9)
+    assert f4.dim == 52 and f4.rep_dim == 52
+    # spin(9) is the subalgebra on the first 36 indices, with its own table,
+    # and it acts on the 16 spinor indices without leaving them
+    f = f4.structure_constants
+    assert np.abs(f[:36, :36, :36] - spin9.structure_constants).max() < 1e-14
+    assert np.abs(f[:36, :36, 36:]).max() == 0.0
+    assert np.abs(f[:36, 36:, :36]).max() == 0.0
+    # in the canonical real spinor basis the spin(9) action is a signed
+    # permutation table
+    assert np.abs(np.abs(f[:36, 36:, 36:]) - np.round(np.abs(f[:36, 36:, 36:]))).max() < 1e-12
+    assert set(np.unique(np.round(f[:36, 36:, 36:]))) == {-1.0, 0.0, 1.0}
+    # the stored basis is the adjoint representation of that table
+    assert np.abs(f4.basis - f.transpose(0, 2, 1)).max() == 0.0
     emb = al.primitive_su2(f4)
     assert emb.residual < 1e-10
-    # image of v is the first spin(9) pair e1 e2
+    # image of v is the first spin(9) pair e1 e2, embedded unchanged
     expect = np.zeros(52)
     expect[0] = 1.0
     assert np.abs(emb.image_of_v - expect).max() < 1e-12
-    tr = al.killing_pairing(f4, emb.image_of_v, emb.image_of_v)
-    assert tr == pytest.approx(-72.0, abs=1e-9)
+    assert np.abs(emb.images[:, 36:]).max() == 0.0
+    assert np.abs(emb.images[:, :36] - al.primitive_su2(spin9).images).max() < 1e-12
+    assert al.killing_trace_of_v(f4) == -72
     assert al.normalizing_constant(f4) == Fraction(1, 9)
 
 
-def test_f4_partial_bracket_gates():
+def test_f4_exp_log_round_trip():
     f4 = al.build_algebra("f4")
-    spinor = np.zeros(52)
-    spinor[40] = 1.0
-    with pytest.raises(PartialBracketError):
-        al.killing_pairing(f4, spinor, spinor)
-    with pytest.raises(PartialBracketError):
-        f4.bracket(spinor, spinor)
-    # mixed bracket is defined
-    e12 = np.zeros(52)
-    e12[0] = 1.0
-    out = f4.bracket(e12, spinor)
-    assert np.abs(out).max() > 0
+    X = 0.05 * np.random.default_rng(5).standard_normal((6, 52))
+    g = al.group_exp(f4, X)
+    assert f4.check_group_elements(g) < 1e-12
+    coords, res = al.group_log(f4, g)
+    assert res < 1e-12
+    assert np.abs(coords - X).max() < 1e-12
 
 
 @pytest.mark.parametrize("spec,expected", [

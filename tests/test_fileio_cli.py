@@ -78,11 +78,40 @@ def test_direct_sum_has_no_file_id(su2):
 # CLI
 # ----------------------------------------------------------------------
 
+CONSTANTS_OUTPUT = (
+    "algebra=su2 dim=3 trace=-8 K=1/1\n"
+    "algebra=su3 dim=8 trace=-12 K=2/3\n"
+    "algebra=su4 dim=15 trace=-16 K=1/2\n"
+    "algebra=su5 dim=24 trace=-20 K=2/5\n"
+    "algebra=spin3 dim=3 trace=-8 K=1/1\n"
+    "algebra=spin4 dim=6 trace=-16 K=1/2\n"
+    "algebra=spin5 dim=10 trace=-24 K=1/3\n"
+    "algebra=spin6 dim=15 trace=-32 K=1/4\n"
+    "algebra=spin7 dim=21 trace=-40 K=1/5\n"
+    "algebra=spin8 dim=28 trace=-48 K=1/6\n"
+    "algebra=spin9 dim=36 trace=-56 K=1/7\n"
+    "algebra=sp1 dim=3 trace=-8 K=1/1\n"
+    "algebra=sp2 dim=10 trace=-12 K=2/3\n"
+    "algebra=sp3 dim=21 trace=-16 K=1/2\n"
+    "algebra=g2 dim=14 trace=-16 K=1/2\n"
+    "algebra=f4 dim=52 trace=-72 K=1/9\n"
+)
+
+
 def test_cli_constants(capsys):
     assert main(["constants"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert len(out) == 16
-    assert any(l.startswith("algebra=f4") and "K=1/9" in l for l in out)
+    assert capsys.readouterr().out == CONSTANTS_OUTPUT
+
+
+def test_cli_gen_energy_f4(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("group = f4\ndims = 4,4,4\nkind = random\nseed = 3\n")
+    out = tmp_path / "f4.skyf"
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+    assert fileio.read_field(out).algebra.name == "f4"
+    assert main(["energy", str(out)]) == 0
+    e_line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("E=")][-1]
+    assert float(e_line[2:]) > 0.0
 
 
 def test_cli_gen_energy_invariants(tmp_path, capsys):

@@ -205,8 +205,7 @@ def test_zero_form_atlas_skips_development(spec, sampling, monkeypatch):
     z = lat.zero_one_form(lat.TorusLattice((8, 8, 8)), alg, sampling=sampling)
     cover = hol.CubicalCover(z.lattice, 2)
     developed = hol._develop(z, cover.star_indices().transpose(1, 0, 2), None)
-    reference = hol.DevelopingAtlas(cover, alg, dict(zip(cover.vertices(), developed)),
-                                    {}, {}, hol.DEFAULT_ATLAS_TOL)
+    reference = hol.DevelopingAtlas(cover, alg, dict(zip(cover.vertices(), developed)), {}, {})
 
     def refuse(*args, **kwargs):
         raise AssertionError("the zero form was developed")
