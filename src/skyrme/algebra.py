@@ -482,7 +482,12 @@ def parse_algebra(spec: str) -> LieAlgebra:
 
 
 def direct_sum(*algs: LieAlgebra) -> LieAlgebra:
-    """Block-diagonal direct sum; factors and lift data concatenate."""
+    """Block-diagonal direct sum; factors and lift data concatenate.
+
+    A summand that is itself a sum contributes its blocks, so a nested sum
+    has the blocks, factors and lift channels of the flat sum of the same
+    name."""
+    algs = [blk for a in algs for blk in (a.blocks or (a,))]
     dim = sum(a.dim for a in algs)
     rep = sum(a.rep_dim for a in algs)
     basis = np.zeros((dim, rep, rep), dtype=complex)

@@ -20,6 +20,14 @@ single non-tree edge of each axis.  Two flat potentials with the same
 holonomy are gauge equivalent; the reconstruction aligns the second
 atlas at the base vertex, propagates corrections down a maximal tree,
 verifies the circuit labels, and glues (u^1)^-1 u^2 into a global gauge.
+
+A sector query develops the same form twice in a row: once for its
+holonomy, again as one side of the gauge reconstruction.  `build_atlas`
+therefore keeps the atlas of the most recently developed non-zero form in
+one module-level slot, keyed by algebra, sampling, lattice, cover, `tol`,
+`flatness_gate` and a private copy of the coefficients.  A hit returns the
+same read-only atlas; any other input (an in-place edit of the
+coefficients included) develops afresh.
 """
 
 from __future__ import annotations
@@ -46,6 +54,9 @@ __all__ = [
 
 DEFAULT_FLATNESS_FACTOR = 10.0  # gate: residual <= factor * max spacing
 DEFAULT_ATLAS_TOL = 1e-6
+
+# (key, read-only coefficient copy, atlas) of the last developed non-zero form
+_last_atlas: tuple | None = None
 
 
 # ----------------------------------------------------------------------
@@ -364,6 +375,16 @@ class DevelopingAtlas:
         score = np.abs(prod - g).max()
         return g, float(score)
 
+    def holonomy(self) -> "HolonomyRep":
+        """Holonomy of each torus generator as the ordered product of edge labels."""
+        els = []
+        for ax in range(3):
+            g = np.eye(self.algebra.rep_dim, dtype=complex)
+            for v, eax in self.cover.circuit(ax):
+                g = g @ self.label(v, eax)
+            els.append(g)
+        return HolonomyRep(self.cover.base, np.stack(els))
+
 
 @dataclass
 class HolonomyRep:
@@ -391,8 +412,18 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover,
     u_p(x) u_q(x)^-1 projected back to the group (`pair_label`); its
     recorded score is the sup deviation from constancy and must stay
     below `tol`.  An identically zero form is not developed: F = 0 passes
-    any gate, and every chart and edge label is the identity (read-only).
+    any gate, and every chart and edge label is the identity.
+
+    The atlas of the last non-zero form developed is memoized in one slot.
+    It is returned again when the algebra object, sampling, lattice, cover,
+    `tol` and `flatness_gate` are the same and the coefficients equal,
+    bit for bit, the copy taken when it was built; so a hit is exactly an
+    atlas whose gates passed on this input.  Errors are never stored.  On
+    a miss the slot is emptied before developing, so the old charts are
+    freed before the new ones are allocated and peak memory stays that of
+    one atlas.  Charts and edge labels are read-only, cached or not.
     """
+    global _last_atlas
     verts = cover.vertices()
     if a.is_zero():
         n, eye = 2 * cover.spacing + 1, a.algebra.group_identity()
@@ -401,32 +432,36 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover,
         return DevelopingAtlas(cover, a.algebra, dict(zip(verts, charts)),
                                dict.fromkeys(cover.edges(), eye),
                                dict.fromkeys(cover.edges(), 0.0))
+    key = (a.algebra, a.sampling, a.lattice, cover, tol, flatness_gate)
+    if (_last_atlas is not None and _last_atlas[0] == key
+            and np.array_equal(_last_atlas[1], a.coeffs)):
+        return _last_atlas[2]
+    _last_atlas = None
+    coeffs = a.coeffs.copy()
+    coeffs.flags.writeable = False
     charts = _develop(a, cover.star_indices().transpose(1, 0, 2), flatness_gate, verts)
+    charts.flags.writeable = False
     atlas = DevelopingAtlas(cover, a.algebra, dict(zip(verts, charts)), {}, {})
     for v, ax in cover.edges():
         g, score = atlas.pair_label(v, cover.neighbor(v, ax))
         if score > tol:
             raise AtlasError(f"overlap constancy violated on edge {v}+e{ax + 1} "
                              f"(score {score:.3e} > {tol:.1e})")
+        g.flags.writeable = False
         atlas.edge_labels[(v, ax)] = g
         atlas.edge_scores[(v, ax)] = score
+    _last_atlas = (key, coeffs, atlas)
     return atlas
 
 
 def holonomy_rep(a: AlgebraOneForm, cover: CubicalCover | None = None,
-                 atlas: DevelopingAtlas | None = None, **kwargs) -> HolonomyRep:
-    """Holonomy of each torus generator as the ordered product of edge labels."""
-    if atlas is None:
-        if cover is None:
-            cover = CubicalCover.for_lattice(a.lattice)
-        atlas = build_atlas(a, cover, **kwargs)
-    els = []
-    for ax in range(3):
-        g = np.eye(a.algebra.rep_dim, dtype=complex)
-        for v, eax in atlas.cover.circuit(ax):
-            g = g @ atlas.label(v, eax)
-        els.append(g)
-    return HolonomyRep(atlas.cover.base, np.stack(els))
+                 **kwargs) -> HolonomyRep:
+    """Holonomy of each torus generator of a, read off its atlas over
+    `cover` (default `CubicalCover.for_lattice`); `kwargs` go to
+    `build_atlas`."""
+    if cover is None:
+        cover = CubicalCover.for_lattice(a.lattice)
+    return build_atlas(a, cover, **kwargs).holonomy()
 
 
 # ----------------------------------------------------------------------
@@ -483,8 +518,8 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
         cover = CubicalCover.for_lattice(a1.lattice)
     A1 = build_atlas(a1, cover, tol=max(tol, DEFAULT_ATLAS_TOL), flatness_gate=flatness_gate)
     A2 = build_atlas(a2, cover, tol=max(tol, DEFAULT_ATLAS_TOL), flatness_gate=flatness_gate)
-    rho1 = holonomy_rep(a1, atlas=A1).elements
-    rho2 = holonomy_rep(a2, atlas=A2).elements
+    rho1 = A1.holonomy().elements
+    rho2 = A2.holonomy().elements
     tr_gap = np.abs(rho1.trace(axis1=1, axis2=2) - rho2.trace(axis1=1, axis2=2)).max()
     if tr_gap > 10 * tol:
         raise HolonomyMismatchError(f"holonomies differ (trace gap {tr_gap:.3e})")

@@ -2,7 +2,29 @@ import numpy as np
 import pytest
 
 from skyrme import algebra as alg_mod
+from skyrme import holonomy as hol
 from skyrme.lattice import TorusLattice
+
+
+@pytest.fixture(autouse=True)
+def empty_atlas_slot():
+    """Start every test with no memoized atlas, so that no test can pass on
+    an atlas developed by an earlier one."""
+    hol._last_atlas = None
+
+
+@pytest.fixture
+def develop_calls(monkeypatch):
+    """Forms passed to `holonomy._develop`, one entry per call."""
+    calls = []
+    develop = hol._develop
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return develop(a, *args, **kwargs)
+
+    monkeypatch.setattr(hol, "_develop", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

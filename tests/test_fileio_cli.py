@@ -175,6 +175,39 @@ def test_cli_holonomy_and_compare(tmp_path, capsys, su2):
     assert "holonomies differ" in capsys.readouterr().err
 
 
+# stdout of `holonomy A --compare B` on the forms below, as printed before
+# the atlas memo: the memo must not change a byte of it
+COMPARE_STDOUT = """\
+loop=1 trace=1.529684375+0j
+  +0.7648421873+0.6442176872j +0.0000000000+0.0000000000j
+  +0.0000000000+0.0000000000j +0.7648421873-0.6442176872j
+loop=2 trace=2+0j
+  +1.0000000000+0.0000000000j +0.0000000000+0.0000000000j
+  +0.0000000000+0.0000000000j +1.0000000000+0.0000000000j
+loop=3 trace=2+0j
+  +1.0000000000+0.0000000000j +0.0000000000+0.0000000000j
+  +0.0000000000+0.0000000000j +1.0000000000+0.0000000000j
+holonomy=equal
+"""
+
+
+def test_cli_holonomy_compare_develops_each_form_once(tmp_path, capsys, su2, lat8,
+                                                      develop_calls):
+    a = lat.zero_one_form(lat8, su2, sampling="site")
+    a.coeffs[0, ..., 2] = 0.7
+    w = lat.make_random(lat8, su2, seed=2, smoothness=2.5, amplitude=1e-3)
+    pa, pb = tmp_path / "a.skya", tmp_path / "b.skya"
+    fileio.write_one_form(pa, a)
+    fileio.write_one_form(pb, lat.gauge_transform(a, w))
+    assert main(["holonomy", str(pa), "--compare", str(pb),
+                 "--sampling", "site", "--tol", "1e-3"]) == 0
+    assert capsys.readouterr().out == COMPARE_STDOUT
+    # one development per distinct form: a for its holonomy and as the
+    # reconstruction's first side (memo hit), then b
+    assert len(develop_calls) == 2
+    assert not np.array_equal(develop_calls[0].coeffs, develop_calls[1].coeffs)
+
+
 def test_cli_develop(tmp_path, capsys, su2):
     L = lat.TorusLattice((8, 8, 8))
     w = lat.make_random(L, su2, seed=3, amplitude=0.4)

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import analytic_exp_field, sup_deviation_mod_constant
 from skyrme import algebra as al
 from skyrme import holonomy as hol
+from skyrme import invariants as inv
 from skyrme import lattice as lat
-from skyrme.errors import FlatnessError, HolonomyMismatchError
+from skyrme.errors import AtlasError, FlatnessError, HolonomyMismatchError
 
 
 @pytest.fixture
@@ -236,7 +239,7 @@ def test_atlas_relabeling_covariance(su2, lat16, cover16):
     atlas = hol.build_atlas(a, cover16)
     rng = np.random.default_rng(8)
     h = {v: al.group_exp(su2, 0.5 * rng.standard_normal(3)) for v in cover16.vertices()}
-    rho = hol.holonomy_rep(a, atlas=atlas).elements
+    rho = atlas.holonomy().elements
     relabeled = {}
     for (v, ax), g in atlas.edge_labels.items():
         q = cover16.neighbor(v, ax)
@@ -265,6 +268,98 @@ def test_simple_equivalence_labels_compose(su2, lat16, cover16):
     g_pr, s3 = atlas.pair_label(p, r)
     assert max(s1, s2, s3) < 1e-10
     assert np.abs(g_pq @ g_qr - g_pr).max() < 1e-10
+
+
+# ----------------------------------------------------------------------
+# atlas memo
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", ["su2", "su3"])
+def test_sector_query_develops_its_form_once(spec, develop_calls):
+    alg = al.parse_algebra(spec)
+    L = lat.TorusLattice((8, 8, 8))
+    a = lat.log_derivative(lat.make_random(L, alg, seed=3, smoothness=2.5, amplitude=0.5))
+    cover = hol.CubicalCover(L, 2)
+    rep = hol.holonomy_rep(a, cover)
+    sector = inv.invariant_of_connection(a, lat.zero_one_form(L, alg, sampling="link"), cover)
+    assert develop_calls == [a]
+    assert np.abs(rep.elements - np.eye(alg.rep_dim)).max() < 1e-12
+    assert sector.alpha == (0, 0, 0) and sector.charges == (0,)
+
+
+def test_in_place_edit_develops_again(su2, lat8, develop_calls):
+    cover = hol.CubicalCover(lat8, 2)
+    a = abelian_form(lat8, su2, 0.7)
+    first = hol.build_atlas(a, cover)
+    assert hol.build_atlas(a, cover) is first
+    a.coeffs[0, ..., 2] = 0.9
+    edited = hol.build_atlas(a, cover)
+    assert len(develop_calls) == 2
+    assert np.abs(edited.holonomy().elements - first.holonomy().elements).max() > 0.1
+    hol._last_atlas = None
+    fresh = hol.build_atlas(a, cover)
+    assert len(develop_calls) == 3
+    for v in cover.vertices():
+        assert np.array_equal(edited.charts[v], fresh.charts[v])
+    assert edited.edge_labels.keys() == fresh.edge_labels.keys()
+    for e, g in fresh.edge_labels.items():
+        assert np.array_equal(edited.edge_labels[e], g)
+
+
+@pytest.mark.parametrize("change", ["tol", "flatness_gate", "spacing", "sampling",
+                                    "algebra", "lattice"])
+def test_atlas_memo_misses_on_any_other_input(change, su2, lat8, develop_calls):
+    a = abelian_form(lat8, su2, 0.7)
+    cover = hol.CubicalCover(lat8, 2)
+    first = hol.build_atlas(a, cover)
+    assert hol.build_atlas(a, cover) is first and len(develop_calls) == 1
+    kwargs = {}
+    if change == "tol":
+        kwargs["tol"] = 1e-5
+    elif change == "flatness_gate":
+        kwargs["flatness_gate"] = 1.0
+    elif change == "spacing":
+        cover = hol.CubicalCover(lat8, 4)
+    elif change == "sampling":
+        a = replace(a, sampling="link")
+    elif change == "algebra":
+        a = replace(a, algebra=al.parse_algebra("sp1"))  # same shapes, another group
+    else:
+        a = replace(a, lattice=lat.TorusLattice(lat8.dims, (2.0, 2.0, 2.0)))
+        cover = hol.CubicalCover(a.lattice, 2)
+    assert hol.build_atlas(a, cover, **kwargs) is not first
+    assert len(develop_calls) == 2
+
+
+def test_atlas_gate_failures_are_never_memoized(su2, lat8, develop_calls):
+    # site data is not an exact derivative: its overlaps are not constant
+    a = _smooth_form(su2, 8, "site")
+    cover = hol.CubicalCover(lat8, 2)
+    built = hol.build_atlas(a, cover, tol=np.inf)
+    assert hol.build_atlas(a, cover, tol=np.inf) is built
+    for kwargs, error in [({"tol": np.inf, "flatness_gate": 0.0}, FlatnessError),
+                          ({}, AtlasError)]:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                hol.build_atlas(a, cover, **kwargs)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+    assert len(develop_calls) == 5
+    # the failures emptied the slot and stored nothing
+    assert hol.build_atlas(a, cover, tol=np.inf) is not built
+    assert len(develop_calls) == 6
+
+
+def test_memoized_atlas_is_read_only(su2, lat8):
+    a = abelian_form(lat8, su2, 0.7)
+    cover = hol.CubicalCover(lat8, 2)
+    atlas = hol.build_atlas(a, cover)
+    assert hol.build_atlas(a, cover) is atlas
+    assert not any(chart.flags.writeable for chart in atlas.charts.values())
+    assert not any(g.flags.writeable for g in atlas.edge_labels.values())
+    with pytest.raises(ValueError):
+        atlas.charts[cover.base][0, 0, 0] = 0.0
 
 
 # ----------------------------------------------------------------------

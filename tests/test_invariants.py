@@ -104,6 +104,18 @@ def test_u1_negative_winding(u1, lat12):
     assert inv.one_dim_invariant(f) == (-2, 0, 3)
 
 
+def test_nested_sum_keeps_its_lift_channel(su2, u1, lat8):
+    nested = al.direct_sum(al.direct_sum(su2, u1), su2)
+    flat = al.parse_algebra("su2+u1+su2")
+    assert inv.pi1_orders(nested) == inv.pi1_orders(flat) == (0,)
+    assert [b.name for b in nested.blocks] == [b.name for b in flat.blocks] == ["su2", "u1", "su2"]
+    # wind the U(1) block, coordinate 3 after su2's three
+    axis = np.eye(nested.dim)[3]
+    alphas = [inv.one_dim_invariant(lat.make_winding(lat8, alg, (1, -2, 0), axis=axis))
+              for alg in (nested, flat)]
+    assert alphas[0] == alphas[1] == (1, -2, 0)
+
+
 def test_so3_invariant(so3, lat12):
     r = lat.make_winding(lat12, so3, (1, 0, 0))
     assert inv.one_dim_invariant(r) == (1, 0, 0)
