@@ -177,9 +177,6 @@ class LieAlgebra:
 
     # ----- elements -----
 
-    def zero(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
     def basis_vector(self, a: int) -> np.ndarray:
         v = np.zeros(self.dim)
         v[a] = 1.0
@@ -206,10 +203,37 @@ class LieAlgebra:
             raise LogRangeError(f"{self.name}: element outside basis span (residual {res:.2e})")
         return coords, res
 
+    # ----- kernels: no other module contracts against the tables -----
+
     def bracket(self, X, Y) -> np.ndarray:
-        """[X, Y] in coordinates."""
+        """[X, Y] in coordinates, batched over leading axes."""
         return np.einsum("...a,...b,abc->...c", np.asarray(X), np.asarray(Y),
                          self.structure_constants)
+
+    def norm_sq(self, X) -> np.ndarray:
+        """Pointwise |X|^2 = -(1/8) Tr(ad X ad X) over the trailing axis."""
+        X = np.asarray(X)
+        return np.einsum("...a,ab,...b->...", X, self.norm_gram, X)
+
+    @cached_property
+    def block_layout(self) -> tuple[tuple[int, "LieAlgebra"], ...]:
+        """(representation offset, block) for every atomic block, in order;
+        an atomic algebra is its own block at offset 0."""
+        out, off = [], 0
+        for blk in self.blocks or (self,):
+            out.append((off, blk))
+            off += blk.rep_dim
+        return tuple(out)
+
+    def owning_block(self, k: int) -> tuple[int, "LieAlgebra"]:
+        """(representation offset, block) of the block holding simple factor
+        k; a sum lists its blocks' factors in block order."""
+        n = k
+        for off, blk in self.block_layout:
+            if 0 <= n < len(blk.factors):
+                return off, blk
+            n -= len(blk.factors)
+        raise IndexError(f"{self.name} has no simple factor {k}")
 
     def ad_matrix(self, X) -> np.ndarray:
         """Matrix of ad(X) acting on coordinates, rows = output index."""
@@ -517,8 +541,8 @@ def killing_pairing(alg: LieAlgebra, X, Y) -> float:
 
 
 def algebra_norm_sq(alg: LieAlgebra, X) -> float:
-    """|X|^2 = -(1/8) Tr(ad X ad X)."""
-    return -killing_pairing(alg, X, X) / 8.0
+    """|X|^2 = -(1/8) Tr(ad X ad X) of one element."""
+    return float(alg.norm_sq(X))
 
 
 def _su2_triple_from_v(alg: LieAlgebra, V: np.ndarray) -> np.ndarray:
@@ -611,23 +635,9 @@ def normalizing_constant(alg: LieAlgebra) -> Fraction:
 
 def factor_constant(alg: LieAlgebra, k: int) -> Fraction:
     """Normalizing constant of simple factor k, certified and cached."""
-    if k in alg._k_cache:
-        return alg._k_cache[k]
-    fac = alg.factors[k]
-    if alg.blocks:
-        # locate the block owning this factor and certify there
-        do = 0
-        for blk in alg.blocks:
-            if do <= fac.start < do + blk.dim:
-                K = normalizing_constant(blk)
-                break
-            do += blk.dim
-        else:  # pragma: no cover
-            raise ConstructionError("factor outside all blocks")
-    else:
-        K = Fraction(-8, killing_trace_of_v(alg))
-    alg._k_cache[k] = K
-    return K
+    if k not in alg._k_cache:
+        alg._k_cache[k] = Fraction(-8, killing_trace_of_v(alg.owning_block(k)[1]))
+    return alg._k_cache[k]
 
 
 def killing_trace_of_v(alg: LieAlgebra) -> int:

@@ -181,7 +181,7 @@ def _line_steps(alg: LieAlgebra, comps: np.ndarray, h: float) -> np.ndarray:
     """
     a0 = comps[:-1]
     a1 = comps[1:]
-    comm = np.einsum("...a,...b,abc->...c", a0, a1, alg.structure_constants)
+    comm = alg.bracket(a0, a1)
     om = h * (a0 + a1) / 2.0 + (h * h / 12.0) * comm
     if comps.shape[0] >= 4:
         # interior links get the 4-point quadrature (third-order sweep)
@@ -224,10 +224,9 @@ def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
             plaq = (T[i][core] @ np.roll(T[j], -1, axis=i)[core]
                     @ (T[j][core] @ np.roll(T[i], -1, axis=j)[core]).conj().swapaxes(-1, -2))
             F = group_log(alg, plaq, threshold=1.99)[0] / (h[i] * h[j])
-            density[core] += np.einsum("...a,ab,...b->...", F, alg.norm_gram, F)
+            density[core] += alg.norm_sq(F)
     else:
-        F = flatness_residual(a)[0].coeffs
-        density = np.einsum("p...a,ab,p...b->...", F, alg.norm_gram, F)
+        density = alg.norm_sq(flatness_residual(a)[0].coeffs).sum(axis=0)
     resid = np.sqrt(lattice.cell_volume * density[interior].sum(axis=(1, 2, 3)))
     if (resid > flatness_gate).any():
         s = int(np.argmax(resid > flatness_gate))
@@ -287,13 +286,13 @@ def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
     """Ordered product of one-step transports along a lattice polyline.
 
     `path` is a sequence of site index triples; consecutive sites must
-    differ by one step along a single axis (periodic wrap allowed).
+    differ by one step along a single axis (periodic wrap allowed).  A
+    site-sampled hop is the developer's two-point step between its ends.
     """
     alg = a.algebra
     dims = a.lattice.dims
     h = a.lattice.spacings
     g = np.eye(alg.rep_dim, dtype=complex)
-    f = alg.structure_constants
     for k in range(len(path) - 1):
         p = tuple(int(v) % dims[i] for i, v in enumerate(path[k]))
         q = tuple(int(v) % dims[i] for i, v in enumerate(path[k + 1]))
@@ -305,13 +304,10 @@ def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
         forward = d == 1
         tail, head = (p, q) if forward else (q, p)
         if a.sampling == "link":
-            om = h[ax] * a.coeffs[(ax,) + tail]
+            step = group_exp(alg, h[ax] * a.coeffs[(ax,) + tail])
         else:
-            a0 = a.coeffs[(ax,) + tail]
-            a1 = a.coeffs[(ax,) + head]
-            comm = np.einsum("a,b,abc->c", a0, a1, f)
-            om = h[ax] * (a0 + a1) / 2.0 + (h[ax] ** 2 / 12.0) * comm
-        step = group_exp(alg, om)
+            ends = np.stack([a.coeffs[(ax,) + tail], a.coeffs[(ax,) + head]])
+            step = _line_steps(alg, ends, h[ax])[0]
         g = g @ step if forward else g @ step.conj().T
     return g
 

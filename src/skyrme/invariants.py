@@ -73,16 +73,13 @@ class SectorInvariants:
 def _lift_channels(alg: LieAlgebra):
     """(rep_offset, block) for every block with nontrivial fundamental group."""
     out = []
-    blocks = alg.blocks if alg.blocks else (alg,)
-    off = 0
-    for blk in blocks:
+    for off, blk in alg.block_layout:
         if blk.pi1 == "integers":
             out.append((off, blk, 0))
         elif blk.pi1 == "order2":
             out.append((off, blk, 2))
         elif blk.pi1 != "trivial":
             raise NoLiftError(f"no lift table for group {blk.name}")
-        off += blk.rep_dim
     return out
 
 
@@ -238,10 +235,6 @@ class ReferenceMaps:
                 outs.append(int(v) if r == 0 else int(v) % r)
             red.append(outs[0] if not isinstance(entry, tuple) and len(channels) == 1 else tuple(outs))
         return tuple(red)
-
-    def generator(self, ell: int) -> GroupField:
-        alpha = tuple((1 if ax == ell else 0) for ax in range(3))
-        return self.map_for(alpha)
 
     def map_for(self, alpha) -> GroupField:
         alpha = self._reduced(alpha)

@@ -12,7 +12,8 @@ Skyrme energies
     E[a]  = sum_x vol ( 1/2 |a|^2 + 1/16 |[a, a]|^2 )
 
 agree identically through a = L because [a, a]_{ij} = 2 [a_i, a_j].
-Norms come from -(1/8) Tr(ad . ad .).
+Brackets and norms, |X|^2 = -(1/8) Tr(ad X ad X), come from the algebra's
+batched kernels `LieAlgebra.bracket` and `LieAlgebra.norm_sq`.
 """
 
 from __future__ import annotations
@@ -145,15 +146,6 @@ class AlgebraTwoForm:
     coeffs: np.ndarray  # (3, N1, N2, N3, dim)
 
 
-def _norm_sq_density(alg: LieAlgebra, coords: np.ndarray) -> np.ndarray:
-    """Pointwise |X|^2 over trailing coordinate axis."""
-    return np.einsum("...a,ab,...b->...", coords, alg.norm_gram, coords)
-
-
-def _bracket_grid(alg: LieAlgebra, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return np.einsum("...a,...b,abc->...c", X, Y, alg.structure_constants)
-
-
 # ----------------------------------------------------------------------
 # log derivative and energies
 # ----------------------------------------------------------------------
@@ -198,16 +190,15 @@ def log_derivative(u: GroupField, threshold: float = LINK_LOG_THRESHOLD) -> Alge
 
 def wedge_bracket(L: AlgebraOneForm) -> AlgebraTwoForm:
     """Site-local plane components [L_i, L_j] for (i,j) in PLANES."""
-    out = np.stack([_bracket_grid(L.algebra, L.coeffs[i], L.coeffs[j]) for i, j in PLANES])
+    out = np.stack([L.algebra.bracket(L.coeffs[i], L.coeffs[j]) for i, j in PLANES])
     return AlgebraTwoForm(L.lattice, L.algebra, out)
 
 
 def _energy_from_components(alg: LieAlgebra, coeffs: np.ndarray, cellvol: float) -> float:
-    quad = 0.5 * _norm_sq_density(alg, coeffs).sum()
+    quad = 0.5 * alg.norm_sq(coeffs).sum()
     quart = 0.0
     for i, j in PLANES:
-        br = _bracket_grid(alg, coeffs[i], coeffs[j])
-        quart += 0.25 * _norm_sq_density(alg, br).sum()
+        quart += 0.25 * alg.norm_sq(alg.bracket(coeffs[i], coeffs[j])).sum()
     return float(cellvol * (quad + quart))
 
 
@@ -236,9 +227,9 @@ def flatness_residual(a: AlgebraOneForm) -> tuple[AlgebraTwoForm, float]:
     planes = []
     total = 0.0
     for i, j in PLANES:
-        F = fwd(a.coeffs[j], i) - fwd(a.coeffs[i], j) + _bracket_grid(alg, a.coeffs[i], a.coeffs[j])
+        F = fwd(a.coeffs[j], i) - fwd(a.coeffs[i], j) + alg.bracket(a.coeffs[i], a.coeffs[j])
         planes.append(F)
-        total += _norm_sq_density(alg, F).sum()
+        total += alg.norm_sq(F).sum()
     scalar = float(np.sqrt(a.lattice.cell_volume * total))
     return AlgebraTwoForm(a.lattice, alg, np.stack(planes)), scalar
 
@@ -357,7 +348,7 @@ def make_random(lattice: TorusLattice, alg: LieAlgebra, seed: int,
     noise = rng.standard_normal(lattice.dims + (alg.dim,))
     for a in range(alg.dim):
         noise[..., a] = gaussian_filter(noise[..., a], sigma=smoothness, mode="wrap")
-    sup = np.sqrt(_norm_sq_density(alg, noise).max())
+    sup = np.sqrt(alg.norm_sq(noise).max())
     if sup > 0:
         noise *= amplitude / sup
     return GroupField(lattice, alg, group_exp(alg, noise))

@@ -45,7 +45,6 @@ from .lattice import (
     gauge_transform,
     log_derivative,
     make_hedgehog,
-    multiply,
     skyrme_energy_connection,
     zero_one_form,
 )
@@ -145,15 +144,13 @@ def _apply_B_pair(alg: LieAlgebra, ell: np.ndarray, v: np.ndarray):
 
 def _energy_gradient_terms(alg: LieAlgebra, comps: np.ndarray) -> np.ndarray:
     """P_i = dE-density/d(component i): a_i + 1/2 sum_j [a_j, [a_i, a_j]]."""
-    f = alg.structure_constants
     P = np.empty_like(comps)
     for i in range(3):
         P[i] = comps[i]
         for j in range(3):
             if j == i:
                 continue
-            inner = np.einsum("...a,...b,abc->...c", comps[i], comps[j], f)
-            P[i] += 0.5 * np.einsum("...a,...b,abc->...c", comps[j], inner, f)
+            P[i] += 0.5 * alg.bracket(comps[j], alg.bracket(comps[i], comps[j]))
     return P
 
 
@@ -172,9 +169,8 @@ def _gradient(u: GroupField, conj_b: np.ndarray | None = None) -> np.ndarray:
         G -= (cellvol / h[i]) * plus
         G += (cellvol / h[i]) * np.roll(minus, 1, axis=i)
     if conj_b is not None:
-        f = alg.structure_constants
         for i in range(3):
-            G += cellvol * np.einsum("...a,...b,abc->...c", P[i], conj_b[i], f)
+            G += cellvol * alg.bracket(P[i], conj_b[i])
     return G
 
 
@@ -206,7 +202,7 @@ def _descend(u: GroupField, energy_fn, grad_fn, opts: MinimizeOptions,
     alg = u.algebra
     for it in range(opts.max_iters):
         G = grad_fn(u)
-        site_sq = np.einsum("...a,ab,...b->...", G, alg.norm_gram, G)
+        site_sq = alg.norm_sq(G)
         gnorm = float(np.sqrt(site_sq.sum()))
         trace.append(E, gnorm, step)
         if gnorm <= opts.grad_tol:
@@ -292,24 +288,13 @@ def seed_field(lattice: TorusLattice, alg: LieAlgebra, sector: SectorInvariants,
     for k, c in enumerate(sector.charges):
         if c == 0:
             continue
-        if alg.blocks:
-            # build the lump inside the owning block and embed it
-            off_d, off_r = 0, 0
-            for blk in alg.blocks:
-                owns = any(off_d <= fac.start < off_d + blk.dim
-                           for fac in (alg.factors[k],))
-                if owns:
-                    lump = make_hedgehog(lattice, blk, radius, charge=int(c))
-                    vals = u.values.copy()
-                    sl = slice(off_r, off_r + blk.rep_dim)
-                    vals[..., sl, sl] = np.einsum("...ij,...jk->...ik",
-                                                  vals[..., sl, sl], lump.values)
-                    u = GroupField(lattice, alg, vals)
-                    break
-                off_d += blk.dim
-                off_r += blk.rep_dim
-        else:
-            u = multiply(u, make_hedgehog(lattice, alg, radius, charge=int(c)))
+        # build the lump inside the owning block and embed it
+        off, blk = alg.owning_block(k)
+        lump = make_hedgehog(lattice, blk, radius, charge=int(c))
+        vals = u.values.copy()
+        sl = slice(off, off + blk.rep_dim)
+        vals[..., sl, sl] = np.einsum("...ij,...jk->...ik", vals[..., sl, sl], lump.values)
+        u = GroupField(lattice, alg, vals)
     got = sector_of(u)
     if not (got.alpha == sector.alpha and got.charges == tuple(sector.charges)):
         raise SectorError(f"no seed field for sector {sector.alpha};{sector.charges} "

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from functools import lru_cache
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skyrme import algebra as al
 from skyrme.errors import (
@@ -264,3 +267,34 @@ def test_certification_report_format():
     assert "trace=-72" in f4_line and "K=1/9" in f4_line
     su4_line = [l for l in lines if l.startswith("algebra=su4")][0]
     assert "K=1/2" in su4_line
+
+
+KERNEL_SPECS = list(al.SUPPORTED_SPECS) + ["u1", "so3", "su2+su3", "spin7+u1"]
+
+
+@lru_cache(maxsize=None)
+def _algebra(spec):
+    return al.parse_algebra(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(KERNEL_SPECS),
+       seed=st.integers(0, 2 ** 32 - 1),
+       grid=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       scale=st.floats(1e-2, 1e2))
+def test_kernels_match_matrix_oracles(spec, seed, grid, scale):
+    # bracket and norm_sq on coordinate grids, against the matrix commutator
+    # and the trace of ad X squared, one element at a time
+    alg = _algebra(spec)
+    X, Y = scale * np.random.default_rng(seed).standard_normal((2,) + grid + (alg.dim,))
+    MX, MY = alg.to_matrix(X), alg.to_matrix(Y)
+    err = np.linalg.norm(alg.to_matrix(alg.bracket(X, Y)) - (MX @ MY - MY @ MX), axis=(-2, -1))
+    size = np.linalg.norm(MX, axis=(-2, -1)) * np.linalg.norm(MY, axis=(-2, -1))
+    assert (err <= 1e-10 * size).all()
+    flat = X.reshape(-1, alg.dim)
+    trace = np.array([-np.trace(alg.ad_matrix(x) @ alg.ad_matrix(x)) / 8.0 for x in flat])
+    norms = alg.norm_sq(X)
+    assert norms.shape == grid
+    np.testing.assert_allclose(norms.ravel(), trace, rtol=1e-10, atol=1e-14 * scale ** 2)
+    single = np.array([al.algebra_norm_sq(alg, x) for x in flat])
+    np.testing.assert_allclose(single, norms.ravel(), rtol=1e-12, atol=0.0)

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import analytic_exp_field, sup_deviation_mod_constant
 from skyrme import algebra as al
@@ -119,6 +120,31 @@ def test_path_transport(su2, lat16):
     assert np.abs(fwd @ bwd - np.eye(2)).max() < 1e-12
     with pytest.raises(ValueError):
         hol.path_transport(a, [(0, 0, 0), (2, 0, 0)])
+
+
+def test_path_transport_site_step_on_nonabelian_data():
+    # su3 site data, where the bracket term of the two-point step is far
+    # from zero; the oracle is expm of the step formula on matrices
+    su3 = al.parse_algebra("su3")
+    L = lat.TorusLattice((8, 8, 8))
+    _, a = analytic_exp_field(su3, L, amp=0.5, seed=3)
+    path = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (2, 0, 0), (2, 7, 0), (2, 7, 1),
+            (2, 7, 0), (1, 7, 0), (0, 7, 0), (7, 7, 0), (7, 7, 7)]
+    h = L.spacings
+    expect = np.eye(3, dtype=complex)
+    no_bracket = np.eye(3, dtype=complex)
+    for p, q in zip(path, path[1:]):
+        ax = next(i for i in range(3) if p[i] != q[i])
+        forward = (q[ax] - p[ax]) % L.dims[ax] == 1
+        tail, head = (p, q) if forward else (q, p)
+        A0 = su3.to_matrix(a.coeffs[(ax,) + tail])
+        A1 = su3.to_matrix(a.coeffs[(ax,) + head])
+        mean = h[ax] * (A0 + A1) / 2.0
+        step = expm(mean + (h[ax] ** 2 / 12.0) * (A0 @ A1 - A1 @ A0))
+        expect = expect @ (step if forward else np.linalg.inv(step))
+        no_bracket = no_bracket @ expm(mean if forward else -mean)
+    assert np.abs(expect - no_bracket).max() > 1e-6
+    assert np.abs(hol.path_transport(a, path) - expect).max() < 1e-12
 
 
 def _smooth_form(alg, n, sampling, seed=4):

@@ -172,6 +172,24 @@ def test_seed_field_matches_sector(su2, lat16):
     assert inv.sector_of(seed).same_sector(sector)
 
 
+@pytest.mark.parametrize("spec, charges", [("su2+su3", (1, 0)), ("su2+su3", (0, 1)),
+                                           ("su2+u1", (1,))])
+def test_seed_field_on_direct_sums(spec, charges, lat12):
+    # the lump is built in the block owning the charged factor and embedded
+    alg = al.parse_algebra(spec)
+    sector = inv.SectorInvariants(alpha=(0, 0, 0), alpha_orders=inv.pi1_orders(alg),
+                                  charges_raw=tuple(map(float, charges)), charges=charges,
+                                  residuals=(0.0,) * len(charges))
+    got = inv.sector_of(mz.seed_field(lat12, alg, sector))
+    assert got.same_sector(sector)
+    for k, c in enumerate(charges):
+        assert got.charges_raw[k] == (pytest.approx(0.8585, abs=1e-4) if c
+                                      else pytest.approx(0.0, abs=1e-12))
+        _, blk = alg.owning_block(k)
+        assert alg.factors[k].name == f"{blk.name}:{blk.name}"
+        assert al.factor_constant(alg, k) == al.normalizing_constant(blk)
+
+
 def test_seed_field_rejects_unrepresentable(u1, lat8):
     bad = inv.SectorInvariants(alpha=(0, 0, 0), alpha_orders=(0,),
                                charges_raw=(1.0,), charges=(1,), residuals=(0.0,))
