@@ -54,6 +54,9 @@ __all__ = [
 _CLOSURE_TOL = 1e-10
 _JACOBI_TOL = 1e-10
 _TRACE_INT_TOL = 1e-9
+_GROUP_TOL = 1e-10  # deviation from the group's defining constraints
+_SU2_TOL = 1e-10    # homomorphism residual of the primitive su(2)
+SPAN_TOL = 1e-9     # residual of a matrix projected onto the basis span
 
 # atomic specs certified by `constants`; u1/so3 join for field-level work
 SUPPORTED_SPECS = (
@@ -256,9 +259,10 @@ class LieAlgebra:
     def group_identity(self) -> np.ndarray:
         return np.eye(self.rep_dim, dtype=complex)
 
-    def check_group_elements(self, g, tol: float = 1e-10) -> float:
+    def check_group_elements(self, g) -> float:
         """Max deviation from the group's defining constraints (unitarity,
-        plus realness for so(3) and unit determinant for determinant-1 kinds)."""
+        plus realness for so(3) and unit determinant for determinant-1
+        kinds); raises LogRangeError above _GROUP_TOL."""
         g = np.asarray(g, dtype=complex)
         eye = np.eye(self.rep_dim)
         dev = np.abs(np.einsum("...ji,...jk->...ik", g.conj(), g) - eye).max()
@@ -266,7 +270,7 @@ class LieAlgebra:
             dev = max(dev, np.abs(g.imag).max())
         if self.group_kind in ("special_unitary", "special_orthogonal", "symplectic"):
             dev = max(dev, np.abs(np.linalg.det(g) - 1.0).max())
-        if dev > tol:
+        if dev > _GROUP_TOL:
             raise LogRangeError(f"{self.name}: matrices fail group constraints ({dev:.2e})")
         return float(dev)
 
@@ -569,7 +573,7 @@ def _su2_triple_from_v(alg: LieAlgebra, V: np.ndarray) -> np.ndarray:
     return np.stack([X1, -0.5 * np.real(adv @ X1), V])
 
 
-def primitive_su2(alg: LieAlgebra, tol: float = 1e-10) -> Su2Embedding:
+def primitive_su2(alg: LieAlgebra) -> Su2Embedding:
     """A homomorphic su(2) image generating the primitive 3-sphere class."""
     if alg._su2_cache is not None:
         return alg._su2_cache
@@ -577,7 +581,7 @@ def primitive_su2(alg: LieAlgebra, tol: float = 1e-10) -> Su2Embedding:
 
     def coords_of(M):
         c, res = alg.to_coords(M)
-        if res > 1e-9:
+        if res > SPAN_TOL:
             raise ConstructionError(f"{alg.name}: embedding image not in basis span")
         return c
 
@@ -619,7 +623,7 @@ def primitive_su2(alg: LieAlgebra, tol: float = 1e-10) -> Su2Embedding:
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         lhs = alg.bracket(images[a], images[b])
         res = max(res, np.abs(lhs + 2.0 * images[c]).max())
-    if res > tol:
+    if res > _SU2_TOL:
         raise ConstructionError(f"{alg.name}: su(2) homomorphism residual {res:.2e}")
     emb = Su2Embedding(alg, images, float(res))
     alg._su2_cache = emb
@@ -701,8 +705,7 @@ def group_exp(alg: LieAlgebra, X) -> np.ndarray:
     return np.einsum("...ab,...b,...cb->...ac", V, phase, V.conj())
 
 
-def group_log(alg: LieAlgebra, g, threshold: float = 1.0,
-              span_tol: float = 1e-9):
+def group_log(alg: LieAlgebra, g, threshold: float = 1.0):
     """Principal matrix log projected to the algebra basis span.
 
     Returns (coords, residual) where residual is the worst projection
@@ -723,22 +726,21 @@ def group_log(alg: LieAlgebra, g, threshold: float = 1.0,
     # V diag(lw) V^-1 without forming the inverse: solve against V^T on the right
     VD = np.einsum("...ab,...b->...ab", V, lw)
     L = np.swapaxes(np.linalg.solve(np.swapaxes(V, -1, -2), np.swapaxes(VD, -1, -2)), -1, -2)
-    coords, res = alg.to_coords(L, span_tol=span_tol)
-    return coords, res
+    return alg.to_coords(L, span_tol=SPAN_TOL)
 
 
 # ----------------------------------------------------------------------
 # certification report
 # ----------------------------------------------------------------------
 
-def certification_report(specs=SUPPORTED_SPECS):
+def certification_report():
     """Certify normalizing constants; returns (lines, all_match).
 
     Line format: ``algebra=<name> dim=<d> trace=<t> K=<p>/<q>``.
     """
     lines = []
     ok = True
-    for spec in specs:
+    for spec in SUPPORTED_SPECS:
         alg = parse_algebra(spec)
         tr = killing_trace_of_v(alg)
         K = normalizing_constant(alg)

@@ -11,12 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import fileio
 from .algebra import certification_report, parse_algebra
 from .errors import CertificationError, ConfigError, SkyrmeError
-from .holonomy import CubicalCover, CubeChart, develop_cube, gauge_from_holonomy, holonomy_rep
+from .holonomy import CubicalCover, develop_cube, gauge_from_holonomy, holonomy_rep
 from .invariants import SectorInvariants, pi1_orders, sector_of
 from .lattice import (
     GroupField,
@@ -25,6 +23,7 @@ from .lattice import (
     make_random,
     make_winding,
     skyrme_energy_map,
+    zero_one_form,
 )
 from .minimize import MinimizeOptions, minimize_connection, minimize_map
 
@@ -192,6 +191,7 @@ def cmd_minimize(args) -> int:
         fileio.write_field(args.out, final)
     else:
         alg = parse_algebra(cfg.get("group", "su2"))
+        fileio.group_id(alg)  # the result must be writable before any descent
         lattice = _lattice_from(cfg)
         alpha = _as_ints(cfg.get("alpha", "0,0,0"), 3, "alpha")
         nfac = len(alg.factors)
@@ -200,7 +200,6 @@ def cmd_minimize(args) -> int:
         sector = SectorInvariants(alpha=alpha, alpha_orders=pi1_orders(alg),
                                   charges_raw=tuple(float(c) for c in charges),
                                   charges=charges, residuals=(0.0,) * nfac)
-        from .lattice import zero_one_form
         b = zero_one_form(lattice, alg)
         a_final, trace = minimize_connection(b, sector, opts)
         fileio.write_one_form(args.out, a_final)

@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .algebra import LieAlgebra, parse_algebra
+from .algebra import SPAN_TOL, LieAlgebra, parse_algebra
 from .errors import FileFormatError
 from .lattice import AlgebraOneForm, GroupField, TorusLattice
 
@@ -89,15 +89,14 @@ def write_field(path, u: GroupField) -> None:
         fh.write(np.ascontiguousarray(u.values, dtype=_CPLX).tobytes())
 
 
-def read_field(path, validate: bool = True) -> GroupField:
+def read_field(path) -> GroupField:
     with open(path, "rb") as fh:
         alg, lattice = _read_header(fh, _MAGIC_FIELD)
         values = _read_block(fh, lattice, alg.rep_dim)
         if fh.read(1):
             raise FileFormatError("trailing bytes after field data")
     u = GroupField(lattice, alg, values)
-    if validate:
-        u.validate()
+    u.validate()
     return u
 
 
@@ -109,14 +108,14 @@ def write_one_form(path, a: AlgebraOneForm) -> None:
             fh.write(np.ascontiguousarray(M, dtype=_CPLX).tobytes())
 
 
-def read_one_form(path, sampling: str = "link", span_tol: float = 1e-9) -> AlgebraOneForm:
+def read_one_form(path, sampling: str = "link") -> AlgebraOneForm:
     with open(path, "rb") as fh:
         alg, lattice = _read_header(fh, _MAGIC_FORM)
         comps = []
         for _ in range(3):
             M = _read_block(fh, lattice, alg.rep_dim)
             coords, res = alg.to_coords(M)
-            if res > span_tol:
+            if res > SPAN_TOL:
                 raise FileFormatError(f"component outside algebra span (residual {res:.2e})")
             comps.append(coords)
         if fh.read(1):

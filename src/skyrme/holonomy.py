@@ -500,20 +500,22 @@ def _align_constant(alg: LieAlgebra, rho1: np.ndarray, rho2: np.ndarray,
 
 def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
                         cover: CubicalCover | None = None,
-                        tol: float = 1e-6,
+                        tol: float = DEFAULT_ATLAS_TOL,
                         flatness_gate: float | None = None) -> GroupField:
     """Reconstruct u with a2 = gauge_transform(a1, u) from equal holonomy.
 
-    Both potentials are developed over the cover; the second atlas is
-    aligned at the base vertex, corrected down the maximal tree so its
-    tree labels match the first atlas, and the non-tree circuit labels are
-    compared: any defect beyond `tol` means the holonomies differ (never a
-    field).  The glued gauge is (u^1_p)^-1 k_p u^2_p, chart-assembled.
+    Both potentials are developed over the cover with `tol` as the edge
+    score bound, so an atlas `holonomy_rep` built with the same `tol` is
+    a memo hit.  The second atlas is aligned at the base vertex, corrected
+    down the maximal tree so its tree labels match the first atlas, and
+    the non-tree circuit labels are compared: any defect beyond `tol`
+    means the holonomies differ (never a field).  The glued gauge is
+    (u^1_p)^-1 k_p u^2_p, chart-assembled.
     """
     if cover is None:
         cover = CubicalCover.for_lattice(a1.lattice)
-    A1 = build_atlas(a1, cover, tol=max(tol, DEFAULT_ATLAS_TOL), flatness_gate=flatness_gate)
-    A2 = build_atlas(a2, cover, tol=max(tol, DEFAULT_ATLAS_TOL), flatness_gate=flatness_gate)
+    A1 = build_atlas(a1, cover, tol=tol, flatness_gate=flatness_gate)
+    A2 = build_atlas(a2, cover, tol=tol, flatness_gate=flatness_gate)
     rho1 = A1.holonomy().elements
     rho2 = A2.holonomy().elements
     tr_gap = np.abs(rho1.trace(axis1=1, axis2=2) - rho2.trace(axis1=1, axis2=2)).max()

@@ -33,12 +33,12 @@ from .lattice import (
     constant_field,
     inverse_field,
     log_derivative,
+    make_winding,
     multiply,
 )
 
 __all__ = [
     "SectorInvariants",
-    "ReferenceMaps",
     "topological_charge",
     "one_dim_invariant",
     "reference_map",
@@ -71,7 +71,8 @@ class SectorInvariants:
 
 
 def _lift_channels(alg: LieAlgebra):
-    """(rep_offset, block) for every block with nontrivial fundamental group."""
+    """(rep_offset, block, order) for every block with nontrivial
+    fundamental group; order 0 means pi_1 = Z, order 2 means Z/2."""
     out = []
     for off, blk in alg.block_layout:
         if blk.pi1 == "integers":
@@ -86,6 +87,38 @@ def _lift_channels(alg: LieAlgebra):
 def pi1_orders(alg: LieAlgebra) -> tuple:
     """Cyclic orders r of the holonomy coordinates (0 meaning infinite)."""
     return tuple(r for _, _, r in _lift_channels(alg))
+
+
+def _alpha_table(alpha, channels) -> tuple:
+    """Per-axis rows of per-channel values, each reduced mod its order.
+
+    A public alpha entry is an int for one lift channel and a tuple of
+    ints for several; with no channel every entry must be zero and each
+    row is empty.
+    """
+    if len(alpha) != 3:
+        raise SectorError(f"alpha needs one entry per torus axis, got {alpha!r}")
+    rows = []
+    for entry in alpha:
+        vals = entry if isinstance(entry, tuple) else (entry,)
+        if not channels:
+            if any(v != 0 for v in vals):
+                raise SectorError("nonzero alpha for a simply connected group")
+            rows.append(())
+            continue
+        if len(vals) != len(channels):
+            raise SectorError(f"alpha entry {entry!r} does not match lift channels")
+        rows.append(tuple(int(v) if r == 0 else int(v) % r
+                          for v, (_, _, r) in zip(vals, channels)))
+    return tuple(rows)
+
+
+def _alpha_entry(vals):
+    """Public alpha entry of one axis row: 0 with no channel, an int with
+    one, a tuple with several (the inverse of `_alpha_table`)."""
+    if not vals:
+        return 0
+    return vals[0] if len(vals) == 1 else tuple(vals)
 
 
 # ----------------------------------------------------------------------
@@ -189,16 +222,8 @@ def one_dim_invariant(u: GroupField) -> tuple:
         vals = []
         for off, blk, r in channels:
             sub = line[..., off:off + blk.rep_dim, off:off + blk.rep_dim]
-            if r == 0:
-                vals.append(_winding_u1(sub))
-            else:
-                vals.append(_lift_sign_so3(sub, blk))
-        if not channels:
-            per_axis.append(0)
-        elif len(channels) == 1:
-            per_axis.append(vals[0])
-        else:
-            per_axis.append(tuple(vals))
+            vals.append(_winding_u1(sub) if r == 0 else _lift_sign_so3(sub, blk))
+        per_axis.append(_alpha_entry(vals))
     return tuple(per_axis)
 
 
@@ -206,79 +231,31 @@ def one_dim_invariant(u: GroupField) -> tuple:
 # reference maps
 # ----------------------------------------------------------------------
 
-class ReferenceMaps:
-    """Fixed generator maps v_l per torus direction and their compositions.
-
-    v_l winds the distinguished circle subgroup once along direction l;
-    products prod_l v_l^{a_l} are cached per (reduced) alpha.
-    """
-
-    def __init__(self, lattice: TorusLattice, algebra: LieAlgebra):
-        self.lattice = lattice
-        self.algebra = algebra
-        self._cache: dict[tuple, GroupField] = {}
-
-    def _reduced(self, alpha) -> tuple:
-        channels = _lift_channels(self.algebra)
-        red = []
-        for entry in alpha:
-            vals = entry if isinstance(entry, tuple) else (entry,)
-            if len(vals) != max(len(channels), 1) and channels:
-                raise SectorError(f"alpha entry {entry!r} does not match lift channels")
-            if not channels:
-                if any(v != 0 for v in vals):
-                    raise SectorError("nonzero alpha for a simply connected group")
-                red.append(0 if not isinstance(entry, tuple) else tuple(0 for _ in vals))
-                continue
-            outs = []
-            for v, (_, _, r) in zip(vals, channels):
-                outs.append(int(v) if r == 0 else int(v) % r)
-            red.append(outs[0] if not isinstance(entry, tuple) and len(channels) == 1 else tuple(outs))
-        return tuple(red)
-
-    def map_for(self, alpha) -> GroupField:
-        alpha = self._reduced(alpha)
-        if alpha in self._cache:
-            return self._cache[alpha]
-        alg = self.algebra
-        channels = _lift_channels(alg)
-        vals = constant_field(self.lattice, alg).values
-        if channels and any(a != 0 if not isinstance(a, tuple) else any(a) for a in alpha):
-            xs = self.lattice.coordinates()
-            for c, (off, blk, r) in enumerate(channels):
-                phase = 0.0
-                for ax in range(3):
-                    entry = alpha[ax]
-                    a_val = entry[c] if isinstance(entry, tuple) else entry
-                    phase = phase + 2.0 * np.pi * a_val * xs[ax] / self.lattice.lengths[ax]
-                sl = slice(off, off + blk.rep_dim)
-                if r == 0:  # U(1) block
-                    vals[..., sl, sl] = np.exp(1j * phase)[..., None, None]
-                else:       # SO(3) block: rotations about the z axis
-                    cs, sn = np.cos(phase), np.sin(phase)
-                    rot = np.zeros(phase.shape + (3, 3), dtype=complex)
-                    rot[..., 0, 0] = cs
-                    rot[..., 0, 1] = -sn
-                    rot[..., 1, 0] = sn
-                    rot[..., 1, 1] = cs
-                    rot[..., 2, 2] = 1.0
-                    vals[..., sl, sl] = rot
-        field = GroupField(self.lattice, alg, vals)
-        self._cache[alpha] = field
-        return field
-
-
 @lru_cache(maxsize=8)
-def _reference_maps(lattice: TorusLattice, name: str) -> ReferenceMaps:
-    return ReferenceMaps(lattice, parse_algebra(name))
+def _reference_map(lattice: TorusLattice, name: str, table: tuple) -> GroupField:
+    alg = parse_algebra(name)
+    vals = constant_field(lattice, alg).values
+    for (off, blk, _), column in zip(_lift_channels(alg), zip(*table)):
+        if any(column):  # a zero column keeps the exact identity
+            sl = slice(off, off + blk.rep_dim)
+            vals[..., sl, sl] = make_winding(lattice, blk, column).values
+    vals.flags.writeable = False
+    return GroupField(lattice, alg, vals)
 
 
 def reference_map(lattice: TorusLattice, algebra: LieAlgebra, alpha) -> GroupField:
-    """The fixed representative with the given holonomy coordinates.
+    """The fixed representative v_alpha with holonomy coordinates alpha.
 
-    Reference maps are cached per (lattice, algebra name) for the few most
-    recent pairs; the algebra is identified by its name."""
-    return _reference_maps(lattice, algebra.name).map_for(alpha)
+    alpha is first reduced mod the orders of its lift channels.  In the
+    block of lift channel c, v_alpha is that block's `make_winding` loop
+    with windings (alpha_1[c], alpha_2[c], alpha_3[c]) along the three
+    torus directions: the U(1) phase, or the SO(3) rotation about the
+    third axis.  Every other block is the identity.  Maps are cached per
+    (lattice, algebra name, reduced alpha) for the few most recent keys,
+    rebuilt from the name on a miss, and their values are read-only.
+    """
+    table = _alpha_table(alpha, _lift_channels(algebra))
+    return _reference_map(lattice, algebra.name, table)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .algebra import LieAlgebra, group_exp, group_log, primitive_su2
+from .algebra import SPAN_TOL, LieAlgebra, group_exp, group_log, primitive_su2
 from .errors import GeneratorError, LogRangeError
 
 __all__ = [
@@ -102,8 +102,8 @@ class GroupField:
         if self.values.shape != expect:
             raise ValueError(f"field shape {self.values.shape} != {expect}")
 
-    def validate(self, tol: float = 1e-10) -> float:
-        return self.algebra.check_group_elements(self.values, tol=tol)
+    def validate(self) -> float:
+        return self.algebra.check_group_elements(self.values)
 
     def copy(self) -> "GroupField":
         return GroupField(self.lattice, self.algebra, self.values.copy())
@@ -133,8 +133,8 @@ class AlgebraOneForm:
     def copy(self) -> "AlgebraOneForm":
         return replace(self, coeffs=self.coeffs.copy())
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return np.abs(self.coeffs).max() <= tol
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()
 
 
 @dataclass
@@ -150,7 +150,7 @@ class AlgebraTwoForm:
 # log derivative and energies
 # ----------------------------------------------------------------------
 
-def log_derivative(u: GroupField, threshold: float = LINK_LOG_THRESHOLD) -> AlgebraOneForm:
+def log_derivative(u: GroupField) -> AlgebraOneForm:
     """Link logarithm form L_i(x) = (1/h_i) log(u(x)^-1 u(x+e_i)).
 
     Fails with LogRangeError when any link leaves the principal branch
@@ -169,7 +169,7 @@ def log_derivative(u: GroupField, threshold: float = LINK_LOG_THRESHOLD) -> Alge
         up = np.roll(u.values, -1, axis=ax)
         link = np.einsum("...ji,...jk->...ik", u.values.conj(), up)
         try:
-            coords, _ = group_log(alg, link, threshold=threshold)
+            coords, _ = group_log(alg, link, threshold=LINK_LOG_THRESHOLD)
         except LogRangeError as exc:
             masks.append(exc.mask)
             if worst is None or exc.value > worst[0]:
@@ -182,7 +182,7 @@ def log_derivative(u: GroupField, threshold: float = LINK_LOG_THRESHOLD) -> Alge
         mask = np.stack(masks)
         raise LogRangeError(
             f"field too rough for this lattice: link at site {site} on axis {axis} "
-            f"has |lambda - 1| = {value:.4f} >= {threshold} "
+            f"has |lambda - 1| = {value:.4f} >= {LINK_LOG_THRESHOLD} "
             f"({int(mask.sum())} links out of range)",
             axis=axis, site=site, value=value, mask=mask)
     return AlgebraOneForm(u.lattice, alg, np.stack(comps), sampling="link")
@@ -202,9 +202,9 @@ def _energy_from_components(alg: LieAlgebra, coeffs: np.ndarray, cellvol: float)
     return float(cellvol * (quad + quart))
 
 
-def skyrme_energy_map(u: GroupField, threshold: float = LINK_LOG_THRESHOLD) -> float:
+def skyrme_energy_map(u: GroupField) -> float:
     """E(u); zero iff every link increment is the identity."""
-    L = log_derivative(u, threshold=threshold)
+    L = log_derivative(u)
     return _energy_from_components(u.algebra, L.coeffs, u.lattice.cell_volume)
 
 
@@ -242,15 +242,14 @@ def conjugate_coeffs(b: AlgebraOneForm, u: GroupField) -> np.ndarray:
         conj = np.einsum("...ji,...jk,...kl->...il", u.values.conj(),
                          alg.to_matrix(b.coeffs[i]), u.values)
         out[i], res = alg.to_coords(conj)
-        if res > 1e-9:
+        if res > SPAN_TOL:
             raise LogRangeError(f"conjugated component left the basis span ({res:.2e})")
     return out
 
 
-def gauge_transform(b: AlgebraOneForm, u: GroupField,
-                    threshold: float = LINK_LOG_THRESHOLD) -> AlgebraOneForm:
+def gauge_transform(b: AlgebraOneForm, u: GroupField) -> AlgebraOneForm:
     """b |-> u^-1 b u + u^-1 du, componentwise on the lattice."""
-    L = log_derivative(u, threshold=threshold)
+    L = log_derivative(u)
     if b.is_zero():
         return replace(L, sampling="link")
     return AlgebraOneForm(b.lattice, b.algebra, conjugate_coeffs(b, u) + L.coeffs,
@@ -319,10 +318,16 @@ def make_hedgehog(lattice: TorusLattice, alg: LieAlgebra, radius: float,
     return GroupField(lattice, alg, group_exp(alg, coords))
 
 
-def make_winding(lattice: TorusLattice, alg: LieAlgebra, m, axis=None,
-                 tol: float = 1e-9) -> GroupField:
+def make_winding(lattice: TorusLattice, alg: LieAlgebra, m, axis=None) -> GroupField:
     """u(x) = exp(2 pi sum_l m_l x^l / L_l * X_axis), periodic because
-    exp(2 pi X_axis) = 1 (checked)."""
+    exp(2 pi X_axis) = 1 (checked to 1e-9).
+
+    The default loop is the block's generating circle.  For u1 and so3 it
+    generates pi_1 (the U(1) phase; the SO(3) rotation about the third
+    axis, whose lift to SU(2) ends at -1), and it is the reference loop of
+    `invariants.reference_map`.  For other groups it is the circle
+    through the primitive su(2)'s v, contractible in a simply connected
+    group."""
     m = tuple(int(v) for v in m)
     if axis is None:
         if alg.family == "u1":
@@ -333,7 +338,7 @@ def make_winding(lattice: TorusLattice, alg: LieAlgebra, m, axis=None,
             axis = primitive_su2(alg).image_of_v
     axis = np.asarray(axis, dtype=float)
     closure = group_exp(alg, 2.0 * np.pi * axis)
-    if np.abs(closure - alg.group_identity()).max() > tol:
+    if np.abs(closure - alg.group_identity()).max() > 1e-9:
         raise GeneratorError("axis does not close: exp(2 pi X) != 1")
     xs = lattice.coordinates()
     phase = sum(mi * x / l for mi, x, l in zip(m, xs, lattice.lengths))

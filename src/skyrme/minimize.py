@@ -35,6 +35,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, group_exp
 from .errors import FlatnessError, LineSearchError, LogRangeError, SectorError
+from .holonomy import DEFAULT_FLATNESS_FACTOR
 from .invariants import SectorInvariants, reference_map, sector_of
 from .lattice import (
     AlgebraOneForm,
@@ -46,7 +47,6 @@ from .lattice import (
     log_derivative,
     make_hedgehog,
     skyrme_energy_connection,
-    zero_one_form,
 )
 
 __all__ = [
@@ -57,6 +57,10 @@ __all__ = [
     "minimize_connection",
     "seed_field",
 ]
+
+# seed lumps have radius this fraction of the shortest period
+SEED_RADIUS_FRACTION = 0.46
+
 
 @dataclass
 class MinimizeOptions:
@@ -276,15 +280,15 @@ def minimize_map(u0: GroupField, opts: MinimizeOptions | None = None):
     return final, trace
 
 
-def seed_field(lattice: TorusLattice, alg: LieAlgebra, sector: SectorInvariants,
-               radius_fraction: float = 0.46) -> GroupField:
+def seed_field(lattice: TorusLattice, alg: LieAlgebra, sector: SectorInvariants) -> GroupField:
     """A representative map with the requested invariants: the fixed
-    reference for alpha times one profile lump per charged factor."""
+    reference for alpha times one profile lump per charged factor.  With
+    no charge it is the cached, read-only reference map itself."""
     if len(sector.charges) != len(alg.factors):
         raise SectorError(f"no seed field for sector: {len(sector.charges)} charges "
                           f"for {len(alg.factors)} simple factors of {alg.name}")
     u = reference_map(lattice, alg, sector.alpha)
-    radius = radius_fraction * min(lattice.lengths)
+    radius = SEED_RADIUS_FRACTION * min(lattice.lengths)
     for k, c in enumerate(sector.charges):
         if c == 0:
             continue
@@ -313,7 +317,7 @@ def minimize_connection(b: AlgebraOneForm, sector: SectorInvariants,
     """
     opts = opts or MinimizeOptions()
     if flatness_gate is None:
-        flatness_gate = 10.0 * max(b.lattice.spacings)
+        flatness_gate = DEFAULT_FLATNESS_FACTOR * max(b.lattice.spacings)
     _, resid = flatness_residual(b)
     if resid > flatness_gate:
         raise FlatnessError(f"reference potential not flat (residual {resid:.3e})")

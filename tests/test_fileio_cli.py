@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from skyrme import algebra as al
-from skyrme import fileio
+from skyrme import cli, fileio
+from skyrme import holonomy as hol
 from skyrme import lattice as lat
 from skyrme.cli import main
 from skyrme.errors import FileFormatError
@@ -208,6 +209,22 @@ def test_cli_holonomy_compare_develops_each_form_once(tmp_path, capsys, su2, lat
     assert not np.array_equal(develop_calls[0].coeffs, develop_calls[1].coeffs)
 
 
+@pytest.mark.parametrize("tol", ["1e-7", "1e-9"])
+def test_cli_holonomy_compare_below_default_tol(tmp_path, capsys, su2, lat8, develop_calls, tol):
+    paths = [tmp_path / "a.skya", tmp_path / "b.skya"]
+    for seed, p in zip((3, 4), paths):
+        fileio.write_one_form(p, lat.log_derivative(lat.make_random(lat8, su2, seed, amplitude=0.4)))
+    args = ["holonomy", str(paths[0]), "--compare", str(paths[1])]
+    assert main(args) == 0
+    default_out = capsys.readouterr().out
+    hol._last_atlas = None
+    develop_calls.clear()
+    assert main(args + ["--tol", tol]) == 0
+    assert capsys.readouterr().out == default_out
+    # holonomy_rep and the reconstruction share one atlas of the first form
+    assert len(develop_calls) == 2
+
+
 def test_cli_develop(tmp_path, capsys, su2):
     L = lat.TorusLattice((8, 8, 8))
     w = lat.make_random(L, su2, seed=3, amplitude=0.4)
@@ -245,6 +262,19 @@ def test_cli_minimize_sector_mode(tmp_path, capsys):
     assert main(["minimize", "--config", str(mcfg), "--out", str(out)]) == 0
     a = fileio.read_one_form(out)
     assert a.lattice.dims == (6, 6, 6)
+
+
+def test_cli_minimize_rejects_unwritable_group_before_descent(tmp_path, capsys, monkeypatch):
+    def no_descent(*args, **kwargs):
+        raise AssertionError("minimize_connection must not run")
+
+    monkeypatch.setattr(cli, "minimize_connection", no_descent)
+    mcfg = tmp_path / "min.cfg"
+    mcfg.write_text("group = su2+su3\ndims = 6,6,6\ncharges = 1,0\nmax_iters = 5\n")
+    out = tmp_path / "m.skya"
+    assert main(["minimize", "--config", str(mcfg), "--out", str(out)]) == 12
+    assert "has no file id" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

@@ -149,6 +149,43 @@ def test_reference_map_reduces_mod_order(so3, lat12):
     assert inv.one_dim_invariant(v) == (1, 0, 0)
 
 
+def test_reference_map_rejects_malformed_alpha(su2, u1, lat8):
+    with pytest.raises(SectorError, match="one entry per torus axis"):
+        inv.reference_map(lat8, u1, (1, 0))
+    with pytest.raises(SectorError, match="simply connected"):
+        inv.reference_map(lat8, su2, (1, 0, 0))
+    with pytest.raises(SectorError, match="does not match lift channels"):
+        inv.reference_map(lat8, u1, ((1, 2), 0, 0))
+
+
+def _public_alpha(rows):
+    """An alpha from per-axis rows of channel values: ints for one channel,
+    tuples for several."""
+    return tuple(row[0] if len(row) == 1 else tuple(row) for row in rows)
+
+
+# every lift-channel layout: one U(1) or SO(3) block, alone or beside
+# simply connected blocks, and two or three channels of either order
+LIFT_SPECS = ["u1", "so3", "su2+u1", "u1+so3", "u1+u1", "so3+su2+u1"]
+LAT6 = lat.TorusLattice((6, 6, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(LIFT_SPECS), data=st.data())
+def test_reference_map_carries_its_alpha(spec, data):
+    alg = _algebra(spec)
+    orders = inv.pi1_orders(alg)
+    # |winding| <= 2 keeps a U(1) link below the half turn at 6 sites
+    rows = [[data.draw(st.integers(-2, 2) if r == 0 else st.integers(-3, 3)) for r in orders]
+            for _ in range(3)]
+    reduced = _public_alpha([[v % r if r else v for v, r in zip(row, orders)] for row in rows])
+    v = inv.reference_map(LAT6, alg, _public_alpha(rows))
+    assert inv.one_dim_invariant(v) == reduced
+    s = inv.sector_of(v)
+    assert s.alpha == reduced and s.alpha_orders == orders
+    assert s.charges == (0,) * len(alg.factors)
+
+
 def test_sector_of_hedgehog(su2, lat16):
     s = inv.sector_of(lat.make_hedgehog(lat16, su2, 0.45))
     assert s.alpha == (0, 0, 0)
