@@ -103,6 +103,24 @@ class LieAlgebra:
     structure_constants : f[a, b, c] with [e_a, e_b] = sum_c f[a,b,c] e_c
     killing_matrix : B[a, b] = Tr(ad e_a ad e_b)
     factors : simple-factor blocks (empty for u1)
+
+    The kernels below are the only code that contracts against these
+    tables.  They run as BLAS matmuls against flat layouts cached at
+    construction (`norm_sq` against norm_gram itself):
+
+    - ad table (dim, dim^2): row a is ad(e_a) flattened with the output
+      index first, so X @ table is ad(X) for a whole batch;
+    - real basis (dim, 2 N^2): the basis viewed as interleaved real and
+      imaginary parts, so real coordinates @ table is the matrix viewed as
+      real numbers;
+    - coordinate map (2 N^2, dim): the conjugate real basis with the
+      inverse basis gram folded in, so a matrix viewed as real numbers
+      @ map is its least-squares coordinates.
+
+    Coordinates are real arrays (..., dim) and matrices complex arrays
+    (..., N, N), with any leading batch shape and any strides.  `bracket`
+    broadcasts its two batches against each other, so one X can meet a
+    batch of Y.
     """
 
     def __init__(self, name, family, basis, *, factors, pi1="trivial",
@@ -122,9 +140,12 @@ class LieAlgebra:
         cond = np.linalg.cond(self._gram)
         if not np.isfinite(cond) or cond > 1e8:
             raise ConstructionError(f"{name}: ill-conditioned basis gram (cond={cond:.1e})")
-        self._gram_inv = np.linalg.inv(self._gram)
+        d, n = self.dim, self.rep_dim
+        self._real_basis = np.ascontiguousarray(self.basis).view(float).reshape(d, 2 * n * n)
+        self._coords_map = np.ascontiguousarray((np.linalg.inv(self._gram) @ self._real_basis).T)
         f = self._structure_from_basis() if f_table is None else f_table
         self.structure_constants = f
+        self._ad_table = np.ascontiguousarray(f.transpose(0, 2, 1).reshape(d, d * d))
         self.killing_matrix = np.real(np.einsum("aqc,bcq->ab", f, f))
         # norm gram: |X|^2 = -(1/8) x^T B x, positive semidefinite
         self.norm_gram = -self.killing_matrix / 8.0
@@ -186,12 +207,15 @@ class LieAlgebra:
         return v
 
     def to_matrix(self, coords) -> np.ndarray:
-        """Coordinates (..., dim) -> representation matrices (..., N, N)."""
-        return np.einsum("...a,anm->...nm", np.asarray(coords), self.basis)
+        """Real coordinates (..., dim) -> representation matrices (..., N, N)."""
+        coords = np.asarray(coords, dtype=float)
+        n = self.rep_dim
+        return (coords @ self._real_basis).view(complex).reshape(coords.shape[:-1] + (n, n))
 
     def _matrix_coords(self, M):
-        rhs = np.real(np.einsum("aij,...ij->...a", self.basis.conj(), M))
-        coef = rhs @ self._gram_inv.T
+        n = self.rep_dim
+        flat = np.ascontiguousarray(M).view(float).reshape(M.shape[:-2] + (2 * n * n,))
+        coef = flat @ self._coords_map
         res = np.abs(self.to_matrix(coef) - M).max()
         return coef, float(res)
 
@@ -209,14 +233,15 @@ class LieAlgebra:
     # ----- kernels: no other module contracts against the tables -----
 
     def bracket(self, X, Y) -> np.ndarray:
-        """[X, Y] in coordinates, batched over leading axes."""
-        return np.einsum("...a,...b,abc->...c", np.asarray(X), np.asarray(Y),
-                         self.structure_constants)
+        """[X, Y] = ad(X) Y in coordinates, broadcast over leading axes."""
+        # the batched matvec is an einsum: a stacked matmul is slower on
+        # su2 (2x), su3 and spin7 and ties on g2
+        return np.einsum("...cb,...b->...c", self.ad_matrix(X), np.asarray(Y, dtype=float))
 
     def norm_sq(self, X) -> np.ndarray:
         """Pointwise |X|^2 = -(1/8) Tr(ad X ad X) over the trailing axis."""
         X = np.asarray(X)
-        return np.einsum("...a,ab,...b->...", X, self.norm_gram, X)
+        return ((X @ self.norm_gram) * X).sum(axis=-1)
 
     @cached_property
     def block_layout(self) -> tuple[tuple[int, "LieAlgebra"], ...]:
@@ -239,8 +264,10 @@ class LieAlgebra:
         raise IndexError(f"{self.name} has no simple factor {k}")
 
     def ad_matrix(self, X) -> np.ndarray:
-        """Matrix of ad(X) acting on coordinates, rows = output index."""
-        return np.einsum("a,abc->cb", np.asarray(X), self.structure_constants)
+        """Matrices (..., dim, dim) of ad(X) acting on coordinates, rows =
+        output index, batched over the leading axes of X (..., dim)."""
+        X = np.asarray(X, dtype=float)
+        return (X @ self._ad_table).reshape(X.shape[:-1] + (self.dim, self.dim))
 
     @cached_property
     def orthonormal_ad(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -251,8 +278,7 @@ class LieAlgebra:
         included, where the Killing form vanishes)."""
         R = np.linalg.cholesky(self._gram).T
         R_inv = np.linalg.inv(R)
-        ad = self.structure_constants.transpose(0, 2, 1)
-        return R, R_inv, np.einsum("ij,ajk,kl->ail", R, ad, R_inv)
+        return R, R_inv, R @ self.ad_matrix(np.eye(self.dim)) @ R_inv
 
     # ----- group realization -----
 
@@ -702,7 +728,8 @@ def group_exp(alg: LieAlgebra, X) -> np.ndarray:
     M = alg.to_matrix(np.asarray(X))
     w, V = np.linalg.eigh(-1j * M)  # Hermitian for anti-Hermitian M
     phase = np.exp(1j * w)
-    return np.einsum("...ab,...b,...cb->...ac", V, phase, V.conj())
+    # two-operand einsum: a stacked matmul is slower on the 2 x 2 and 3 x 3 groups
+    return np.einsum("...ab,...cb->...ac", V * phase[..., None, :], V.conj())
 
 
 def group_log(alg: LieAlgebra, g, threshold: float = 1.0):
@@ -724,7 +751,7 @@ def group_log(alg: LieAlgebra, g, threshold: float = 1.0):
                             value=float(far), mask=dist >= threshold)
     lw = 1j * np.angle(w)
     # V diag(lw) V^-1 without forming the inverse: solve against V^T on the right
-    VD = np.einsum("...ab,...b->...ab", V, lw)
+    VD = V * lw[..., None, :]
     L = np.swapaxes(np.linalg.solve(np.swapaxes(V, -1, -2), np.swapaxes(VD, -1, -2)), -1, -2)
     return alg.to_coords(L, span_tol=SPAN_TOL)
 

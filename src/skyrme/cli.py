@@ -57,18 +57,34 @@ def _parse_config(path: str) -> dict:
     return cfg
 
 
-def _as_ints(text: str, n: int, what: str) -> tuple:
+def _as_numbers(text: str, n: int, what: str, cast) -> tuple:
     parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != n:
-        raise ConfigError(f"{what} needs {n} integers, got {text!r}")
-    return tuple(int(p) for p in parts)
+    try:
+        if len(parts) == n:
+            return tuple(cast(p) for p in parts)
+    except ValueError:
+        pass
+    raise ConfigError(f"{what} needs {n} {'integers' if cast is int else 'numbers'}, "
+                      f"got {text!r}")
+
+
+def _as_ints(text: str, n: int, what: str) -> tuple:
+    return _as_numbers(text, n, what, int)
 
 
 def _as_floats(text: str, n: int, what: str) -> tuple:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != n:
-        raise ConfigError(f"{what} needs {n} numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
+    return _as_numbers(text, n, what, float)
+
+
+def _scalar(cfg: dict, key: str, cast, default):
+    """cfg[key] read as an int or a float, or `default` when key is absent."""
+    if key not in cfg:
+        return default
+    try:
+        return cast(cfg[key])
+    except ValueError:
+        raise ConfigError(f"{key} needs {'an integer' if cast is int else 'a number'}, "
+                          f"got {cfg[key]!r}") from None
 
 
 def _lattice_from(cfg: dict) -> TorusLattice:
@@ -76,7 +92,11 @@ def _lattice_from(cfg: dict) -> TorusLattice:
         raise ConfigError("config needs dims = N1,N2,N3")
     dims = _as_ints(cfg["dims"], 3, "dims")
     lengths = _as_floats(cfg.get("lengths", "1,1,1"), 3, "lengths")
-    return TorusLattice(dims, lengths)
+    try:
+        return TorusLattice(dims, lengths)
+    except ValueError as exc:
+        raise ConfigError(f"dims = {cfg['dims']!r}, lengths = {cfg.get('lengths', '1,1,1')!r}: "
+                          f"{exc}") from exc
 
 
 def _options_from(cfg: dict) -> MinimizeOptions:
@@ -88,8 +108,11 @@ def _options_from(cfg: dict) -> MinimizeOptions:
     }
     for key, cast in casts.items():
         if key in cfg:
-            setattr(opts, key, cast(cfg[key]))
-    opts.__post_init__()
+            setattr(opts, key, _scalar(cfg, key, cast, None))
+            try:
+                opts.__post_init__()
+            except ValueError as exc:
+                raise ConfigError(f"{key} = {cfg[key]!r}: {exc}") from exc
     return opts
 
 
@@ -114,16 +137,16 @@ def cmd_gen(args) -> int:
     lattice = _lattice_from(cfg)
     kind = cfg.get("kind", "hedgehog")
     if kind == "hedgehog":
-        radius = float(cfg.get("radius", 0.45 * min(lattice.lengths)))
-        charge = int(cfg.get("charge", 1))
+        radius = _scalar(cfg, "radius", float, 0.45 * min(lattice.lengths))
+        charge = _scalar(cfg, "charge", int, 1)
         u = make_hedgehog(lattice, alg, radius, charge=charge)
     elif kind == "winding":
         m = _as_ints(cfg.get("winding", "0,0,0"), 3, "winding")
         u = make_winding(lattice, alg, m)
     elif kind == "random":
-        u = make_random(lattice, alg, seed=int(cfg.get("seed", 0)),
-                        smoothness=float(cfg.get("smoothness", 2.0)),
-                        amplitude=float(cfg.get("amplitude", 0.5)))
+        u = make_random(lattice, alg, seed=_scalar(cfg, "seed", int, 0),
+                        smoothness=_scalar(cfg, "smoothness", float, 2.0),
+                        amplitude=_scalar(cfg, "amplitude", float, 0.5))
     else:
         raise ConfigError(f"unknown kind {kind!r} (hedgehog|winding|random)")
     fileio.write_field(args.out, u)

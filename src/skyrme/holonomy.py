@@ -500,8 +500,7 @@ def _align_constant(alg: LieAlgebra, rho1: np.ndarray, rho2: np.ndarray,
 
 def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
                         cover: CubicalCover | None = None,
-                        tol: float = DEFAULT_ATLAS_TOL,
-                        flatness_gate: float | None = None) -> GroupField:
+                        tol: float = DEFAULT_ATLAS_TOL) -> GroupField:
     """Reconstruct u with a2 = gauge_transform(a1, u) from equal holonomy.
 
     Both potentials are developed over the cover with `tol` as the edge
@@ -514,8 +513,8 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
     """
     if cover is None:
         cover = CubicalCover.for_lattice(a1.lattice)
-    A1 = build_atlas(a1, cover, tol=tol, flatness_gate=flatness_gate)
-    A2 = build_atlas(a2, cover, tol=tol, flatness_gate=flatness_gate)
+    A1 = build_atlas(a1, cover, tol=tol)
+    A2 = build_atlas(a2, cover, tol=tol)
     rho1 = A1.holonomy().elements
     rho2 = A2.holonomy().elements
     tr_gap = np.abs(rho1.trace(axis1=1, axis2=2) - rho2.trace(axis1=1, axis2=2)).max()

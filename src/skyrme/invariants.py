@@ -280,8 +280,8 @@ def sector_of(u: GroupField, tol: float = DEFAULT_SECTOR_TOL) -> SectorInvariant
     )
 
 
-def invariant_of_connection(a, b, cover=None, tol: float = DEFAULT_SECTOR_TOL,
-                            **gauge_kwargs) -> SectorInvariants:
+def invariant_of_connection(a, b, cover=None,
+                            tol: float = DEFAULT_SECTOR_TOL) -> SectorInvariants:
     """Invariants of a flat potential a relative to the reference b.
 
     Reconstructs u with a = gauge_transform(b, u) from equal holonomy and
@@ -293,7 +293,7 @@ def invariant_of_connection(a, b, cover=None, tol: float = DEFAULT_SECTOR_TOL,
     if cover is None:
         cover = CubicalCover.for_lattice(a.lattice)
     try:
-        u = gauge_from_holonomy(b, a, cover, **gauge_kwargs)
+        u = gauge_from_holonomy(b, a, cover)
     except HolonomyMismatchError as exc:
         raise HolonomyMismatchError(f"not in the same holonomy stratum: {exc}") from exc
     return sector_of(u, tol=tol)

@@ -80,6 +80,8 @@ class MinimizeOptions:
             raise ValueError("shrink must lie in (0, 1)")
         if not 0.0 < self.armijo_c <= 0.5:
             raise ValueError("sufficient-decrease constant must lie in (0, 0.5]")
+        if self.sector_interval < 1:
+            raise ValueError("sector_interval must be at least 1")
 
 
 @dataclass
@@ -307,8 +309,7 @@ def seed_field(lattice: TorusLattice, alg: LieAlgebra, sector: SectorInvariants)
 
 
 def minimize_connection(b: AlgebraOneForm, sector: SectorInvariants,
-                        opts: MinimizeOptions | None = None,
-                        flatness_gate: float | None = None):
+                        opts: MinimizeOptions | None = None):
     """Minimize E[a] over the gauge orbit a = u^-1 b u + u^-1 du of the flat
     reference b, within the requested sector.
 
@@ -316,10 +317,8 @@ def minimize_connection(b: AlgebraOneForm, sector: SectorInvariants,
     objective values, which equal E[a_final] by construction.
     """
     opts = opts or MinimizeOptions()
-    if flatness_gate is None:
-        flatness_gate = DEFAULT_FLATNESS_FACTOR * max(b.lattice.spacings)
     _, resid = flatness_residual(b)
-    if resid > flatness_gate:
+    if resid > DEFAULT_FLATNESS_FACTOR * max(b.lattice.spacings):
         raise FlatnessError(f"reference potential not flat (residual {resid:.3e})")
     u0 = seed_field(b.lattice, b.algebra, sector)
 

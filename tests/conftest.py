@@ -183,3 +183,35 @@ def six_term_charge(u, v_ref=None):
         K = float(factor_constant(alg, k))
         out.append(-(K / (192.0 * np.pi ** 2)) * u.lattice.cell_volume * dens.sum())
     return np.array(out)
+
+
+# Einsum oracles for the LieAlgebra kernels: each contracts the public
+# tables directly, independent of the kernels' cached flat layouts.
+
+def oracle_bracket(alg, X, Y):
+    return np.einsum("...a,...b,abc->...c", X, Y, alg.structure_constants)
+
+
+def oracle_ad_matrix(alg, X):
+    return np.einsum("...a,abc->...cb", X, alg.structure_constants)
+
+
+def oracle_norm_sq(alg, X):
+    return np.einsum("...a,ab,...b->...", X, alg.norm_gram, X)
+
+
+def oracle_to_matrix(alg, X):
+    return np.einsum("...a,anm->...nm", X, alg.basis)
+
+
+def oracle_to_coords(alg, M):
+    """Least-squares coordinates: the normal equations of the trace form."""
+    gram = np.real(np.einsum("aij,bij->ab", alg.basis.conj(), alg.basis))
+    rhs = np.real(np.einsum("aij,...ij->...a", alg.basis.conj(), M))
+    return np.linalg.solve(gram, rhs.reshape(-1, alg.dim).T).T.reshape(rhs.shape)
+
+
+def oracle_group_exp(alg, X):
+    from scipy.linalg import expm
+
+    return expm(oracle_to_matrix(alg, X))

@@ -5,6 +5,14 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    oracle_ad_matrix,
+    oracle_bracket,
+    oracle_group_exp,
+    oracle_norm_sq,
+    oracle_to_coords,
+    oracle_to_matrix,
+)
 from skyrme import algebra as al
 from skyrme.errors import (
     CertificationError,
@@ -298,3 +306,72 @@ def test_kernels_match_matrix_oracles(spec, seed, grid, scale):
     np.testing.assert_allclose(norms.ravel(), trace, rtol=1e-10, atol=1e-14 * scale ** 2)
     single = np.array([al.algebra_norm_sq(alg, x) for x in flat])
     np.testing.assert_allclose(single, norms.ravel(), rtol=1e-12, atol=0.0)
+
+
+# ----------------------------------------------------------------------
+# kernels against the einsum oracles of conftest, on every algebra,
+# batch shape and memory layout
+# ----------------------------------------------------------------------
+
+PROPERTY_SPECS = ["su2", "su3", "spin7", "g2", "so3", "u1", "sp2", "f4", "su2+u1"]
+BATCH_SHAPES = st.one_of(st.just(()),
+                         st.tuples(st.integers(1, 6)),
+                         st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)))
+LAYOUTS = st.sampled_from(["contiguous", "sliced", "transposed"])
+
+
+def _coords(rng, dim, shape, layout, scale=1.0):
+    """Random coordinates (*shape, dim): C-contiguous, a stride-2 slice of
+    a wider array, or the transpose of a (dim, *reversed shape) array."""
+    if layout == "sliced":
+        return scale * rng.standard_normal(shape + (2 * dim,))[..., ::2]
+    if layout == "transposed":
+        return scale * rng.standard_normal((dim,) + shape[::-1]).T
+    return scale * rng.standard_normal(shape + (dim,))
+
+
+def _assert_rel_close(got, want, rtol=1e-12):
+    """Same shape, and every entry within rtol of the largest oracle entry."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= rtol * max(np.abs(want).max(initial=0.0), 1e-300)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(PROPERTY_SPECS), seed=st.integers(0, 2 ** 32 - 1),
+       shape=BATCH_SHAPES, layout=LAYOUTS, single=st.sampled_from([None, "X", "Y"]))
+def test_bracket_and_ad_match_oracles(spec, seed, shape, layout, single):
+    # `single` makes that operand one element, broadcast against the batch
+    alg = _algebra(spec)
+    rng = np.random.default_rng(seed)
+    X = _coords(rng, alg.dim, () if single == "X" else shape, layout)
+    Y = _coords(rng, alg.dim, () if single == "Y" else shape, layout)
+    _assert_rel_close(alg.bracket(X, Y), oracle_bracket(alg, X, Y))
+    _assert_rel_close(alg.ad_matrix(X), oracle_ad_matrix(alg, X))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(PROPERTY_SPECS), seed=st.integers(0, 2 ** 32 - 1),
+       shape=BATCH_SHAPES, layout=LAYOUTS)
+def test_norm_and_basis_maps_match_oracles(spec, seed, shape, layout):
+    alg = _algebra(spec)
+    X = _coords(np.random.default_rng(seed), alg.dim, shape, layout)
+    _assert_rel_close(alg.norm_sq(X), oracle_norm_sq(alg, X))
+    M = oracle_to_matrix(alg, X)
+    _assert_rel_close(alg.to_matrix(X), M)
+    if layout != "contiguous":
+        # rows of a wider array: strided in both matrix axes
+        n = alg.rep_dim
+        M = np.concatenate([M, np.zeros_like(M)], axis=-1)[..., :n]
+    coords, res = alg.to_coords(M, span_tol=al.SPAN_TOL)
+    _assert_rel_close(coords, oracle_to_coords(alg, M))
+    _assert_rel_close(coords, X)
+    assert res <= 1e-12 * np.abs(M).max(initial=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(PROPERTY_SPECS), seed=st.integers(0, 2 ** 32 - 1),
+       shape=BATCH_SHAPES, layout=LAYOUTS, scale=st.floats(1e-3, 1.5))
+def test_group_exp_matches_expm(spec, seed, shape, layout, scale):
+    alg = _algebra(spec)
+    X = _coords(np.random.default_rng(seed), alg.dim, shape, layout, scale)
+    _assert_rel_close(al.group_exp(alg, X), oracle_group_exp(alg, X))

@@ -285,3 +285,42 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     cfg.write_text("group = e8\ndims = 8,8,8\n")
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.skyf")]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("line, key, value", [
+    ("dims = 6,6,x", "dims", "6,6,x"),
+    ("dims = 2,6,6", "dims", "2,6,6"),
+    ("shrink = 2", "shrink", "2"),
+    ("sector_interval = 0", "sector_interval", "0"),
+])
+def test_cli_minimize_bad_config_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                   line, key, value):
+    # exit 2 with the key and value named, before any field is seeded
+    def no_seed(*args, **kwargs):
+        raise AssertionError("no field may be seeded from a bad config")
+
+    monkeypatch.setattr(cli, "minimize_connection", no_seed)
+    cfg = {"group": "su2", "dims": "12,12,12", "charges": "1", "max_iters": "5"}
+    k, v = (s.strip() for s in line.split("="))
+    cfg[k] = v
+    mcfg = tmp_path / "min.cfg"
+    mcfg.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    out = tmp_path / "m.skya"
+    assert main(["minimize", "--config", str(mcfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and repr(value) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, key, value", [
+    ("seed = x", "seed", "x"),
+    ("amplitude = 0.5.1", "amplitude", "0.5.1"),
+])
+def test_cli_gen_bad_number_is_a_config_error(tmp_path, capsys, line, key, value):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"group = su2\ndims = 4,4,4\nkind = random\n{line}\n")
+    out = tmp_path / "g.skyf"
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and repr(value) in err
+    assert not out.exists()
