@@ -219,15 +219,17 @@ class LieAlgebra:
         res = np.abs(self.to_matrix(coef) - M).max()
         return coef, float(res)
 
-    def to_coords(self, M, span_tol: float | None = None):
+    def to_coords(self, M, error=None):
         """Project matrices onto the basis span.
 
-        Returns (coords, residual); raises when the residual exceeds
-        span_tol (pass None to skip the gate).
+        Returns (coords, residual), the residual being the worst projection
+        defect over the batch.  This is the one span gate: given `error`, a
+        residual above SPAN_TOL raises error(residual), so each caller names
+        its own exception and message.
         """
         coords, res = self._matrix_coords(np.asarray(M, dtype=complex))
-        if span_tol is not None and res > span_tol:
-            raise LogRangeError(f"{self.name}: element outside basis span (residual {res:.2e})")
+        if error is not None and res > SPAN_TOL:
+            raise error(res)
         return coords, res
 
     # ----- kernels: no other module contracts against the tables -----
@@ -242,6 +244,14 @@ class LieAlgebra:
         """Pointwise |X|^2 = -(1/8) Tr(ad X ad X) over the trailing axis."""
         X = np.asarray(X)
         return ((X @ self.norm_gram) * X).sum(axis=-1)
+
+    @cached_property
+    def kappa(self) -> float:
+        """sup |X|^2 / |X|_F^2 over the algebra, with |X|_F the Frobenius norm
+        of X's matrix: the top eigenvalue of norm_gram relative to the basis
+        gram, so norm_sq(X) <= kappa |X|_F^2 (0 for u1, whose norm vanishes)."""
+        L_inv = np.linalg.inv(np.linalg.cholesky(self._gram))
+        return max(0.0, float(np.linalg.eigvalsh(L_inv @ self.norm_gram @ L_inv.T).max()))
 
     @cached_property
     def block_layout(self) -> tuple[tuple[int, "LieAlgebra"], ...]:
@@ -606,10 +616,8 @@ def primitive_su2(alg: LieAlgebra) -> Su2Embedding:
     d = alg.dim
 
     def coords_of(M):
-        c, res = alg.to_coords(M)
-        if res > SPAN_TOL:
-            raise ConstructionError(f"{alg.name}: embedding image not in basis span")
-        return c
+        return alg.to_coords(M, error=lambda res: ConstructionError(
+            f"{alg.name}: embedding image not in basis span"))[0]
 
     if alg.family == "su":
         sx, sy, sz = _pauli()
@@ -753,7 +761,8 @@ def group_log(alg: LieAlgebra, g, threshold: float = 1.0):
     # V diag(lw) V^-1 without forming the inverse: solve against V^T on the right
     VD = V * lw[..., None, :]
     L = np.swapaxes(np.linalg.solve(np.swapaxes(V, -1, -2), np.swapaxes(VD, -1, -2)), -1, -2)
-    return alg.to_coords(L, span_tol=SPAN_TOL)
+    return alg.to_coords(L, error=lambda res: LogRangeError(
+        f"{alg.name}: element outside basis span (residual {res:.2e})"))
 
 
 # ----------------------------------------------------------------------

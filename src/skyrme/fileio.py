@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .algebra import SPAN_TOL, LieAlgebra, parse_algebra
+from .algebra import LieAlgebra, parse_algebra
 from .errors import FileFormatError
 from .lattice import AlgebraOneForm, GroupField, TorusLattice
 
@@ -114,10 +114,8 @@ def read_one_form(path, sampling: str = "link") -> AlgebraOneForm:
         comps = []
         for _ in range(3):
             M = _read_block(fh, lattice, alg.rep_dim)
-            coords, res = alg.to_coords(M)
-            if res > SPAN_TOL:
-                raise FileFormatError(f"component outside algebra span (residual {res:.2e})")
-            comps.append(coords)
+            comps.append(alg.to_coords(M, error=lambda res: FileFormatError(
+                f"component outside algebra span (residual {res:.2e})"))[0])
         if fh.read(1):
             raise FileFormatError("trailing bytes after form data")
     return AlgebraOneForm(lattice, alg, np.stack(comps), sampling=sampling)

@@ -13,6 +13,23 @@ cube axis.  The curvature density is computed once on the torus (from
 the per-link transports, or from `flatness_residual` for site data) and
 each cube's flatness residual is its window sum over the cube interior.
 
+For link data the gate is first certified without a matrix log.  Write a
+plaquette as P = A B^H with A = T_i(x) T_j(x+e_i), B = T_j(x) T_i(x+e_j);
+B is unitary, so the chord |P - 1|_F equals |A - B|_F.  While every chord
+is below the cutoff c = CHORD_CUTOFF = 0.5, every eigenvalue of P lies
+within c of 1 and
+
+    |log P|_F <= (2 arcsin(c/2) / c) |P - 1|_F            (factor 1.0107)
+    |F|^2 <= kappa (2 arcsin(c/2) / c)^2 |A - B|_F^2 / (h_i h_j)^2
+
+for F = log P / (h_i h_j) projected onto the basis span (the projection
+does not increase the Frobenius norm; kappa is `LieAlgebra.kappa`).  When
+every chord is below c and every cube's residual computed from this bound
+passes the gate, the true residuals pass too and no log is taken; on a
+log derivative the chords are rounding noise.  Otherwise the plaquette
+logs are taken and the gate decides on them exactly as without the bound.
+A plaquette with no log in the algebra gives its cube an infinite residual.
+
 The holonomy of the torus is read off a cubical cover: one chart per
 coarse vertex, constant edge labels g_[p,q] estimated on star overlaps,
 and generator loops multiplied along circuits that close through the
@@ -37,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import LieAlgebra, group_exp, group_log
-from .errors import AtlasError, FlatnessError, HolonomyMismatchError
+from .errors import AtlasError, FlatnessError, HolonomyMismatchError, LogRangeError
 from .lattice import PLANES, AlgebraOneForm, GroupField, TorusLattice, flatness_residual
 
 __all__ = [
@@ -54,6 +71,9 @@ __all__ = [
 
 DEFAULT_FLATNESS_FACTOR = 10.0  # gate: residual <= factor * max spacing
 DEFAULT_ATLAS_TOL = 1e-6
+CHORD_CUTOFF = 0.5  # c: plaquettes with |P - 1|_F < c are bounded without a log
+# sup |log P|_F / |P - 1|_F over unitary P with every |lambda - 1| < c
+_LOG_PER_CHORD = 2.0 * np.arcsin(CHORD_CUTOFF / 2.0) / CHORD_CUTOFF
 
 # (key, read-only coefficient copy, atlas) of the last developed non-zero form
 _last_atlas: tuple | None = None
@@ -190,6 +210,23 @@ def _line_steps(alg: LieAlgebra, comps: np.ndarray, h: float) -> np.ndarray:
     return group_exp(alg, om)
 
 
+def _plaquette_density(alg: LieAlgebra, plaq: np.ndarray, area: float) -> np.ndarray:
+    """|log P / area|^2 for a batch (k, N, N) of plaquettes P.
+
+    A plaquette without a log in the algebra (an eigenvalue 1.99 or more
+    from 1, or a principal log outside the basis span) has infinite density,
+    so its cube fails any finite gate.  They are found by bisecting the
+    batch, so a gate that passes takes one batched log per plane."""
+    try:
+        return alg.norm_sq(group_log(alg, plaq, threshold=1.99)[0] / area)
+    except LogRangeError:
+        if len(plaq) == 1:
+            return np.array([np.inf])
+    half = len(plaq) // 2
+    return np.concatenate([_plaquette_density(alg, plaq[:half], area),
+                           _plaquette_density(alg, plaq[half:], area)])
+
+
 def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
              vertices=None) -> np.ndarray:
     """Integrate u' = u a over S cubes at once, each with u(corner) = 1.
@@ -202,6 +239,14 @@ def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
     differences of `flatness_residual`.  A cube's residual is
     sqrt(cell volume * window sum of |F|^2 over its interior); the first
     cube above the gate (default 10 * max spacing) raises FlatnessError.
+
+    Link data are certified first from the plaquette chords |A - B|_F,
+    P = A B^H: while each is below c = CHORD_CUTOFF, |F|^2 is at most
+    kappa (2 arcsin(c/2) / c)^2 |A - B|_F^2 / (h_i h_j)^2.  If every chord
+    is below c and every cube's residual from that bound is within the
+    gate, the gate passes with no log taken.  Otherwise |F|^2 comes from
+    the plaquette logs, infinite where a plaquette has no log in the
+    algebra, and the gate's decision and error are those of the logs alone.
     """
     alg = a.algebra
     lattice = a.lattice
@@ -211,6 +256,10 @@ def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
     if flatness_gate is None:
         flatness_gate = DEFAULT_FLATNESS_FACTOR * max(h)
     interior = _grid([w[:, :-1] for w in windows])
+
+    def residuals(density):
+        return np.sqrt(lattice.cell_volume * density[interior].sum(axis=(1, 2, 3)))
+
     if a.sampling == "link":
         # transports on the sites the cubes use, plaquettes on their interiors
         used = np.zeros(lattice.dims, dtype=bool)
@@ -219,15 +268,30 @@ def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
         core[interior] = True
         T = np.zeros((3,) + lattice.dims + (N, N), dtype=complex)
         T[:, used] = group_exp(alg, np.asarray(h)[:, None, None] * a.coeffs[:, used])
-        density = np.zeros(lattice.dims)
+
+        def halves(i, j):
+            """A and B of the plaquettes P = A B^H on the interiors, one per
+            path x -> x + e_i + e_j."""
+            return (T[i][core] @ np.roll(T[j], -1, axis=i)[core],
+                    T[j][core] @ np.roll(T[i], -1, axis=j)[core])
+
+        bound = np.zeros(lattice.dims)
         for i, j in PLANES:
-            plaq = (T[i][core] @ np.roll(T[j], -1, axis=i)[core]
-                    @ (T[j][core] @ np.roll(T[i], -1, axis=j)[core]).conj().swapaxes(-1, -2))
-            F = group_log(alg, plaq, threshold=1.99)[0] / (h[i] * h[j])
-            density[core] += alg.norm_sq(F)
+            A, B = halves(i, j)
+            chord_sq = (np.abs(A - B) ** 2).sum(axis=(-2, -1))
+            bound[core] += np.where(chord_sq < CHORD_CUTOFF ** 2,
+                                    (alg.kappa * _LOG_PER_CHORD ** 2 / (h[i] * h[j]) ** 2)
+                                    * chord_sq, np.inf)
+        resid = residuals(bound)
+        if not (resid <= flatness_gate).all():
+            density = np.zeros(lattice.dims)
+            for i, j in PLANES:
+                A, B = halves(i, j)
+                density[core] += _plaquette_density(alg, A @ B.conj().swapaxes(-1, -2),
+                                                    h[i] * h[j])
+            resid = residuals(density)
     else:
-        density = alg.norm_sq(flatness_residual(a)[0].coeffs).sum(axis=0)
-    resid = np.sqrt(lattice.cell_volume * density[interior].sum(axis=(1, 2, 3)))
+        resid = residuals(alg.norm_sq(flatness_residual(a)[0].coeffs).sum(axis=0))
     if (resid > flatness_gate).any():
         s = int(np.argmax(resid > flatness_gate))
         corner = tuple(int(w[s, 0]) for w in windows)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .algebra import SPAN_TOL, LieAlgebra, group_exp, group_log, primitive_su2
+from .algebra import LieAlgebra, group_exp, group_log, primitive_su2
 from .errors import GeneratorError, LogRangeError
 
 __all__ = [
@@ -241,9 +241,8 @@ def conjugate_coeffs(b: AlgebraOneForm, u: GroupField) -> np.ndarray:
     for i in range(3):
         conj = np.einsum("...ji,...jk,...kl->...il", u.values.conj(),
                          alg.to_matrix(b.coeffs[i]), u.values)
-        out[i], res = alg.to_coords(conj)
-        if res > SPAN_TOL:
-            raise LogRangeError(f"conjugated component left the basis span ({res:.2e})")
+        out[i], _ = alg.to_coords(conj, error=lambda res: LogRangeError(
+            f"conjugated component left the basis span ({res:.2e})"))
     return out
 
 

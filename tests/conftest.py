@@ -215,3 +215,45 @@ def oracle_group_exp(alg, X):
     from scipy.linalg import expm
 
     return expm(oracle_to_matrix(alg, X))
+
+
+def oracle_kappa(alg):
+    """sup |X|^2 / |X|_F^2: eigvalsh of norm_gram whitened by the symmetric
+    inverse square root of the trace-form gram of the public basis."""
+    gram = np.real(np.einsum("aij,bij->ab", alg.basis.conj(), alg.basis))
+    w, V = np.linalg.eigh(gram)
+    W = (V / np.sqrt(w)) @ V.T
+    return float(np.linalg.eigvalsh(W @ alg.norm_gram @ W).max())
+
+
+def oracle_star_residuals(a, cover):
+    """Flatness residual of every star of a link form, one plaquette at a
+    time: expm transports, each plaquette's principal log from its complex
+    Schur form, the trace-form projection and the public norm.  A plaquette
+    with an eigenvalue 1.99 or more from 1, or whose log leaves the basis
+    span, has infinite density."""
+    from scipy.linalg import expm, schur
+
+    alg, lattice = a.algebra, a.lattice
+    h, dims = lattice.spacings, lattice.dims
+    T = np.empty((3,) + dims + (alg.rep_dim,) * 2, dtype=complex)
+    for i in range(3):
+        for x in np.ndindex(dims):
+            T[(i,) + x] = expm(h[i] * oracle_to_matrix(alg, a.coeffs[(i,) + x]))
+    density = np.zeros(dims)
+    for x in np.ndindex(dims):
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            xi = tuple((x[k] + (k == i)) % dims[k] for k in range(3))
+            xj = tuple((x[k] + (k == j)) % dims[k] for k in range(3))
+            P = T[(i,) + x] @ T[(j,) + xi] @ T[(i,) + xj].conj().T @ T[(j,) + x].conj().T
+            R, Z = schur(P, output="complex")
+            eigs = np.diag(R)
+            log_p = (Z * np.log(eigs)) @ Z.conj().T
+            coords = oracle_to_coords(alg, log_p)
+            if (np.abs(eigs - 1.0).max() >= 1.99
+                    or np.abs(oracle_to_matrix(alg, coords) - log_p).max() > 1e-9):
+                density[x] = np.inf
+                continue
+            density[x] += oracle_norm_sq(alg, coords / (h[i] * h[j]))
+    return np.array([np.sqrt(lattice.cell_volume * density[np.ix_(*(w[:-1] for w in win))].sum())
+                     for win in cover.star_indices()])

@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 from fractions import Fraction
 from functools import lru_cache
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     oracle_ad_matrix,
     oracle_bracket,
     oracle_group_exp,
+    oracle_kappa,
     oracle_norm_sq,
     oracle_to_coords,
     oracle_to_matrix,
 )
 from skyrme import algebra as al
+from skyrme.holonomy import CHORD_CUTOFF
 from skyrme.errors import (
     CertificationError,
     LogRangeError,
@@ -362,7 +364,7 @@ def test_norm_and_basis_maps_match_oracles(spec, seed, shape, layout):
         # rows of a wider array: strided in both matrix axes
         n = alg.rep_dim
         M = np.concatenate([M, np.zeros_like(M)], axis=-1)[..., :n]
-    coords, res = alg.to_coords(M, span_tol=al.SPAN_TOL)
+    coords, res = alg.to_coords(M, error=AssertionError)
     _assert_rel_close(coords, oracle_to_coords(alg, M))
     _assert_rel_close(coords, X)
     assert res <= 1e-12 * np.abs(M).max(initial=1.0)
@@ -375,3 +377,37 @@ def test_group_exp_matches_expm(spec, seed, shape, layout, scale):
     alg = _algebra(spec)
     X = _coords(np.random.default_rng(seed), alg.dim, shape, layout, scale)
     _assert_rel_close(al.group_exp(alg, X), oracle_group_exp(alg, X))
+
+
+# ----------------------------------------------------------------------
+# the chord bound behind the flatness certificate of holonomy._develop
+# ----------------------------------------------------------------------
+
+CHORD_SPECS = list(al.SUPPORTED_SPECS) + ["so3", "u1", "su2+u1"]
+
+
+@pytest.mark.parametrize("spec", CHORD_SPECS)
+def test_kappa_matches_oracle(spec):
+    alg = _algebra(spec)
+    assert alg.kappa == pytest.approx(oracle_kappa(alg), rel=1e-12, abs=1e-15)
+    known = {"su2": 0.5, "su3": 0.75, "spin7": 0.625, "f4": 0.125, "u1": 0.0}
+    if spec in known:
+        assert alg.kappa == pytest.approx(known[spec], rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=st.sampled_from(CHORD_SPECS), seed=st.integers(0, 2 ** 32 - 1),
+       count=st.integers(1, 4), size=st.floats(1e-8, 0.55))
+def test_log_norm_is_bounded_by_the_chord(spec, seed, count, size):
+    # group elements P = exp(X), |X|_F = size, kept while |P - 1|_F < c: the
+    # principal log exists and |log P|^2 <= kappa (2 arcsin(c/2)/c)^2 |P - 1|_F^2
+    alg = _algebra(spec)
+    X = np.random.default_rng(seed).standard_normal((count, alg.dim))
+    X *= size / np.linalg.norm(alg.to_matrix(X), axis=(-2, -1))[:, None]
+    P = al.group_exp(alg, X)
+    chord = np.linalg.norm(P - np.eye(alg.rep_dim), axis=(-2, -1))
+    keep = chord < CHORD_CUTOFF
+    assume(keep.any())
+    coords, _ = al.group_log(alg, P[keep], threshold=1.99)
+    ratio = 2.0 * np.arcsin(CHORD_CUTOFF / 2.0) / CHORD_CUTOFF
+    assert (alg.norm_sq(coords) <= alg.kappa * ratio ** 2 * chord[keep] ** 2).all()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import analytic_exp_field, sup_deviation_mod_constant
+from conftest import analytic_exp_field, oracle_star_residuals, sup_deviation_mod_constant
 from skyrme import algebra as al
 from skyrme import holonomy as hol
 from skyrme import invariants as inv
@@ -214,6 +214,109 @@ def test_flatness_error_names_the_star_of_a_bump(su2, lat16, cover16):
     failing = [v for v, w in zip(verts, windows)
                if any(all(x[i] in w[i][:-1] for i in range(3)) for x in curved)]
     assert exc.vertex == failing[0]
+
+
+def test_out_of_range_plaquette_fails_the_gate(su2, lat8):
+    # plaquettes past the log's range give their cubes an infinite residual:
+    # any finite gate names the cube, an infinite gate lets development go on
+    a = lat.AlgebraOneForm(lat8, su2, np.random.default_rng(0).normal(size=(3, 8, 8, 8, 3)) * 30,
+                           sampling="link")
+    cover = hol.CubicalCover(lat8, 2)
+    with pytest.raises(FlatnessError, match="not flat") as info:
+        hol.develop_cube(a, (2, 3, 4), (5, 5, 5), flatness_gate=1e300)
+    exc = info.value
+    assert exc.exit_code == 5 and exc.corner == (2, 3, 4) and exc.vertex is None
+    assert exc.residual == np.inf
+    with pytest.raises(FlatnessError) as info:
+        hol.build_atlas(a, cover, flatness_gate=1e300)
+    exc = info.value
+    assert exc.residual == np.inf and exc.corner == cover.star_corner(exc.vertex)
+    assert f"vertex {exc.vertex}" in str(exc) and f"corner {exc.corner}" in str(exc)
+    resid = oracle_star_residuals(a, cover)
+    assert exc.vertex == cover.vertices()[int(np.argmax(resid == np.inf))]
+    assert hol.develop_cube(a, (2, 3, 4), (5, 5, 5), flatness_gate=np.inf).values.shape == \
+        (5, 5, 5, 2, 2)
+    atlas = hol.build_atlas(a, cover, tol=np.inf, flatness_gate=np.inf)
+    assert len(atlas.charts) == len(cover.vertices())
+
+
+@pytest.mark.parametrize("spec", ["su3", "spin7"])
+def test_plaquette_log_outside_the_algebra_fails_the_gate(spec):
+    # on rough su3 and spin7 forms some in-range plaquettes have principal
+    # logs outside the algebra; they too give their stars infinite residuals
+    alg = al.parse_algebra(spec)
+    L = lat.TorusLattice((6, 6, 6))
+    cover = hol.CubicalCover(L, 2)
+    a = lat.AlgebraOneForm(L, alg, np.random.default_rng(5).standard_normal((3, 6, 6, 6, alg.dim))
+                           * 8, sampling="link")
+    resid = oracle_star_residuals(a, cover)
+    with pytest.raises(FlatnessError) as info:
+        hol.build_atlas(a, cover, flatness_gate=1e300)
+    assert info.value.residual == np.inf
+    assert info.value.vertex == cover.vertices()[int(np.argmax(resid == np.inf))]
+    atlas = hol.build_atlas(a, cover, tol=np.inf, flatness_gate=np.inf)
+    assert len(atlas.charts) == len(cover.vertices())
+
+
+@pytest.mark.parametrize("spec", ["su2", "su3", "spin7"])
+def test_certified_gate_decides_as_the_plaquette_logs(spec):
+    # a flat form with one link bumped by graded amplitudes, from certified
+    # passes through failures to plaquettes past the log's range; each gate is
+    # the default or just either side of the worst oracle residual
+    alg = al.parse_algebra(spec)
+    L = lat.TorusLattice((6, 6, 6))
+    cover = hol.CubicalCover(L, 2)
+    verts = cover.vertices()
+    base = lat.log_derivative(lat.make_random(L, alg, seed=7, smoothness=1.5, amplitude=0.8))
+    direction = np.random.default_rng(1).standard_normal(alg.dim)
+    direction /= np.sqrt(alg.norm_sq(direction))
+    default = hol.DEFAULT_FLATNESS_FACTOR * max(L.spacings)
+    for amp in (0.5, 2.0, 2.5, 8.0, 30.0):
+        a = replace(base, coeffs=base.coeffs.copy())
+        a.coeffs[1, 2, 3, 4] += amp * direction
+        resid = oracle_star_residuals(a, cover)
+        worst = resid.max()
+        gates = [None] + ([worst * (1 - 1e-9), worst * (1 + 1e-9)] if np.isfinite(worst) else [])
+        for gate in gates:
+            bound = default if gate is None else gate
+            if not (resid > bound).any():
+                hol.build_atlas(a, cover, tol=np.inf, flatness_gate=gate)
+                continue
+            with pytest.raises(FlatnessError) as info:
+                hol.build_atlas(a, cover, tol=np.inf, flatness_gate=gate)
+            s = int(np.argmax(resid > bound))
+            exc = info.value
+            assert exc.vertex == verts[s] and exc.corner == cover.star_corner(verts[s])
+            assert exc.residual == pytest.approx(resid[s], rel=1e-9) and exc.gate == bound
+
+
+@pytest.mark.parametrize("spec", ["su2", "su3", "spin7"])
+def test_flat_link_form_is_certified_without_a_log(spec, monkeypatch):
+    alg = al.parse_algebra(spec)
+    L = lat.TorusLattice((8, 8, 8))
+    cover = hol.CubicalCover(L, 2)
+    a = lat.log_derivative(lat.make_random(L, alg, seed=3, smoothness=2.5, amplitude=0.5))
+    logs = []
+    group_log = hol.group_log
+
+    def counted(alg, g, *args, **kwargs):
+        logs.append(g.shape[:-2])
+        return group_log(alg, g, *args, **kwargs)
+
+    monkeypatch.setattr(hol, "group_log", counted)
+    atlas = hol.build_atlas(a, cover)
+    assert logs == []
+    # with every chord past the cutoff the gate takes the plaquette logs, and
+    # the charts, labels and holonomy are the same bits
+    hol._last_atlas = None
+    monkeypatch.setattr(hol, "CHORD_CUTOFF", 0.0)
+    exact = hol.build_atlas(a, cover)
+    assert len(logs) == 3
+    for v in cover.vertices():
+        assert np.array_equal(atlas.charts[v], exact.charts[v])
+    for e, g in exact.edge_labels.items():
+        assert np.array_equal(atlas.edge_labels[e], g)
+    assert np.array_equal(atlas.holonomy().elements, exact.holonomy().elements)
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,8 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-TABLES = {"structure_constants", "norm_gram", "killing_matrix", "basis"}
+TABLES = {"structure_constants", "norm_gram", "killing_matrix", "basis",
+          "_gram", "_real_basis", "_coords_map", "_ad_table"}  # and their private layouts
 # (module, top-level function) allowed to read a table: the Killing 3-form
 # is built once per factor from f and B
 TABLE_READERS = {("invariants.py", "_killing_3form")}
