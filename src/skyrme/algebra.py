@@ -745,9 +745,9 @@ def group_log(alg: LieAlgebra, g, threshold: float = 1.0):
 
     Returns (coords, residual) where residual is the worst projection
     defect over the batch.  Raises LogRangeError when any matrix has an
-    eigenvalue farther than `threshold` from 1 (outside the safe branch);
-    its `site` is the batch index of the worst matrix and `mask` marks
-    every matrix out of range.
+    eigenvalue farther than `threshold` from 1, or a log outside the basis
+    span; its `site` is the batch index of the worst matrix, `mask` marks
+    every failing one and `value` is the worst |lambda - 1| (None for span).
     """
     g = np.asarray(g, dtype=complex)
     w, V = np.linalg.eig(g)
@@ -761,8 +761,12 @@ def group_log(alg: LieAlgebra, g, threshold: float = 1.0):
     # V diag(lw) V^-1 without forming the inverse: solve against V^T on the right
     VD = V * lw[..., None, :]
     L = np.swapaxes(np.linalg.solve(np.swapaxes(V, -1, -2), np.swapaxes(VD, -1, -2)), -1, -2)
-    return alg.to_coords(L, error=lambda res: LogRangeError(
-        f"{alg.name}: element outside basis span (residual {res:.2e})"))
+    def span_error(res):  # per-matrix defects, only once the batch has failed
+        defect = np.abs(alg.to_matrix(alg.to_coords(L)[0]) - L).max(axis=(-2, -1))
+        return LogRangeError(f"{alg.name}: log left the algebra (span residual {res:.2e})",
+                             site=np.unravel_index(np.argmax(defect), defect.shape),
+                             mask=defect > SPAN_TOL)
+    return alg.to_coords(L, error=span_error)
 
 
 # ----------------------------------------------------------------------

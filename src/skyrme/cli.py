@@ -68,14 +68,6 @@ def _as_numbers(text: str, n: int, what: str, cast) -> tuple:
                       f"got {text!r}")
 
 
-def _as_ints(text: str, n: int, what: str) -> tuple:
-    return _as_numbers(text, n, what, int)
-
-
-def _as_floats(text: str, n: int, what: str) -> tuple:
-    return _as_numbers(text, n, what, float)
-
-
 def _scalar(cfg: dict, key: str, cast, default):
     """cfg[key] read as an int or a float, or `default` when key is absent."""
     if key not in cfg:
@@ -90,8 +82,8 @@ def _scalar(cfg: dict, key: str, cast, default):
 def _lattice_from(cfg: dict) -> TorusLattice:
     if "dims" not in cfg:
         raise ConfigError("config needs dims = N1,N2,N3")
-    dims = _as_ints(cfg["dims"], 3, "dims")
-    lengths = _as_floats(cfg.get("lengths", "1,1,1"), 3, "lengths")
+    dims = _as_numbers(cfg["dims"], 3, "dims", int)
+    lengths = _as_numbers(cfg.get("lengths", "1,1,1"), 3, "lengths", float)
     try:
         return TorusLattice(dims, lengths)
     except ValueError as exc:
@@ -141,7 +133,7 @@ def cmd_gen(args) -> int:
         charge = _scalar(cfg, "charge", int, 1)
         u = make_hedgehog(lattice, alg, radius, charge=charge)
     elif kind == "winding":
-        m = _as_ints(cfg.get("winding", "0,0,0"), 3, "winding")
+        m = _as_numbers(cfg.get("winding", "0,0,0"), 3, "winding", int)
         u = make_winding(lattice, alg, m)
     elif kind == "random":
         u = make_random(lattice, alg, seed=_scalar(cfg, "seed", int, 0),
@@ -191,8 +183,8 @@ def cmd_develop(args) -> int:
     if args.out is None:
         raise ConfigError("develop needs --out PATH")
     a = fileio.read_one_form(args.form, sampling=args.sampling)
-    corner = _as_ints(args.corner, 3, "corner")
-    shape = _as_ints(args.shape, 3, "shape")
+    corner = _as_numbers(args.corner, 3, "corner", int)
+    shape = _as_numbers(args.shape, 3, "shape", int)
     chart = develop_cube(a, corner, shape)
     # a chart is not periodic; store it as a standalone block with the
     # physical extents of the cube
@@ -216,10 +208,10 @@ def cmd_minimize(args) -> int:
         alg = parse_algebra(cfg.get("group", "su2"))
         fileio.group_id(alg)  # the result must be writable before any descent
         lattice = _lattice_from(cfg)
-        alpha = _as_ints(cfg.get("alpha", "0,0,0"), 3, "alpha")
+        alpha = _as_numbers(cfg.get("alpha", "0,0,0"), 3, "alpha", int)
         nfac = len(alg.factors)
-        charges = _as_ints(cfg.get("charges", ",".join(["0"] * nfac)), nfac, "charges") \
-            if nfac else ()
+        charges = _as_numbers(cfg.get("charges", ",".join(["0"] * nfac)), nfac, "charges",
+                              int) if nfac else ()
         sector = SectorInvariants(alpha=alpha, alpha_orders=pi1_orders(alg),
                                   charges_raw=tuple(float(c) for c in charges),
                                   charges=charges, residuals=(0.0,) * nfac)

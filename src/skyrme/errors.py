@@ -29,7 +29,8 @@ class LogRangeError(SkyrmeError):
     or a lattice field too rough for unambiguous link logs / lifts.
 
     Raised by a range check, it says where: `value` is the worst
-    |lambda - 1| and `mask` marks every out-of-range element of the batch.
+    |lambda - 1| (None when a log left the algebra's span) and `mask` marks
+    every failing element of the batch.
     From link logs, `axis` (1-based, as in the message) and `site` name the
     worst link x -> x + e_axis, and `mask` has shape (3,) + lattice dims,
     indexed by axis - 1.  Errors from other checks leave these None.

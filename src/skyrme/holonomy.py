@@ -38,13 +38,9 @@ holonomy are gauge equivalent; the reconstruction aligns the second
 atlas at the base vertex, propagates corrections down a maximal tree,
 verifies the circuit labels, and glues (u^1)^-1 u^2 into a global gauge.
 
-A sector query develops the same form twice in a row: once for its
-holonomy, again as one side of the gauge reconstruction.  `build_atlas`
-therefore keeps the atlas of the most recently developed non-zero form in
-one module-level slot, keyed by algebra, sampling, lattice, cover, `tol`,
-`flatness_gate` and a private copy of the coefficients.  A hit returns the
-same read-only atlas; any other input (an in-place edit of the
-coefficients included) develops afresh.
+A sector query develops the same form twice in a row, once for its
+holonomy and again for the gauge reconstruction, so `build_atlas` keeps
+the atlas of the last developed non-zero form in one slot (see there).
 """
 
 from __future__ import annotations
@@ -64,6 +60,7 @@ __all__ = [
     "HolonomyRep",
     "develop_cube",
     "path_transport",
+    "link_form",
     "build_atlas",
     "holonomy_rep",
     "gauge_from_holonomy",
@@ -193,16 +190,29 @@ def _grid(windows) -> tuple:
     return w0[:, :, None, None], w1[:, None, :, None], w2[:, None, None, :]
 
 
+def _hop_logs(alg: LieAlgebra, a0: np.ndarray, a1: np.ndarray, h: float):
+    """Logs h (a0 + a1)/2 + (h^2/12) [a0, a1] of the site-sampled two-point
+    hops a0 -> a1, and their brackets."""
+    comm = alg.bracket(a0, a1)
+    return h * (a0 + a1) / 2.0 + (h * h / 12.0) * comm, comm
+
+
+def link_form(a: AlgebraOneForm) -> AlgebraOneForm:
+    """The link form whose transports exp(h_i b_i(x)) are the two-point hops
+    x -> x + e_i of the site form a."""
+    h = a.lattice.spacings
+    coeffs = np.stack([_hop_logs(a.algebra, a.coeffs[i], np.roll(a.coeffs[i], -1, axis=i),
+                                 h[i])[0] / h[i] for i in range(3)])
+    return AlgebraOneForm(a.lattice, a.algebra, coeffs, sampling="link")
+
+
 def _line_steps(alg: LieAlgebra, comps: np.ndarray, h: float) -> np.ndarray:
     """Site-sampled transports along one axis of a (non-periodic) line.
 
     comps has the line axis first: (n, ..., dim); returns (n-1, ..., N, N)
     step matrices for the hops k -> k+1.
     """
-    a0 = comps[:-1]
-    a1 = comps[1:]
-    comm = alg.bracket(a0, a1)
-    om = h * (a0 + a1) / 2.0 + (h * h / 12.0) * comm
+    om, comm = _hop_logs(alg, comps[:-1], comps[1:], h)
     if comps.shape[0] >= 4:
         # interior links get the 4-point quadrature (third-order sweep)
         q = (h / 24.0) * (-comps[:-3] + 13.0 * comps[1:-2] + 13.0 * comps[2:-1] - comps[3:])
@@ -239,14 +249,8 @@ def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
     differences of `flatness_residual`.  A cube's residual is
     sqrt(cell volume * window sum of |F|^2 over its interior); the first
     cube above the gate (default 10 * max spacing) raises FlatnessError.
-
-    Link data are certified first from the plaquette chords |A - B|_F,
-    P = A B^H: while each is below c = CHORD_CUTOFF, |F|^2 is at most
-    kappa (2 arcsin(c/2) / c)^2 |A - B|_F^2 / (h_i h_j)^2.  If every chord
-    is below c and every cube's residual from that bound is within the
-    gate, the gate passes with no log taken.  Otherwise |F|^2 comes from
-    the plaquette logs, infinite where a plaquette has no log in the
-    algebra, and the gate's decision and error are those of the logs alone.
+    Link data are first certified from the plaquette chords, with no log
+    taken (see the module docstring); failing that, the plaquette logs decide.
     """
     alg = a.algebra
     lattice = a.lattice
@@ -347,12 +351,14 @@ def develop_cube(a: AlgebraOneForm, corner, shape,
 
 
 def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
-    """Ordered product of one-step transports along a lattice polyline.
+    """Ordered product of the link transports exp(h_i a_i) along a lattice
+    polyline, those of its `link_form` for a site form.
 
     `path` is a sequence of site index triples; consecutive sites must
-    differ by one step along a single axis (periodic wrap allowed).  A
-    site-sampled hop is the developer's two-point step between its ends.
+    differ by one step along a single axis (periodic wrap allowed).
     """
+    if a.sampling == "site":
+        a = link_form(a)
     alg = a.algebra
     dims = a.lattice.dims
     h = a.lattice.spacings
@@ -365,14 +371,8 @@ def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
         if len(moves) != 1 or moves[0][1] not in (1, dims[moves[0][0]] - 1):
             raise ValueError(f"path hop {p} -> {q} is not a single link")
         ax, d = moves[0]
-        forward = d == 1
-        tail, head = (p, q) if forward else (q, p)
-        if a.sampling == "link":
-            step = group_exp(alg, h[ax] * a.coeffs[(ax,) + tail])
-        else:
-            ends = np.stack([a.coeffs[(ax,) + tail], a.coeffs[(ax,) + head]])
-            step = _line_steps(alg, ends, h[ax])[0]
-        g = g @ step if forward else g @ step.conj().T
+        step = group_exp(alg, h[ax] * a.coeffs[(ax,) + (p if d == 1 else q)])
+        g = g @ step if d == 1 else g @ step.conj().T
     return g
 
 

@@ -284,9 +284,9 @@ def invariant_of_connection(a, b, cover=None,
                             tol: float = DEFAULT_SECTOR_TOL) -> SectorInvariants:
     """Invariants of a flat potential a relative to the reference b.
 
-    Reconstructs u with a = gauge_transform(b, u) from equal holonomy and
-    reports the invariants of u; fails when a and b sit in different
-    holonomy strata.
+    Reconstructs u with a = gauge_transform(b, u) (for link forms the exact
+    action on the transports exp(h b)) from equal holonomy, and reports the
+    invariants of u; fails when a and b sit in different holonomy strata.
     """
     from .holonomy import CubicalCover, gauge_from_holonomy
 

@@ -1,12 +1,10 @@
 """Discretized flat 3-torus, group-valued fields, and the two energies.
 
-A `GroupField` stores one representation matrix per lattice site.  The
-logarithmic derivative is the link form
-
-    L_i(x) = (1/h_i) log( u(x)^-1 u(x + e_i) ),
-
-an algebra-valued 1-form sampled on links (midpoints), and the two
-Skyrme energies
+A `GroupField` stores one representation matrix per lattice site.  Its
+logarithmic derivative is the link form L_i(x) = (1/h_i) log(u(x)^-1 u(x+e_i)),
+an algebra-valued 1-form sampled on links (midpoints).  A link form b is a
+lattice connection with transports T_i = exp(h_i b_i); the gauge action of
+u logs u(x)^-1 T_i(x) u(x+e_i) through the same kernel.  The two energies
 
     E(u)  = sum_x vol ( 1/2 |L|^2 + 1/4 |L ^ L|^2 )
     E[a]  = sum_x vol ( 1/2 |a|^2 + 1/16 |[a, a]|^2 )
@@ -38,7 +36,6 @@ __all__ = [
     "skyrme_energy_connection",
     "flatness_residual",
     "gauge_transform",
-    "conjugate_coeffs",
     "make_hedgehog",
     "make_winding",
     "make_random",
@@ -150,42 +147,52 @@ class AlgebraTwoForm:
 # log derivative and energies
 # ----------------------------------------------------------------------
 
-def log_derivative(u: GroupField) -> AlgebraOneForm:
-    """Link logarithm form L_i(x) = (1/h_i) log(u(x)^-1 u(x+e_i)).
+def _link_logs(u: GroupField, T: np.ndarray | None = None) -> np.ndarray:
+    """Coordinates (1/h_i) log(u(x)^-1 T_i(x) u(x+e_i)) of every link, T the
+    (3,) + dims + (N, N) transports, None for the map's own links.
 
-    Fails with LogRangeError when any link leaves the principal branch
-    margin (the field is too rough for this lattice).  All three axes are
-    checked first: the error names the worst link's axis, site and
-    |lambda - 1|, and its mask marks every link out of range.
+    All three axes are checked first: the LogRangeError names the worst
+    link's axis, site and |lambda - 1| (None, outranking any distance, when
+    its log left the algebra), and its mask marks every failing link.
     """
     alg = u.algebra
     h = u.lattice.spacings
     comps = []
-    masks = []
-    # (value, axis, site) of the worst link; holding the caught exception
-    # instead would tie this frame into a cycle through its traceback
+    mask = np.zeros((3,) + u.lattice.dims, dtype=bool)
+    # (rank, value, axis, site) of the worst link; holding the caught
+    # exception instead would tie this frame into a cycle through its traceback
     worst = None
     for ax in range(3):
         up = np.roll(u.values, -1, axis=ax)
+        if T is not None:
+            up = T[ax] @ up
         link = np.einsum("...ji,...jk->...ik", u.values.conj(), up)
         try:
             coords, _ = group_log(alg, link, threshold=LINK_LOG_THRESHOLD)
         except LogRangeError as exc:
-            masks.append(exc.mask)
-            if worst is None or exc.value > worst[0]:
-                worst = (exc.value, ax + 1, tuple(int(c) for c in exc.site))
+            mask[ax] = exc.mask
+            rank = np.inf if exc.value is None else exc.value
+            if worst is None or rank > worst[0]:
+                worst = (rank, exc.value, ax + 1, tuple(int(c) for c in exc.site))
             continue
         comps.append(coords / h[ax])
-        masks.append(np.zeros(u.lattice.dims, dtype=bool))
     if worst is not None:
-        value, axis, site = worst
-        mask = np.stack(masks)
+        _, value, axis, site = worst
+        what = ("has a log that left the algebra" if value is None
+                else f"has |lambda - 1| = {value:.4f} >= {LINK_LOG_THRESHOLD}")
         raise LogRangeError(
             f"field too rough for this lattice: link at site {site} on axis {axis} "
-            f"has |lambda - 1| = {value:.4f} >= {LINK_LOG_THRESHOLD} "
-            f"({int(mask.sum())} links out of range)",
+            f"{what} ({int(mask.sum())} links out of range)",
             axis=axis, site=site, value=value, mask=mask)
-    return AlgebraOneForm(u.lattice, alg, np.stack(comps), sampling="link")
+    return np.stack(comps)
+
+
+def log_derivative(u: GroupField) -> AlgebraOneForm:
+    """Link logarithm form L_i(x) = (1/h_i) log(u(x)^-1 u(x+e_i)); raises
+    LogRangeError (see `_link_logs`) when the field is too rough for this
+    lattice: a link beyond the principal branch margin, or a log outside
+    the algebra."""
+    return AlgebraOneForm(u.lattice, u.algebra, _link_logs(u), sampling="link")
 
 
 def wedge_bracket(L: AlgebraOneForm) -> AlgebraTwoForm:
@@ -204,8 +211,7 @@ def _energy_from_components(alg: LieAlgebra, coeffs: np.ndarray, cellvol: float)
 
 def skyrme_energy_map(u: GroupField) -> float:
     """E(u); zero iff every link increment is the identity."""
-    L = log_derivative(u)
-    return _energy_from_components(u.algebra, L.coeffs, u.lattice.cell_volume)
+    return skyrme_energy_connection(log_derivative(u))
 
 
 def skyrme_energy_connection(a: AlgebraOneForm) -> float:
@@ -234,25 +240,27 @@ def flatness_residual(a: AlgebraOneForm) -> tuple[AlgebraTwoForm, float]:
     return AlgebraTwoForm(a.lattice, alg, np.stack(planes)), scalar
 
 
-def conjugate_coeffs(b: AlgebraOneForm, u: GroupField) -> np.ndarray:
-    """Coordinates of u^-1 b_i u per axis, shape (3,) + dims + (dim,)."""
+def gauge_transform(b: AlgebraOneForm, u: GroupField) -> AlgebraOneForm:
+    """Gauge action of the map u on the potential b.
+
+    A link form is a lattice connection with transports T_i = exp(h_i b_i),
+    and u acts on its links exactly, b_i -> (1/h_i) log(u(x)^-1 T_i u(x+e_i)):
+    gauge_transform(log_derivative(v), w) = log_derivative(v w), the
+    cocycle identity holds to rounding, and b = 0 gives log_derivative(u).
+    A site form takes the continuum formula u^-1 b u + u^-1 du.
+    """
     alg = b.algebra
-    out = np.empty_like(b.coeffs)
+    if b.is_zero() or b.sampling == "link":
+        T = None if b.is_zero() else group_exp(
+            alg, np.reshape(b.lattice.spacings, (3, 1, 1, 1, 1)) * b.coeffs)
+        return AlgebraOneForm(u.lattice, alg, _link_logs(u, T), sampling="link")
+    out = _link_logs(u)
     for i in range(3):
         conj = np.einsum("...ji,...jk,...kl->...il", u.values.conj(),
                          alg.to_matrix(b.coeffs[i]), u.values)
-        out[i], _ = alg.to_coords(conj, error=lambda res: LogRangeError(
-            f"conjugated component left the basis span ({res:.2e})"))
-    return out
-
-
-def gauge_transform(b: AlgebraOneForm, u: GroupField) -> AlgebraOneForm:
-    """b |-> u^-1 b u + u^-1 du, componentwise on the lattice."""
-    L = log_derivative(u)
-    if b.is_zero():
-        return replace(L, sampling="link")
-    return AlgebraOneForm(b.lattice, b.algebra, conjugate_coeffs(b, u) + L.coeffs,
-                          sampling=b.sampling)
+        out[i] += alg.to_coords(conj, error=lambda res: LogRangeError(
+            f"conjugated component left the basis span ({res:.2e})"))[0]
+    return AlgebraOneForm(b.lattice, alg, out, sampling="site")
 
 
 # ----------------------------------------------------------------------

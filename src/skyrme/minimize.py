@@ -21,9 +21,10 @@ with termination "barrier"; one that finds no step while the projected
 gradient is larger raises LineSearchError.  The sector invariants are
 recomputed at fixed intervals and any drift aborts the run.
 
-Flat potentials are minimized through the gauge parameterization
-a = u^-1 b u + u^-1 du over maps u, which fixes the holonomy stratum of
-the reference b and adds a site-local commutator term to the gradient.
+Flat potentials are minimized over the gauge orbit a = gauge_transform(b, u)
+of a flat link form b, which fixes its holonomy stratum.  Its links
+u(x)^-1 exp(h b) u(x+e) vary with u exactly as the map links do, so one
+gradient, `_gradient` of the link logs, serves both descents.
 """
 
 from __future__ import annotations
@@ -35,18 +36,17 @@ import numpy as np
 
 from .algebra import LieAlgebra, group_exp
 from .errors import FlatnessError, LineSearchError, LogRangeError, SectorError
-from .holonomy import DEFAULT_FLATNESS_FACTOR
+from .holonomy import CubicalCover, build_atlas, link_form
 from .invariants import SectorInvariants, reference_map, sector_of
 from .lattice import (
     AlgebraOneForm,
     GroupField,
     TorusLattice,
-    conjugate_coeffs,
-    flatness_residual,
     gauge_transform,
     log_derivative,
     make_hedgehog,
     skyrme_energy_connection,
+    skyrme_energy_map,
 )
 
 __all__ = [
@@ -92,9 +92,10 @@ class MinimizeTrace:
     "max_iters", or "barrier": the gradient projected off the sites frozen
     at the link-log range barrier is at or below grad_tol, while the full
     gradient is not.  `barrier` then holds (site, axis, |lambda - 1|) of the
-    worst link that blocked the step, axis 1-based, |lambda - 1| of the
-    current field.  `projected_steps` counts accepted steps that froze
-    sites.  A stalled line search or a sector drift raises instead.
+    worst link that blocked the step, axis 1-based, |lambda - 1| of that
+    logged link at the current field.  `projected_steps` counts accepted
+    steps that froze sites.  A stalled line search or a sector drift raises
+    instead.
     """
 
     energies: list = field(default_factory=list)
@@ -160,23 +161,19 @@ def _energy_gradient_terms(alg: LieAlgebra, comps: np.ndarray) -> np.ndarray:
     return P
 
 
-def _gradient(u: GroupField, conj_b: np.ndarray | None = None) -> np.ndarray:
-    """Site gradient of E (or of E[u^-1 b u + u^-1 du] when conj_b is the
-    conjugated reference u^-1 b u), as algebra coordinates per site."""
-    alg = u.algebra
-    h = u.lattice.spacings
-    cellvol = u.lattice.cell_volume
-    L = log_derivative(u).coeffs
-    a = L if conj_b is None else conj_b + L
-    P = _energy_gradient_terms(alg, a)
-    G = np.zeros(u.lattice.dims + (alg.dim,))
+def _gradient(L: AlgebraOneForm) -> np.ndarray:
+    """Site gradient of the energy of the link-log form L, as algebra
+    coordinates per site: each link scatters its energy gradient to both
+    endpoint sites through B(+-ad_l)^T."""
+    alg = L.algebra
+    h = L.lattice.spacings
+    cellvol = L.lattice.cell_volume
+    P = _energy_gradient_terms(alg, L.coeffs)
+    G = np.zeros(L.lattice.dims + (alg.dim,))
     for i in range(3):
-        plus, minus = _apply_B_pair(alg, h[i] * L[i], P[i])
+        plus, minus = _apply_B_pair(alg, h[i] * L.coeffs[i], P[i])
         G -= (cellvol / h[i]) * plus
         G += (cellvol / h[i]) * np.roll(minus, 1, axis=i)
-    if conj_b is not None:
-        for i in range(3):
-            G += cellvol * alg.bracket(P[i], conj_b[i])
     return G
 
 
@@ -188,21 +185,36 @@ def lattice_gradient(u: GroupField) -> np.ndarray:
     coordinate derivative where norm_gram is the identity, as for su2).
     The descent direction is the negative of this field.
     """
-    return _gradient(u)
+    return _gradient(log_derivative(u))
 
 
-def _link_distance(u: GroupField, site: tuple, axis: int) -> float:
-    """|lambda - 1| of the link from `site` along `axis` (1-based)."""
+def _link_distance(u: GroupField, b: AlgebraOneForm | None, site: tuple, axis: int) -> float:
+    """|lambda - 1| of the link from `site` along `axis` (1-based) that the
+    descent logs: u(x)^-1 exp(h b(x)) u(x+e), the map link for b None."""
     up = tuple((c + (k == axis - 1)) % n for k, (c, n) in enumerate(zip(site, u.lattice.dims)))
-    link = u.values[site].conj().T @ u.values[up]
+    T = (np.eye(u.algebra.rep_dim) if b is None else
+         group_exp(u.algebra, u.lattice.spacings[axis - 1] * b.coeffs[(axis - 1,) + site]))
+    link = u.values[site].conj().T @ T @ u.values[up]
     return float(np.abs(np.linalg.eigvals(link) - 1.0).max())
 
 
-def _descend(u: GroupField, energy_fn, grad_fn, opts: MinimizeOptions,
-             sector_fn) -> tuple[GroupField, MinimizeTrace]:
+def _check_sector(trace: MinimizeTrace, it: int, u: GroupField, opts: MinimizeOptions, where):
+    """Record the sector of u at iteration `it`; raise if it left the first."""
+    snap = sector_of(u, tol=opts.sector_tol)
+    trace.sectors.append((it, snap))
+    sector0 = trace.sectors[0][1]
+    if not snap.same_sector(sector0):
+        raise SectorError(f"sector drift {where}: "
+                          f"{snap.report_line()} != {sector0.report_line()}")
+
+
+def _descend(u: GroupField, energy_fn, grad_fn, opts: MinimizeOptions | None = None,
+             b: AlgebraOneForm | None = None) -> tuple[GroupField, MinimizeTrace]:
+    """Descent of energy_fn by grad_fn from u, its sector checked on entry, every
+    sector_interval steps and at the end; energy_fn logs the links of b (None: u's)."""
+    opts = opts or MinimizeOptions()
     trace = MinimizeTrace()
-    sector0 = sector_fn(u)
-    trace.sectors.append((0, sector0))
+    _check_sector(trace, 0, u, opts, "")
     E = energy_fn(u)
     step = opts.initial_step
     alg = u.algebra
@@ -213,7 +225,7 @@ def _descend(u: GroupField, energy_fn, grad_fn, opts: MinimizeOptions,
         trace.append(E, gnorm, step)
         if gnorm <= opts.grad_tol:
             trace.termination = "converged"
-            return u, trace
+            break
         tau = min(step, opts.max_rotation / max(np.sqrt(site_sq.max()), 1e-300))
         # sites whose step would push a link out of the log range stay put;
         # the Armijo decrease is that of the projected direction
@@ -230,17 +242,13 @@ def _descend(u: GroupField, energy_fn, grad_fn, opts: MinimizeOptions,
                 E_t = energy_fn(trial)
             except LogRangeError as exc:
                 ranged += 1
-                if exc.mask is None:
-                    tau *= opts.shrink
-                    moved = None
-                    continue
                 for ax in range(3):
                     frozen |= exc.mask[ax] | np.roll(exc.mask[ax], 1, axis=ax)
                 proj_sq = site_sq[~frozen].sum()
                 if np.sqrt(proj_sq) <= opts.grad_tol:
-                    trace.termination = "barrier"
-                    trace.barrier = (exc.site, exc.axis, _link_distance(u, exc.site, exc.axis))
-                    return u, trace
+                    trace.barrier = (exc.site, exc.axis,
+                                     _link_distance(u, b, exc.site, exc.axis))
+                    break
                 continue
             if E_t <= E - opts.armijo_c * tau * proj_sq:
                 break
@@ -248,38 +256,27 @@ def _descend(u: GroupField, energy_fn, grad_fn, opts: MinimizeOptions,
             tau *= opts.shrink
             moved = None
         else:
-            trace.termination = "stalled"
             raise LineSearchError(
                 f"stalled: no step accepted after {opts.max_backtracks} backtracks "
                 f"({armijo} Armijo rejections, {ranged} range rejections) at iteration {it}, "
                 f"projected gradient norm {np.sqrt(proj_sq):.3e}")
+        if trace.barrier is not None:
+            trace.termination = "barrier"
+            break
         trace.projected_steps += bool(frozen.any())
         u, E = trial, E_t
         step = min(tau * opts.grow, opts.initial_step * 8)
         if (it + 1) % opts.sector_interval == 0:
-            snap = sector_fn(u)
-            trace.sectors.append((it + 1, snap))
-            if not snap.same_sector(sector0):
-                trace.termination = "sector drift"
-                raise SectorError(f"sector drift at iteration {it + 1}: "
-                                  f"{snap.report_line()} != {sector0.report_line()}")
-    trace.termination = "max_iters"
+            _check_sector(trace, it + 1, u, opts, f"at iteration {it + 1}")
+    else:
+        trace.termination = "max_iters"
+    _check_sector(trace, len(trace.energies), u, opts, "at termination")
     return u, trace
 
 
 def minimize_map(u0: GroupField, opts: MinimizeOptions | None = None):
     """Armijo gradient descent on E(u); the sector is checked and conserved."""
-    opts = opts or MinimizeOptions()
-    from .lattice import skyrme_energy_map
-
-    final, trace = _descend(
-        u0, skyrme_energy_map, lattice_gradient, opts,
-        lambda u: sector_of(u, tol=opts.sector_tol))
-    snap = sector_of(final, tol=opts.sector_tol)
-    trace.sectors.append((len(trace.energies), snap))
-    if not snap.same_sector(trace.sectors[0][1]):
-        raise SectorError("sector drift detected at termination")
-    return final, trace
+    return _descend(u0, skyrme_energy_map, lattice_gradient, opts)
 
 
 def seed_field(lattice: TorusLattice, alg: LieAlgebra, sector: SectorInvariants) -> GroupField:
@@ -310,26 +307,23 @@ def seed_field(lattice: TorusLattice, alg: LieAlgebra, sector: SectorInvariants)
 
 def minimize_connection(b: AlgebraOneForm, sector: SectorInvariants,
                         opts: MinimizeOptions | None = None):
-    """Minimize E[a] over the gauge orbit a = u^-1 b u + u^-1 du of the flat
-    reference b, within the requested sector.
+    """Minimize E[a] over the gauge orbit a = gauge_transform(b, u) of the
+    flat reference b, within the requested sector.
 
-    Returns (a_final, trace); the reported energies are the map-side
-    objective values, which equal E[a_final] by construction.
+    A non-zero b must pass `build_atlas` over the default cover, the gate
+    of every sector query; a site form is then read as its `link_form`, a
+    lattice connection with b's holonomy.  Returns (a_final, trace), a_final
+    link-sampled; the trace reports E[a] at each iterate.
     """
-    opts = opts or MinimizeOptions()
-    _, resid = flatness_residual(b)
-    if resid > DEFAULT_FLATNESS_FACTOR * max(b.lattice.spacings):
-        raise FlatnessError(f"reference potential not flat (residual {resid:.3e})")
-    u0 = seed_field(b.lattice, b.algebra, sector)
-
-    b_is_zero = b.is_zero()
-
-    def energy_fn(u: GroupField) -> float:
-        return skyrme_energy_connection(gauge_transform(b, u))
-
-    def grad_fn(u: GroupField) -> np.ndarray:
-        return _gradient(u, conj_b=None if b_is_zero else conjugate_coeffs(b, u))
-
-    final_u, trace = _descend(u0, energy_fn, grad_fn, opts,
-                              lambda u: sector_of(u, tol=opts.sector_tol))
+    if not b.is_zero():
+        try:
+            cover = CubicalCover.for_lattice(b.lattice)
+        except ValueError as exc:
+            raise FlatnessError(f"reference potential cannot be gated: {exc}") from exc
+        build_atlas(b, cover)
+        if b.sampling == "site":
+            b = link_form(b)
+    final_u, trace = _descend(seed_field(b.lattice, b.algebra, sector),
+                              lambda u: skyrme_energy_connection(gauge_transform(b, u)),
+                              lambda u: _gradient(gauge_transform(b, u)), opts, b)
     return gauge_transform(b, final_u), trace

@@ -113,16 +113,22 @@ def analytic_exp_field(alg, lattice, amp, seed, n_modes=6):
     return w, form
 
 
-def local_fd_gradient(u, site, t=1e-5):
+def local_fd_gradient(u, site, t=1e-5, links=None):
     """Central differences of E(u) under u(site) -> u(site) exp(+-t e_d), one
     per basis direction d.  A site perturbation changes only the densities
     at the site and its three backward neighbors, so the difference is
-    summed over those four sites, free of global-sum cancellation."""
+    summed over those four sites, free of global-sum cancellation.
+
+    `links` maps a field to the link-log form whose energy is taken
+    (default `log_derivative`); for a connection b it is the gauge orbit
+    v -> gauge_transform(b, v), whose links move alike."""
     from skyrme.algebra import group_exp
     from skyrme.lattice import log_derivative, wedge_bracket
 
+    links = links or log_derivative
+
     def density(v):
-        L = log_derivative(v)
+        L = links(v)
         gram = v.algebra.norm_gram
         dens = 0.5 * sum(np.einsum("...a,ab,...b->...", L.coeffs[i], gram, L.coeffs[i])
                          for i in range(3))
@@ -145,6 +151,18 @@ def local_fd_gradient(u, site, t=1e-5):
         dp, dm = density(up), density(um)
         out[d] = sum(dp[q] - dm[q] for q in touched) / (2 * t)
     return out
+
+
+def span_failure_field():
+    """su3 field on 4^3 alternating 1 and diag(e^{2.2i}, e^{2.2i}, e^{(2 pi - 4.4)i})
+    along the first axis.  Every eigenvalue of its links is in log range,
+    but the principal logs have trace 2 pi i: they leave su(3)."""
+    from skyrme.algebra import parse_algebra
+    from skyrme.lattice import constant_field
+
+    u = constant_field(TorusLattice((4, 4, 4)), parse_algebra("su3"))
+    u.values[1::2] = np.diag(np.exp(1j * np.array([2.2, 2.2, 2 * np.pi - 4.4])))
+    return u
 
 
 def link_distances(u):

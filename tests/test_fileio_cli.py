@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import span_failure_field
 from skyrme import algebra as al
 from skyrme import cli, fileio
 from skyrme import holonomy as hol
@@ -127,6 +128,16 @@ def test_cli_gen_energy_invariants(tmp_path, capsys):
     assert main(["invariants", str(out)]) == 0
     line = capsys.readouterr().out.strip()
     assert line.startswith("alpha=(0,0,0)")
+
+
+def test_cli_energy_of_a_link_whose_log_left_the_algebra(tmp_path, capsys):
+    # exit 4 with the link named, not a crash inside the error path
+    path = tmp_path / "span.skyf"
+    fileio.write_field(path, span_failure_field())
+    assert main(["energy", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "on axis 1 has a log that left the algebra" in err
+    assert "|lambda - 1|" not in err
 
 
 def test_cli_gen_constant_zero_energy(tmp_path, capsys):

@@ -594,3 +594,37 @@ def test_gauge_from_holonomy_mismatch(su2, lat16, cover16):
     z = lat.zero_one_form(lat16, su2)
     with pytest.raises(HolonomyMismatchError, match="holonomies differ"):
         hol.gauge_from_holonomy(a1, z, cover16)
+
+
+# ----------------------------------------------------------------------
+# a non-toral commuting triple
+# ----------------------------------------------------------------------
+
+def cut_form(lattice, alg, logs, slab=1):
+    """Link form a_i = X_i / h_i on the links x_i = slab of axis i, zero
+    elsewhere.  It is flat when the exp X_i commute, with generator
+    holonomies (exp X_1, exp X_2, exp X_3)."""
+    a = lat.zero_one_form(lattice, alg, sampling="link")
+    for i, X in enumerate(logs):
+        idx = [slice(None)] * 3
+        idx[i] = slab
+        a.coeffs[(i, *idx)] = X / lattice.spacings[i]
+    return a
+
+
+def test_spin7_non_toral_triple_holonomy(lat8):
+    # g1 = y0y1y2y3, g2 = y0y1y4y5, g3 = y0y2y4y6 in the spinor rep commute,
+    # with no common torus; X_i = (pi/2)(e_ab + e_cd) has exp X_i = g_i
+    spin7 = al.parse_algebra("spin7")
+    gam = al._gamma_matrices(7)
+    quads = [(0, 1, 2, 3), (0, 1, 4, 5), (0, 2, 4, 6)]
+    g = np.stack([gam[p] @ gam[q] @ gam[r] @ gam[s] for p, q, r, s in quads])
+    # the basis element e_ab is -y_a y_b
+    X = [spin7.to_coords(-(np.pi / 2) * (gam[p] @ gam[q] + gam[r] @ gam[s]))[0]
+         for p, q, r, s in quads]
+    assert np.abs(al.group_exp(spin7, np.stack(X)) - g).max() < 1e-12
+    a = cut_form(lat8, spin7, X)
+    rep = hol.holonomy_rep(a)
+    assert np.abs(rep.elements - g).max() <= 1e-10
+    with pytest.raises(HolonomyMismatchError, match="holonomies differ"):
+        hol.gauge_from_holonomy(lat.zero_one_form(lat8, spin7), a)

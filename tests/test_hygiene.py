@@ -1,12 +1,15 @@
 """Source hygiene of the package: no module keeps an import it does not use,
-and only `algebra.py` reads the algebra's tables."""
+no top-level name goes unused, and only `algebra.py` reads the algebra's
+tables."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "skyrme"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "skyrme"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -55,3 +58,43 @@ def test_only_algebra_reads_the_tables(path):
         reads += [(n.attr, n.lineno) for n in ast.walk(top)
                   if isinstance(n, ast.Attribute) and n.attr in TABLES]
     assert not reads, f"{path.name} reads algebra tables at {reads}"
+
+
+def _top_level(tree: ast.Module):
+    """(name, node) of every top-level def, class and assigned constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
+def _references(node: ast.AST) -> Counter:
+    """Counts of the names, attributes and exact string constants read in
+    `node`; strings count because perfbench wraps functions by name."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out[n.value] += 1
+    return out
+
+
+def test_every_top_level_name_is_referenced():
+    # a def, class or constant that nothing reads is dead code; neither its
+    # own definition, nor an `__all__` list, nor the package re-exports count
+    trees, refs = {}, Counter()
+    for d in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            if path != SRC / "__init__.py":
+                trees[path] = ast.parse(path.read_text())
+                refs += _references(trees[path])
+                refs -= Counter(_exported(trees[path]))
+    unused = [f"{path.name}:{name}" for path in MODULES for name, node in _top_level(trees[path])
+              if not (name.startswith("__") and name.endswith("__"))
+              and refs[name] <= _references(node)[name]]
+    assert not unused, f"top-level names referenced nowhere: {unused}"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import span_failure_field
 from skyrme import algebra as al
 from skyrme import lattice as lat
 from skyrme.errors import GeneratorError, LogRangeError
@@ -219,3 +220,30 @@ def test_random_generator_deterministic(su2, lat8):
 def test_group_field_shape_check(su2, lat8):
     with pytest.raises(ValueError):
         lat.GroupField(lat8, su2, np.zeros((8, 8, 7, 2, 2), dtype=complex))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("spec", ["su2", "su3", "spin7"])
+def test_gauge_transform_is_the_exact_link_action(spec, n):
+    # on a link form the gauge action is T -> u(x)^-1 T u(x + e) on the
+    # transports T = exp(h b): exact on log derivatives, an exact cocycle
+    alg = al.parse_algebra(spec)
+    L = lat.TorusLattice((n, n, n))
+    v, u, w = (lat.make_random(L, alg, seed=s, amplitude=0.6) for s in (1, 2, 3))
+    b = lat.log_derivative(v)
+    got = lat.gauge_transform(b, w)
+    assert got.sampling == "link"
+    assert np.abs(got.coeffs - lat.log_derivative(lat.multiply(v, w)).coeffs).max() <= 1e-12
+    lhs = lat.gauge_transform(lat.gauge_transform(b, u), w)
+    rhs = lat.gauge_transform(b, lat.multiply(u, w))
+    assert np.abs(lhs.coeffs - rhs.coeffs).max() <= 1e-12
+
+
+def test_log_derivative_names_a_link_whose_log_left_the_algebra():
+    u = span_failure_field()
+    with pytest.raises(LogRangeError, match="on axis 1 has a log that left the algebra") as info:
+        lat.log_derivative(u)
+    exc = info.value
+    assert exc.axis == 1 and exc.value is None
+    assert len(exc.site) == 3 and exc.mask[(0,) + exc.site]
+    assert exc.mask[0].all() and not exc.mask[1:].any()

@@ -6,7 +6,7 @@ from skyrme import algebra as al
 from skyrme import invariants as inv
 from skyrme import lattice as lat
 from skyrme import minimize as mz
-from skyrme.errors import LineSearchError, SectorError
+from skyrme.errors import FlatnessError, LineSearchError, SectorError
 
 
 def test_options_validation():
@@ -147,7 +147,7 @@ def test_barrier_termination_names_the_blocking_link(su2):
     u0 = lat.make_random(L, su2, seed=0, smoothness=0.5, amplitude=1.0)
     opts = mz.MinimizeOptions(max_iters=200)
     u, trace = mz._descend(u0, lambda v: -lat.skyrme_energy_map(v),
-                           lambda v: -mz.lattice_gradient(v), opts, inv.sector_of)
+                           lambda v: -mz.lattice_gradient(v), opts)
     assert trace.termination == "barrier"
     assert trace.grad_norms[-1] > opts.grad_tol
     assert (np.diff(trace.energies) <= 1e-12).all()
@@ -240,3 +240,65 @@ def test_minimize_connection_nonzero_flat_reference(su2, lat8):
     assert (np.diff(trace.energies) <= 1e-12).all()
     assert lat.skyrme_energy_connection(a_final) == pytest.approx(
         trace.energies[-1], abs=1e-10)
+
+
+def test_minimize_connection_on_a_log_derivative_reference(su2, lat16):
+    # a log derivative is a flat lattice connection with trivial holonomy;
+    # its gauge orbit is descended link for link and stays in its stratum
+    from skyrme import holonomy as hol
+
+    b = lat.log_derivative(lat.make_random(lat16, su2, seed=1, amplitude=0.6))
+    sector = inv.sector_of(lat.constant_field(lat16, su2))
+    a_final, trace = mz.minimize_connection(b, sector, mz.MinimizeOptions(max_iters=20))
+    assert len(trace.energies) <= 20
+    assert (np.diff(trace.energies) <= 1e-12).all()
+    assert trace.energies[-1] < 0.5 * trace.energies[0]
+    assert a_final.sampling == "link"
+    assert lat.skyrme_energy_connection(a_final) <= trace.energies[-1]
+    rep = hol.holonomy_rep(a_final)
+    assert np.abs(rep.elements - np.eye(2)).max() <= 1e-8
+
+
+def test_connection_gradient_matches_finite_differences(su2, lat8):
+    # the map scatter of the gauge orbit's link logs is the exact gradient
+    b = lat.log_derivative(lat.make_random(lat8, su2, seed=1, amplitude=0.6))
+    u = lat.make_random(lat8, su2, seed=2, smoothness=1.5, amplitude=0.6)
+    G = mz._gradient(lat.gauge_transform(b, u))
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(10):
+        s = tuple(int(c) for c in rng.integers(0, 8, 3))
+        fd = local_fd_gradient(u, s, links=lambda v: lat.gauge_transform(b, v))
+        exact = su2.norm_gram @ G[s]
+        worst = max(worst, (np.abs(fd - exact) / np.maximum(np.abs(fd), 1e-9)).max())
+    assert worst <= 1e-6
+
+
+def test_connection_barrier_names_the_logged_link(su2):
+    # maximizing E on the orbit of b = Dv: the logged links are those of the
+    # map v u, not of u, and the barrier reports their distance
+    L = lat.TorusLattice((3, 3, 3))
+    v = lat.make_random(L, su2, seed=1, smoothness=0.5, amplitude=0.3)
+    b = lat.log_derivative(v)
+    u0 = lat.make_random(L, su2, seed=0, smoothness=0.5, amplitude=1.0)
+    u, trace = mz._descend(u0, lambda w: -lat.skyrme_energy_connection(lat.gauge_transform(b, w)),
+                           lambda w: -mz._gradient(lat.gauge_transform(b, w)),
+                           mz.MinimizeOptions(max_iters=200), b)
+    assert trace.termination == "barrier"
+    site, axis, dist = trace.barrier
+    logged = link_distances(lat.multiply(v, u))[(axis - 1,) + site]
+    assert dist == pytest.approx(logged, abs=1e-12)
+    assert abs(dist - link_distances(u)[(axis - 1,) + site]) > 1e-3
+
+
+def test_minimize_connection_gates_the_reference(su2, lat8):
+    sector = inv.sector_of(lat.constant_field(lat8, su2))
+    curved = lat.zero_one_form(lat8, su2, sampling="link")
+    curved.coeffs[0, ..., 0] = 3.0 * np.arange(8)[None, :, None]
+    with pytest.raises(FlatnessError):
+        mz.minimize_connection(curved, sector)
+    L5 = lat.TorusLattice((5, 5, 5))
+    b = lat.zero_one_form(L5, su2)
+    b.coeffs[0, ..., 2] = 0.5
+    with pytest.raises(FlatnessError, match="cannot be gated"):
+        mz.minimize_connection(b, inv.sector_of(lat.constant_field(L5, su2)))
