@@ -169,7 +169,11 @@ def _print_holonomy(rep) -> None:
 
 def cmd_holonomy(args) -> int:
     a = fileio.read_one_form(args.form, sampling=args.sampling)
-    cover = CubicalCover.for_lattice(a.lattice, args.spacing)
+    try:
+        cover = CubicalCover.for_lattice(a.lattice, args.spacing)
+    except ValueError as exc:
+        spacing = "default" if args.spacing is None else args.spacing
+        raise ConfigError(f"--spacing {spacing}: {exc}") from exc
     rep = holonomy_rep(a, cover, tol=args.tol)
     _print_holonomy(rep)
     if args.compare is not None:
@@ -222,7 +226,7 @@ def cmd_minimize(args) -> int:
     with open(trace_path, "w") as fh:
         fh.write(trace.to_csv())
     print(f"iters={len(trace.energies)} E={trace.energies[-1]:.12g} "
-          f"termination={trace.termination or 'max_iters'} trace={trace_path}")
+          f"termination={trace.termination} trace={trace_path}")
     return 0
 
 

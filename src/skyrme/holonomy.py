@@ -1,22 +1,19 @@
 """Developing maps, edge-path holonomy, and gauge reconstruction.
 
 A flat potential is integrated over cubes by an axis-ordered sweep of
-one-step transports for u' = u a: last axis first from the cube corner,
-then the middle axis per slice, then the first axis filling the volume.
-Per-link steps stay exactly on the group:
+link transports g <- g exp(h a_i(x)) for u' = u a: last axis first from
+the cube corner, then the middle axis per slice, then the first axis
+filling the volume.  A site form is developed as its `link_form`, so the
+gate, the charts, `path_transport` and the connection descent all see
+the same transports.  All cubes of a cover are developed in one batched
+sweep; the curvature density is computed once on the torus from the
+plaquettes of the transports, and each cube's flatness residual is its
+window sum over the cube interior.
 
-    link-sampled a:  g <- g exp(h a_i(x))           (exact on log derivatives)
-    site-sampled a:  g <- g exp(q + h^2/12 [a0,a1]) (4-point quadrature q)
-
-All cubes of a cover are developed in one batched sweep with a leading
-cube axis.  The curvature density is computed once on the torus (from
-the per-link transports, or from `flatness_residual` for site data) and
-each cube's flatness residual is its window sum over the cube interior.
-
-For link data the gate is first certified without a matrix log.  Write a
-plaquette as P = A B^H with A = T_i(x) T_j(x+e_i), B = T_j(x) T_i(x+e_j);
-B is unitary, so the chord |P - 1|_F equals |A - B|_F.  While every chord
-is below the cutoff c = CHORD_CUTOFF = 0.5, every eigenvalue of P lies
+The gate is first certified without a matrix log.  Write a plaquette as
+P = A B^H with A = T_i(x) T_j(x+e_i), B = T_j(x) T_i(x+e_j); B is
+unitary, so the chord |P - 1|_F equals |A - B|_F.  While every chord is
+below the cutoff c = CHORD_CUTOFF = 0.5, every eigenvalue of P lies
 within c of 1 and
 
     |log P|_F <= (2 arcsin(c/2) / c) |P - 1|_F            (factor 1.0107)
@@ -51,7 +48,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, group_exp, group_log
 from .errors import AtlasError, FlatnessError, HolonomyMismatchError, LogRangeError
-from .lattice import PLANES, AlgebraOneForm, GroupField, TorusLattice, flatness_residual
+from .lattice import PLANES, AlgebraOneForm, GroupField, TorusLattice
 
 __all__ = [
     "CubicalCover",
@@ -190,34 +187,27 @@ def _grid(windows) -> tuple:
     return w0[:, :, None, None], w1[:, None, :, None], w2[:, None, None, :]
 
 
-def _hop_logs(alg: LieAlgebra, a0: np.ndarray, a1: np.ndarray, h: float):
-    """Logs h (a0 + a1)/2 + (h^2/12) [a0, a1] of the site-sampled two-point
-    hops a0 -> a1, and their brackets."""
-    comm = alg.bracket(a0, a1)
-    return h * (a0 + a1) / 2.0 + (h * h / 12.0) * comm, comm
-
-
 def link_form(a: AlgebraOneForm) -> AlgebraOneForm:
-    """The link form whose transports exp(h_i b_i(x)) are the two-point hops
-    x -> x + e_i of the site form a."""
-    h = a.lattice.spacings
-    coeffs = np.stack([_hop_logs(a.algebra, a.coeffs[i], np.roll(a.coeffs[i], -1, axis=i),
-                                 h[i])[0] / h[i] for i in range(3)])
-    return AlgebraOneForm(a.lattice, a.algebra, coeffs, sampling="link")
+    """The lattice connection of the site form a, the one owner of site
+    transports: the link x -> x + e_i carries exp(h b_i(x)) with
 
+        h b_i(x) = (h/24)(-a(x-e_i) + 13 a(x) + 13 a(x+e_i) - a(x+2e_i))
+                   + (h^2/12) [a(x), a(x+e_i)],
 
-def _line_steps(alg: LieAlgebra, comps: np.ndarray, h: float) -> np.ndarray:
-    """Site-sampled transports along one axis of a (non-periodic) line.
-
-    comps has the line axis first: (n, ..., dim); returns (n-1, ..., N, N)
-    step matrices for the hops k -> k+1.
+    the fourth-order two-point Magnus step with the cubic cell average
+    (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 9 (2000)).  Every
+    link of the torus is interior; the step is exact on constant forms.
     """
-    om, comm = _hop_logs(alg, comps[:-1], comps[1:], h)
-    if comps.shape[0] >= 4:
-        # interior links get the 4-point quadrature (third-order sweep)
-        q = (h / 24.0) * (-comps[:-3] + 13.0 * comps[1:-2] + 13.0 * comps[2:-1] - comps[3:])
-        om[1:-1] = q + (h * h / 12.0) * comm[1:-1]
-    return group_exp(alg, om)
+    alg = a.algebra
+    h = a.lattice.spacings
+    coeffs = np.empty_like(a.coeffs)
+    for i in range(3):
+        a0, a1 = a.coeffs[i], np.roll(a.coeffs[i], -1, axis=i)
+        pair = a0 + a1
+        # the cubic correction (pair - outer)/24 is exactly zero on constants
+        outer = np.roll(a0, 1, axis=i) + np.roll(a1, -1, axis=i)
+        coeffs[i] = pair / 2.0 + (pair - outer) / 24.0 + (h[i] / 12.0) * alg.bracket(a0, a1)
+    return AlgebraOneForm(a.lattice, alg, coeffs, sampling="link")
 
 
 def _plaquette_density(alg: LieAlgebra, plaq: np.ndarray, area: float) -> np.ndarray:
@@ -242,16 +232,17 @@ def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
     """Integrate u' = u a over S cubes at once, each with u(corner) = 1.
 
     `windows` holds the cubes' wrapped site indices, three (S, n_i) arrays;
-    returns the (S, n1, n2, n3, N, N) charts.  The curvature is computed
-    once per torus site, in the discretization the sweep uses: for link
-    data the plaquette defect of the transports T_i = exp(h_i a_i) (zero for
-    a log derivative however steep the field), for site data the forward
-    differences of `flatness_residual`.  A cube's residual is
+    returns the (S, n1, n2, n3, N, N) charts of the transports
+    T_i = exp(h_i a_i), those of its `link_form` for a site form.  The
+    curvature is their plaquette defect (zero for a log derivative however
+    steep the field), computed once per torus site.  A cube's residual is
     sqrt(cell volume * window sum of |F|^2 over its interior); the first
     cube above the gate (default 10 * max spacing) raises FlatnessError.
-    Link data are first certified from the plaquette chords, with no log
+    The gate is first certified from the plaquette chords, with no log
     taken (see the module docstring); failing that, the plaquette logs decide.
     """
+    if a.sampling == "site":
+        a = link_form(a)
     alg = a.algebra
     lattice = a.lattice
     h = lattice.spacings
@@ -264,38 +255,35 @@ def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
     def residuals(density):
         return np.sqrt(lattice.cell_volume * density[interior].sum(axis=(1, 2, 3)))
 
-    if a.sampling == "link":
-        # transports on the sites the cubes use, plaquettes on their interiors
-        used = np.zeros(lattice.dims, dtype=bool)
-        used[_grid(windows)] = True
-        core = np.zeros(lattice.dims, dtype=bool)
-        core[interior] = True
-        T = np.zeros((3,) + lattice.dims + (N, N), dtype=complex)
-        T[:, used] = group_exp(alg, np.asarray(h)[:, None, None] * a.coeffs[:, used])
+    # transports on the sites the cubes use, plaquettes on their interiors
+    used = np.zeros(lattice.dims, dtype=bool)
+    used[_grid(windows)] = True
+    core = np.zeros(lattice.dims, dtype=bool)
+    core[interior] = True
+    T = np.zeros((3,) + lattice.dims + (N, N), dtype=complex)
+    T[:, used] = group_exp(alg, np.asarray(h)[:, None, None] * a.coeffs[:, used])
 
-        def halves(i, j):
-            """A and B of the plaquettes P = A B^H on the interiors, one per
-            path x -> x + e_i + e_j."""
-            return (T[i][core] @ np.roll(T[j], -1, axis=i)[core],
-                    T[j][core] @ np.roll(T[i], -1, axis=j)[core])
+    def halves(i, j):
+        """A and B of the plaquettes P = A B^H on the interiors, one per
+        path x -> x + e_i + e_j."""
+        return (T[i][core] @ np.roll(T[j], -1, axis=i)[core],
+                T[j][core] @ np.roll(T[i], -1, axis=j)[core])
 
-        bound = np.zeros(lattice.dims)
+    bound = np.zeros(lattice.dims)
+    for i, j in PLANES:
+        A, B = halves(i, j)
+        chord_sq = (np.abs(A - B) ** 2).sum(axis=(-2, -1))
+        bound[core] += np.where(chord_sq < CHORD_CUTOFF ** 2,
+                                (alg.kappa * _LOG_PER_CHORD ** 2 / (h[i] * h[j]) ** 2)
+                                * chord_sq, np.inf)
+    resid = residuals(bound)
+    if not (resid <= flatness_gate).all():
+        density = np.zeros(lattice.dims)
         for i, j in PLANES:
             A, B = halves(i, j)
-            chord_sq = (np.abs(A - B) ** 2).sum(axis=(-2, -1))
-            bound[core] += np.where(chord_sq < CHORD_CUTOFF ** 2,
-                                    (alg.kappa * _LOG_PER_CHORD ** 2 / (h[i] * h[j]) ** 2)
-                                    * chord_sq, np.inf)
-        resid = residuals(bound)
-        if not (resid <= flatness_gate).all():
-            density = np.zeros(lattice.dims)
-            for i, j in PLANES:
-                A, B = halves(i, j)
-                density[core] += _plaquette_density(alg, A @ B.conj().swapaxes(-1, -2),
-                                                    h[i] * h[j])
-            resid = residuals(density)
-    else:
-        resid = residuals(alg.norm_sq(flatness_residual(a)[0].coeffs).sum(axis=0))
+            density[core] += _plaquette_density(alg, A @ B.conj().swapaxes(-1, -2),
+                                                h[i] * h[j])
+        resid = residuals(density)
     if (resid > flatness_gate).any():
         s = int(np.argmax(resid > flatness_gate))
         corner = tuple(int(w[s, 0]) for w in windows)
@@ -307,12 +295,9 @@ def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
 
     def steps(ax, sel):
         """Transports along axis `ax` for the hops inside the windows `sel`."""
-        if a.sampling == "link":
-            sel = list(sel)
-            sel[ax] = sel[ax][:, :-1]
-            return T[ax][_grid(sel)]
-        comps = np.moveaxis(a.coeffs[ax][_grid(sel)], ax + 1, 0)
-        return np.moveaxis(_line_steps(alg, comps, h[ax]), 0, ax + 1)
+        sel = list(sel)
+        sel[ax] = sel[ax][:, :-1]
+        return T[ax][_grid(sel)]
 
     shape = tuple(w.shape[1] for w in windows)
     u = np.empty((w0.shape[0],) + shape + (N, N), dtype=complex)
@@ -323,13 +308,9 @@ def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
     steps2 = steps(1, (w0[:, :1], w1, w2))[:, 0]  # (S, n2-1, n3, N, N)
     for y in range(1, shape[1]):
         u[:, 0, y] = u[:, 0, y - 1] @ steps2[:, y - 1]
-    # link transports are gathered one x-slab at a time to bound memory;
-    # the site quadrature needs whole lines along the first axis
-    steps1 = None if a.sampling == "link" else steps(0, windows)
+    # transports are gathered one x-slab at a time to bound memory
     for x in range(1, shape[0]):
-        step = (steps(0, (w0[:, x - 1:x + 1], w1, w2))[:, 0] if steps1 is None
-                else steps1[:, x - 1])  # (S, n2, n3, N, N)
-        u[:, x] = u[:, x - 1] @ step
+        u[:, x] = u[:, x - 1] @ steps(0, (w0[:, x - 1:x + 1], w1, w2))[:, 0]
     return u
 
 
@@ -352,7 +333,8 @@ def develop_cube(a: AlgebraOneForm, corner, shape,
 
 def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
     """Ordered product of the link transports exp(h_i a_i) along a lattice
-    polyline, those of its `link_form` for a site form.
+    polyline; a site form is read as its `link_form`, so the product equals
+    the developed chart along the same path.
 
     `path` is a sequence of site index triples; consecutive sites must
     differ by one step along a single axis (periodic wrap allowed).

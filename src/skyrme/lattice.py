@@ -112,7 +112,8 @@ class AlgebraOneForm:
 
     `sampling` records where the components live: "site" for values at
     lattice sites, "link" for link-midpoint data such as log derivatives.
-    Transport integrators pick their stencil accordingly.
+    A link form is a lattice connection with transports exp(h_i a_i(x));
+    `holonomy.link_form` turns a site form into one.
     """
 
     lattice: TorusLattice
@@ -222,7 +223,8 @@ def skyrme_energy_connection(a: AlgebraOneForm) -> float:
 def flatness_residual(a: AlgebraOneForm) -> tuple[AlgebraTwoForm, float]:
     """Curvature F_ij = d_i a_j - d_j a_i + [a_i, a_j] with forward differences.
 
-    Returns the plane components and their cell-volume-weighted L2 norm.
+    Returns the plane components and their cell-volume-weighted L2 norm:
+    a first-order diagnostic that no flatness gate uses.
     """
     alg = a.algebra
     h = a.lattice.spacings

@@ -82,20 +82,25 @@ class MinimizeOptions:
             raise ValueError("sufficient-decrease constant must lie in (0, 0.5]")
         if self.sector_interval < 1:
             raise ValueError("sector_interval must be at least 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
 class MinimizeTrace:
     """Per-iteration descent record; energies are non-increasing.
 
-    `termination` is "converged" (gradient norm at or below grad_tol),
-    "max_iters", or "barrier": the gradient projected off the sites frozen
-    at the link-log range barrier is at or below grad_tol, while the full
-    gradient is not.  `barrier` then holds (site, axis, |lambda - 1|) of the
-    worst link that blocked the step, axis 1-based, |lambda - 1| of that
-    logged link at the current field.  `projected_steps` counts accepted
-    steps that froze sites.  A stalled line search or a sector drift raises
-    instead.
+    Row k is iteration k: the gradient norm at its start, the step its line
+    search started from, and the energy at its end, that of the returned
+    field in the last row.  A sector snapshot at iteration k is that of the
+    field after k iterations, 0 being the input.  `termination` is
+    "converged" (gradient norm at or below grad_tol), "max_iters", or
+    "barrier": the gradient projected off the sites frozen at the link-log
+    range barrier is at or below grad_tol, while the full gradient is not.
+    `barrier` then holds (site, axis, |lambda - 1|) of the worst link that
+    blocked the step, axis 1-based, |lambda - 1| of that logged link at the
+    current field.  `projected_steps` counts accepted steps that froze
+    sites.  A stalled line search or a sector drift raises instead.
     """
 
     energies: list = field(default_factory=list)
@@ -222,8 +227,8 @@ def _descend(u: GroupField, energy_fn, grad_fn, opts: MinimizeOptions | None = N
         G = grad_fn(u)
         site_sq = alg.norm_sq(G)
         gnorm = float(np.sqrt(site_sq.sum()))
-        trace.append(E, gnorm, step)
         if gnorm <= opts.grad_tol:
+            trace.append(E, gnorm, step)
             trace.termination = "converged"
             break
         tau = min(step, opts.max_rotation / max(np.sqrt(site_sq.max()), 1e-300))
@@ -261,8 +266,10 @@ def _descend(u: GroupField, energy_fn, grad_fn, opts: MinimizeOptions | None = N
                 f"({armijo} Armijo rejections, {ranged} range rejections) at iteration {it}, "
                 f"projected gradient norm {np.sqrt(proj_sq):.3e}")
         if trace.barrier is not None:
+            trace.append(E, gnorm, step)
             trace.termination = "barrier"
             break
+        trace.append(E_t, gnorm, step)
         trace.projected_steps += bool(frozen.any())
         u, E = trial, E_t
         step = min(tau * opts.grow, opts.initial_step * 8)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import span_failure_field
+from conftest import analytic_exp_field, span_failure_field
 from skyrme import algebra as al
 from skyrme import cli, fileio
 from skyrme import holonomy as hol
@@ -187,6 +187,27 @@ def test_cli_holonomy_and_compare(tmp_path, capsys, su2):
     assert "holonomies differ" in capsys.readouterr().err
 
 
+def test_cli_holonomy_of_a_flat_site_form(tmp_path, capsys):
+    # a periodic w = exp(X) has trivial holonomy; its exact Maurer-Cartan
+    # form, read as site data, passes the default gate and the edge scores
+    su3 = al.parse_algebra("su3")
+    _, a = analytic_exp_field(su3, lat.TorusLattice((16, 16, 16)), amp=0.5, seed=3)
+    pa = tmp_path / "a.skya"
+    fileio.write_one_form(pa, a)
+    assert main(["holonomy", str(pa), "--sampling", "site", "--tol", "1e-3"]) == 0
+    traces = [complex(line.split("trace=")[1]) for line in capsys.readouterr().out.splitlines()
+              if line.startswith("loop=")]
+    assert len(traces) == 3 and max(abs(t - 3.0) for t in traces) <= 1e-2
+
+
+def test_cli_holonomy_rejects_a_spacing_that_does_not_divide(tmp_path, capsys, su2, lat8):
+    pa = tmp_path / "a.skya"
+    fileio.write_one_form(pa, lat.zero_one_form(lat8, su2))
+    assert main(["holonomy", str(pa), "--spacing", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "--spacing 3" in err and "must divide" in err
+
+
 # stdout of `holonomy A --compare B` on the forms below, as printed before
 # the atlas memo: the memo must not change a byte of it
 COMPARE_STDOUT = """\
@@ -263,6 +284,31 @@ def test_cli_minimize_map(tmp_path, capsys):
     assert out.exists() and (tmp_path / "final.skyf.trace.csv").exists()
     head = (tmp_path / "final.skyf.trace.csv").read_text().splitlines()[0]
     assert head == "iter,energy,grad_norm,step,alpha,c_rounded,c_residual"
+
+
+def test_cli_minimize_reports_the_energy_of_its_output(tmp_path, capsys):
+    # a run that ends at max_iters prints, and ends its trace with, the
+    # energy of the field it writes
+    field, out = tmp_path / "u0.skyf", tmp_path / "final.skyf"
+    fileio.write_field(field, lat.make_random(lat.TorusLattice((8, 8, 8)),
+                                              al.parse_algebra("su2"), seed=1, amplitude=0.5))
+    mcfg = tmp_path / "min.cfg"
+    mcfg.write_text("max_iters = 5\n")
+    assert main(["minimize", "--config", str(mcfg), "--field", str(field),
+                 "--out", str(out)]) == 0
+    line = capsys.readouterr().out
+    assert "iters=5 " in line and "termination=max_iters " in line
+    printed = float(line.split("E=")[1].split()[0])
+    last_row = (tmp_path / "final.skyf.trace.csv").read_text().splitlines()[-1]
+    assert float(last_row.split(",")[1]) == pytest.approx(printed, rel=1e-11)
+    assert printed == pytest.approx(lat.skyrme_energy_map(fileio.read_field(out)), rel=1e-11)
+
+
+def test_cli_minimize_rejects_zero_iterations(tmp_path, capsys):
+    mcfg = tmp_path / "min.cfg"
+    mcfg.write_text("group = su2\ndims = 6,6,6\nmax_iters = 0\n")
+    assert main(["minimize", "--config", str(mcfg), "--out", str(tmp_path / "a.skya")]) == 2
+    assert "max_iters = '0'" in capsys.readouterr().err
 
 
 def test_cli_minimize_sector_mode(tmp_path, capsys):

@@ -99,6 +99,20 @@ def test_develop_site_sampled_convergence(su2):
     assert order >= 1.8
 
 
+@pytest.mark.parametrize("spec", ["su2", "su3"])
+def test_develop_site_form_converges_at_fourth_order(spec):
+    # the Magnus step of `link_form` with its cubic cell average is fourth
+    # order, and the default gate passes the flat site form at both sizes
+    alg = al.parse_algebra(spec)
+    devs = []
+    for n in (8, 16):
+        L = lat.TorusLattice((n, n, n))
+        w, A = analytic_exp_field(alg, L, amp=0.5, seed=3)
+        ch = hol.develop_cube(A, (0, 0, 0), (n, n, n))
+        devs.append(sup_deviation_mod_constant(alg, ch.values, w.values))
+    assert np.log2(devs[0] / devs[1]) >= 3.5
+
+
 def test_develop_flatness_gate(su2, lat8):
     rng = np.random.default_rng(0)
     a = lat.zero_one_form(lat8, su2, sampling="site")
@@ -123,8 +137,8 @@ def test_path_transport(su2, lat16):
 
 
 def test_path_transport_site_step_on_nonabelian_data():
-    # su3 site data, where the bracket term of the two-point step is far
-    # from zero; the oracle is expm of the step formula on matrices
+    # su3 site data, where the bracket term of the Magnus step is far from
+    # zero; the oracle is expm of the step formula on matrices
     su3 = al.parse_algebra("su3")
     L = lat.TorusLattice((8, 8, 8))
     _, a = analytic_exp_field(su3, L, amp=0.5, seed=3)
@@ -136,15 +150,29 @@ def test_path_transport_site_step_on_nonabelian_data():
     for p, q in zip(path, path[1:]):
         ax = next(i for i in range(3) if p[i] != q[i])
         forward = (q[ax] - p[ax]) % L.dims[ax] == 1
-        tail, head = (p, q) if forward else (q, p)
-        A0 = su3.to_matrix(a.coeffs[(ax,) + tail])
-        A1 = su3.to_matrix(a.coeffs[(ax,) + head])
-        mean = h[ax] * (A0 + A1) / 2.0
-        step = expm(mean + (h[ax] ** 2 / 12.0) * (A0 @ A1 - A1 @ A0))
+        tail = p if forward else q
+
+        def A(k):
+            site = list(tail)
+            site[ax] = (site[ax] + k) % L.dims[ax]
+            return su3.to_matrix(a.coeffs[(ax,) + tuple(site)])
+
+        mean = (h[ax] / 24.0) * (-A(-1) + 13.0 * A(0) + 13.0 * A(1) - A(2))
+        step = expm(mean + (h[ax] ** 2 / 12.0) * (A(0) @ A(1) - A(1) @ A(0)))
         expect = expect @ (step if forward else np.linalg.inv(step))
         no_bracket = no_bracket @ expm(mean if forward else -mean)
     assert np.abs(expect - no_bracket).max() > 1e-6
     assert np.abs(hol.path_transport(a, path) - expect).max() < 1e-12
+
+
+def _sweep_path(cover, v):
+    """Sites of the developing sweep from the corner of the star of v to
+    its far corner: last axis, then middle, then first."""
+    c = cover.star_corner(v)
+    m = 2 * cover.spacing
+    return ([(c[0], c[1], c[2] + k) for k in range(m + 1)]
+            + [(c[0], c[1] + k, c[2] + m) for k in range(1, m + 1)]
+            + [(c[0] + k, c[1] + m, c[2] + m) for k in range(1, m + 1)])
 
 
 def _smooth_form(alg, n, sampling, seed=4):
@@ -162,7 +190,10 @@ def test_batched_atlas_matches_per_star_development(spec, sampling, n, spacing):
     # both covers have stars that wrap the torus (corner -s, and at 8^3 a
     # star of 9 sites revisits its first plane)
     alg = al.build_algebra(*spec)
-    a = _smooth_form(alg, n, sampling)
+    if sampling == "link":
+        a = _smooth_form(alg, n, sampling)
+    else:
+        _, a = analytic_exp_field(alg, lat.TorusLattice((n, n, n)), amp=0.5, seed=4)
     cover = hol.CubicalCover(a.lattice, spacing)
     # site data is not an exact derivative: its overlaps are not constant
     atlas = hol.build_atlas(a, cover, tol=1e-6 if sampling == "link" else np.inf)
@@ -170,15 +201,24 @@ def test_batched_atlas_matches_per_star_development(spec, sampling, n, spacing):
     for v in cover.vertices():
         ref = hol.develop_cube(a, cover.star_corner(v), (side,) * 3).values
         assert np.abs(atlas.charts[v] - ref).max() <= 1e-13
-    if sampling == "link":
-        # independent check: the sweep's path, multiplied link by link
-        c = cover.star_corner(cover.base)
-        m = side - 1
-        path = ([(c[0], c[1], c[2] + k) for k in range(side)]
-                + [(c[0], c[1] + k, c[2] + m) for k in range(1, side)]
-                + [(c[0] + k, c[1] + m, c[2] + m) for k in range(1, side)])
-        g = hol.path_transport(a, path)
-        assert np.abs(atlas.charts[cover.base][m, m, m] - g).max() <= 1e-12
+    # independent check: the sweep's path, multiplied link by link
+    g = hol.path_transport(a, _sweep_path(cover, cover.base))
+    assert np.abs(atlas.charts[cover.base][-1, -1, -1] - g).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", ["su2", "su3", "spin7", "g2"])
+@pytest.mark.parametrize("n", [8, 16])
+def test_flat_site_form_passes_the_default_gate(spec, n):
+    # the gate sees the plaquettes of the transports the sweep multiplies,
+    # so every chart is the product of `path_transport` along its sweep
+    alg = al.parse_algebra(spec)
+    _, a = analytic_exp_field(alg, lat.TorusLattice((n, n, n)), amp=0.5, seed=3)
+    cover = hol.CubicalCover.for_lattice(a.lattice)
+    atlas = hol.build_atlas(a, cover, tol=np.inf)
+    b = hol.link_form(a)
+    for v in cover.vertices():
+        g = hol.path_transport(b, _sweep_path(cover, v))
+        assert np.abs(atlas.charts[v][-1, -1, -1] - g).max() <= 1e-12
 
 
 def test_site_gate_residual_is_windowed_flatness_density(su2, lat8):
@@ -188,11 +228,7 @@ def test_site_gate_residual_is_windowed_flatness_density(su2, lat8):
         hol.build_atlas(a, cover, flatness_gate=0.0)
     exc = info.value
     assert exc.vertex == cover.base and exc.corner == cover.star_corner(cover.base)
-    F, _ = lat.flatness_residual(a)
-    density = np.einsum("p...a,ab,p...b->...", F.coeffs, su2.norm_gram, F.coeffs)
-    window = cover.star_indices()[0]
-    interior = np.ix_(*(w[:-1] for w in window))
-    expect = np.sqrt(lat8.cell_volume * density[interior].sum())
+    expect = oracle_star_residuals(hol.link_form(a), cover)[0]
     assert abs(exc.residual - expect) <= 1e-12 * expect
 
 

@@ -1,6 +1,6 @@
 """Source hygiene of the package: no module keeps an import it does not use,
-no top-level name goes unused, and only `algebra.py` reads the algebra's
-tables."""
+no top-level name goes unused, only `algebra.py` reads the algebra's
+tables, and only a fixed list of functions branches on a form's sampling."""
 
 import ast
 from collections import Counter
@@ -58,6 +58,40 @@ def test_only_algebra_reads_the_tables(path):
         reads += [(n.attr, n.lineno) for n in ast.walk(top)
                   if isinstance(n, ast.Attribute) and n.attr in TABLES]
     assert not reads, f"{path.name} reads algebra tables at {reads}"
+
+
+# (module, function) allowed to compare a `.sampling` against "site" or
+# "link", once each: every transport of a site form is taken from
+# `holonomy.link_form`, and a new site stencil means editing this list
+SAMPLING_READERS = {("holonomy.py", "_develop"), ("holonomy.py", "path_transport"),
+                    ("minimize.py", "minimize_connection"), ("lattice.py", "gauge_transform"),
+                    ("lattice.py", "AlgebraOneForm.__post_init__")}
+
+
+def _functions(tree: ast.Module):
+    """(name, node) of every top-level function and method, methods named
+    Class.method; nested functions belong to the function around them."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{n.name}", n) for n in top.body
+                        if isinstance(n, ast.FunctionDef))
+        elif isinstance(top, ast.FunctionDef):
+            yield top.name, top
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_sampling_branches_have_one_owner_each(path):
+    counts = Counter()
+    for name, node in _functions(ast.parse(path.read_text())):
+        for n in ast.walk(node):
+            if (isinstance(n, ast.Compare)
+                    and any(isinstance(m, ast.Attribute) and m.attr == "sampling"
+                            for m in ast.walk(n))
+                    and any(isinstance(m, ast.Constant) and m.value in ("site", "link")
+                            for m in ast.walk(n))):
+                counts[(path.name, name)] += 1
+    extra = {k: c for k, c in counts.items() if k not in SAMPLING_READERS or c > 1}
+    assert not extra, f"sampling compared outside its owners, or more than once: {extra}"
 
 
 def _top_level(tree: ast.Module):

@@ -140,6 +140,15 @@ def test_charged_descent_steps_along_the_barrier(su2, lat12):
     assert all(s.charges == (1,) for _, s in trace.sectors)
 
 
+def test_max_iters_trace_ends_at_the_returned_energy(su2, lat8):
+    # the last row is the energy after the last step, not before it
+    u0 = lat.make_random(lat8, su2, seed=1, amplitude=0.5)
+    final, trace = mz.minimize_map(u0, mz.MinimizeOptions(max_iters=5))
+    assert trace.termination == "max_iters" and len(trace.energies) == 5
+    assert trace.energies[-1] == lat.skyrme_energy_map(final)
+    assert (np.diff([lat.skyrme_energy_map(u0)] + trace.energies) < 0).all()
+
+
 def test_barrier_termination_names_the_blocking_link(su2):
     # maximizing E pushes every link outward until each site's step would
     # cross the log range: the projected gradient vanishes, the full one not
