@@ -121,6 +121,18 @@ class LieAlgebra:
     (..., N, N), with any leading batch shape and any strides.  `bracket`
     broadcasts its two batches against each other, so one X can meet a
     batch of Y.
+
+    Construction certifies the tables through gates that each raise
+    ConstructionError naming their residual, in this order:
+
+    - closure (_CLOSURE_TOL = 1e-10), when f is computed from the basis:
+      one stacked commutator over the pairs a < b and one projection;
+    - antisymmetry of f in (a, b), to 1e-12;
+    - Jacobi (_JACOBI_TOL = 1e-10): max |[ad e_a, ad e_b] - f_abc ad e_c|,
+      one row a at a time with every b as stacked GEMMs, so the largest
+      temporary is (dim, dim, dim) and no dim^4 array is built;
+    - a negative-definite Killing form on every simple factor;
+    - an anti-Hermitian basis, to 1e-12.
     """
 
     def __init__(self, name, family, basis, *, factors, pi1="trivial",
@@ -157,17 +169,13 @@ class LieAlgebra:
 
     def _structure_from_basis(self) -> np.ndarray:
         d = self.dim
+        a, b = np.triu_indices(d, 1)
+        coef, res = self._matrix_coords(self.basis[a] @ self.basis[b] - self.basis[b] @ self.basis[a])
+        if res > _CLOSURE_TOL:
+            raise ConstructionError(f"{self.name}: bracket closure residual {res:.2e}")
         f = np.zeros((d, d, d))
-        worst = 0.0
-        for a in range(d):
-            for b in range(a + 1, d):
-                c = self.basis[a] @ self.basis[b] - self.basis[b] @ self.basis[a]
-                coef, res = self._matrix_coords(c)
-                worst = max(worst, res)
-                f[a, b] = coef
-                f[b, a] = -coef
-        if worst > _CLOSURE_TOL:
-            raise ConstructionError(f"{self.name}: bracket closure residual {worst:.2e}")
+        f[a, b] = coef
+        f[b, a] = -coef
         return f
 
     def _validate(self) -> None:
@@ -175,29 +183,30 @@ class LieAlgebra:
         anti = np.abs(f + f.transpose(1, 0, 2)).max()
         if anti > 1e-12:
             raise ConstructionError(f"{self.name}: antisymmetry violated ({anti:.2e})")
-        self._check_jacobi()
+        jac = self._jacobi_residual()
+        if jac > _JACOBI_TOL:
+            raise ConstructionError(f"{self.name}: Jacobi residual {jac:.2e}")
         # compact semisimple blocks: Killing negative definite
         for fac in self.factors:
             blk = self.killing_matrix[fac.start:fac.stop, fac.start:fac.stop]
-            w = np.linalg.eigvalsh((blk + blk.T) / 2)
-            if w.max() >= 0:
-                raise ConstructionError(f"{self.name}: Killing form not negative definite on {fac.name}")
+            top = np.linalg.eigvalsh((blk + blk.T) / 2).max()
+            if top >= 0:
+                raise ConstructionError(f"{self.name}: Killing form not negative definite "
+                                        f"on {fac.name} (top eigenvalue {top:.2e})")
         herm = np.abs(self.basis + self.basis.conj().transpose(0, 2, 1)).max()
         if herm > 1e-12:
             raise ConstructionError(f"{self.name}: basis not anti-Hermitian ({herm:.2e})")
 
-    def _check_jacobi(self) -> None:
-        # equivalent form: ad[e_a, e_b] = [ad e_a, ad e_b]
-        f = self.structure_constants
+    def _jacobi_residual(self) -> float:
+        """max |[ad e_a, ad e_b] - sum_c f_abc ad e_c| over a, b: one row a
+        at a time, every b at once as stacked GEMMs on (dim, dim, dim)."""
+        d = self.dim
+        ad = self._ad_table.reshape(d, d, d)
         worst = 0.0
-        for a in range(self.dim):
-            ada = f[a].T
-            for b in range(self.dim):
-                lhs = ada @ f[b].T - f[b].T @ ada
-                rhs = np.tensordot(f[a, b], f.transpose(0, 2, 1), axes=(0, 0))
-                worst = max(worst, np.abs(lhs - rhs).max())
-        if worst > _JACOBI_TOL:
-            raise ConstructionError(f"{self.name}: Jacobi residual {worst:.2e}")
+        for a in range(d):
+            rhs = (self.structure_constants[a] @ self._ad_table).reshape(d, d, d)
+            worst = max(worst, np.abs(ad[a] @ ad - ad @ ad[a] - rhs).max())
+        return float(worst)
 
     # ----- elements -----
 
@@ -216,7 +225,7 @@ class LieAlgebra:
         n = self.rep_dim
         flat = np.ascontiguousarray(M).view(float).reshape(M.shape[:-2] + (2 * n * n,))
         coef = flat @ self._coords_map
-        res = np.abs(self.to_matrix(coef) - M).max()
+        res = np.abs(self.to_matrix(coef) - M).max(initial=0.0)
         return coef, float(res)
 
     def to_coords(self, M, error=None):
@@ -358,13 +367,9 @@ def _gamma_matrices(m: int) -> np.ndarray:
     if m % 2 == 1:
         gammas.append(kron_chain([sz] * k))
     gammas = np.stack(gammas[:m])
-    dim = 2 ** k
-    for a in range(m):
-        for b in range(m):
-            acom = gammas[a] @ gammas[b] + gammas[b] @ gammas[a]
-            target = 2 * np.eye(dim) if a == b else np.zeros((dim, dim))
-            if np.abs(acom - target).max() > 1e-12:
-                raise ConstructionError(f"spin({m}): gamma anticommutator failure")
+    acom = gammas[:, None] @ gammas + gammas @ gammas[:, None]
+    if np.abs(acom - 2 * np.eye(m)[:, :, None, None] * np.eye(2 ** k)).max() > 1e-12:
+        raise ConstructionError(f"spin({m}): gamma anticommutator failure")
     return gammas
 
 
@@ -451,9 +456,12 @@ def _build_f4() -> LieAlgebra:
     spin9 = build_algebra("spin", 9)
     rho, m, n = spin9.basis, spin9.dim, spin9.rep_dim
     eye = np.eye(n)
-    # C conj(rho_a) - rho_a C = 0 for every a, one linear system in vec(C);
+    # C conj(rho_a) - rho_a C = 0 for every a, one linear system in vec(C):
+    # row (a, i, k), column (j, l) of kron(1, rho_a^H) - kron(rho_a, 1);
     # its n^2 x n^2 normal matrix keeps the null-space solve small
-    A = np.concatenate([np.kron(eye, r.conj().T) - np.kron(r, eye) for r in rho])
+    A = eye[:, None, :, None] * rho.conj().transpose(0, 2, 1)[:, None, :, None, :]
+    A -= rho[:, :, None, :, None] * eye[:, None, :]
+    A = A.reshape(m * n * n, n * n)
     w, V = np.linalg.eigh(A.conj().T @ A)
     if w[1] < 1e-6 * w[-1]:
         raise ConstructionError("f4: spinor real structure is not unique")

@@ -198,16 +198,18 @@ def link_form(a: AlgebraOneForm) -> AlgebraOneForm:
     (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 9 (2000)).  Every
     link of the torus is interior; the step is exact on constant forms.
     """
-    alg = a.algebra
-    h = a.lattice.spacings
-    coeffs = np.empty_like(a.coeffs)
-    for i in range(3):
-        a0, a1 = a.coeffs[i], np.roll(a.coeffs[i], -1, axis=i)
-        pair = a0 + a1
-        # the cubic correction (pair - outer)/24 is exactly zero on constants
-        outer = np.roll(a0, 1, axis=i) + np.roll(a1, -1, axis=i)
-        coeffs[i] = pair / 2.0 + (pair - outer) / 24.0 + (h[i] / 12.0) * alg.bracket(a0, a1)
-    return AlgebraOneForm(a.lattice, alg, coeffs, sampling="link")
+    alg, h = a.algebra, a.lattice.spacings
+    coeffs = [_link_stencil(alg, h[i], *(np.roll(a.coeffs[i], k, axis=i) for k in (1, 0, -1, -2)))
+              for i in range(3)]
+    return AlgebraOneForm(a.lattice, alg, np.stack(coeffs), sampling="link")
+
+
+def _link_stencil(alg: LieAlgebra, h, before, a0, a1, after) -> np.ndarray:
+    """b_i of `link_form` from the site values a(x - e_i), a(x), a(x + e_i)
+    and a(x + 2e_i) along the link's axis, batched over leading axes."""
+    pair = a0 + a1
+    # the cubic correction (pair - before - after)/24 vanishes on constants
+    return pair / 2.0 + (pair - (before + after)) / 24.0 + (h / 12.0) * alg.bracket(a0, a1)
 
 
 def _plaquette_density(alg: LieAlgebra, plaq: np.ndarray, area: float) -> np.ndarray:
@@ -333,14 +335,13 @@ def develop_cube(a: AlgebraOneForm, corner, shape,
 
 def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
     """Ordered product of the link transports exp(h_i a_i) along a lattice
-    polyline; a site form is read as its `link_form`, so the product equals
-    the developed chart along the same path.
+    polyline; a site form is read as its `link_form`, whose stencil runs on
+    the path's links alone, so the product equals the developed chart
+    along the same path.
 
     `path` is a sequence of site index triples; consecutive sites must
     differ by one step along a single axis (periodic wrap allowed).
     """
-    if a.sampling == "site":
-        a = link_form(a)
     alg = a.algebra
     dims = a.lattice.dims
     h = a.lattice.spacings
@@ -353,7 +354,12 @@ def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
         if len(moves) != 1 or moves[0][1] not in (1, dims[moves[0][0]] - 1):
             raise ValueError(f"path hop {p} -> {q} is not a single link")
         ax, d = moves[0]
-        step = group_exp(alg, h[ax] * a.coeffs[(ax,) + (p if d == 1 else q)])
+        x = list(p if d == 1 else q)
+        coeff = a.coeffs[(ax,) + tuple(x)]
+        if a.sampling == "site":  # link_form's stencil on this link alone
+            x[ax] = np.arange(x[ax] - 1, x[ax] + 3) % dims[ax]
+            coeff = _link_stencil(alg, h[ax], *a.coeffs[(ax,) + tuple(x)])
+        step = group_exp(alg, h[ax] * coeff)
         g = g @ step if d == 1 else g @ step.conj().T
     return g
 

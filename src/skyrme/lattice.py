@@ -357,12 +357,22 @@ def make_winding(lattice: TorusLattice, alg: LieAlgebra, m, axis=None) -> GroupF
 
 def make_random(lattice: TorusLattice, alg: LieAlgebra, seed: int,
                 smoothness: float = 2.0, amplitude: float = 0.5) -> GroupField:
-    """Smoothed algebra-valued noise, exponentiated; deterministic per seed."""
+    """Smoothed algebra-valued noise, exponentiated; deterministic per seed.
+
+    Every component is white noise smoothed on the torus by a Gaussian of
+    width `smoothness` sites.  The noise X is then scaled so that
+    `amplitude` = max over sites of sqrt(|X|^2 + |X_ab|_F^2), with |X|^2
+    the Killing norm `norm_sq` and |X_ab|_F the Frobenius (trace-form) norm
+    of the matrix of X's abelian part: its coordinates on the basis vectors
+    where the Killing norm vanishes, the u1 blocks.  So `amplitude` bounds
+    every block, the u1 phase included; without a u1 block it bounds |X|.
+    """
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(lattice.dims + (alg.dim,))
-    for a in range(alg.dim):
-        noise[..., a] = gaussian_filter(noise[..., a], sigma=smoothness, mode="wrap")
-    sup = np.sqrt(alg.norm_sq(noise).max())
-    if sup > 0:
-        noise *= amplitude / sup
+    noise = gaussian_filter(noise, sigma=(smoothness,) * 3 + (0,), mode="wrap")
+    sq = alg.norm_sq(noise)
+    abelian = alg.norm_sq(np.eye(alg.dim)) == 0  # where the Killing norm vanishes
+    if abelian.any():
+        sq = sq + (np.abs(alg.to_matrix(noise * abelian)) ** 2).sum(axis=(-2, -1))
+    noise *= amplitude / np.sqrt(sq.max())
     return GroupField(lattice, alg, group_exp(alg, noise))

@@ -275,3 +275,40 @@ def oracle_star_residuals(a, cover):
             density[x] += oracle_norm_sq(alg, coords / (h[i] * h[j]))
     return np.array([np.sqrt(lattice.cell_volume * density[np.ix_(*(w[:-1] for w in win))].sum())
                      for win in cover.star_indices()])
+
+
+# Loop oracles for the batched construction kernels: the per-pair and
+# per-component loops the batched code replaced, with the same arithmetic.
+
+def oracle_structure_constants(alg):
+    """One commutator and one `to_coords` projection per pair a < b."""
+    d = alg.dim
+    f = np.zeros((d, d, d))
+    for a in range(d):
+        for b in range(a + 1, d):
+            C = alg.basis[a] @ alg.basis[b] - alg.basis[b] @ alg.basis[a]
+            f[a, b] = alg.to_coords(C)[0]
+            f[b, a] = -f[a, b]
+    return f
+
+
+def oracle_jacobi_residual(alg):
+    """max |[ad e_a, ad e_b] - sum_c f_abc ad e_c|, one pair (a, b) at a time."""
+    f = alg.structure_constants
+    worst = 0.0
+    for a in range(alg.dim):
+        for b in range(alg.dim):
+            lhs = f[a].T @ f[b].T - f[b].T @ f[a].T
+            rhs = np.tensordot(f[a, b], f.transpose(0, 2, 1), axes=(0, 0))
+            worst = max(worst, np.abs(lhs - rhs).max())
+    return worst
+
+
+def oracle_random_noise(lattice, alg, seed, smoothness):
+    """`make_random`'s smoothed noise before scaling, one component at a time."""
+    from scipy.ndimage import gaussian_filter
+
+    noise = np.random.default_rng(seed).standard_normal(lattice.dims + (alg.dim,))
+    for a in range(alg.dim):
+        noise[..., a] = gaussian_filter(noise[..., a], sigma=smoothness, mode="wrap")
+    return noise

@@ -9,8 +9,10 @@ from conftest import (
     oracle_ad_matrix,
     oracle_bracket,
     oracle_group_exp,
+    oracle_jacobi_residual,
     oracle_kappa,
     oracle_norm_sq,
+    oracle_structure_constants,
     oracle_to_coords,
     oracle_to_matrix,
 )
@@ -18,6 +20,7 @@ from skyrme import algebra as al
 from skyrme.holonomy import CHORD_CUTOFF
 from skyrme.errors import (
     CertificationError,
+    ConstructionError,
     LogRangeError,
     UnsupportedAlgebraError,
 )
@@ -411,3 +414,89 @@ def test_log_norm_is_bounded_by_the_chord(spec, seed, count, size):
     coords, _ = al.group_log(alg, P[keep], threshold=1.99)
     ratio = 2.0 * np.arcsin(CHORD_CUTOFF / 2.0) / CHORD_CUTOFF
     assert (alg.norm_sq(coords) <= alg.kappa * ratio ** 2 * chord[keep] ** 2).all()
+
+
+# ----------------------------------------------------------------------
+# construction: batched kernels against their loops, and the gates
+# ----------------------------------------------------------------------
+
+# every algebra whose constructor projects pair commutators; f4's table is
+# assembled from spin9's and its spinor real structure (test_f4_structure)
+FROM_BASIS_SPECS = [s for s in al.SUPPORTED_SPECS if s != "f4"] + ["so3", "u1"]
+
+
+@pytest.mark.parametrize("spec", FROM_BASIS_SPECS + ["su2+u1", "u1+so3"])
+def test_structure_constants_match_the_pair_loop(spec):
+    # a sum takes its table from its blocks; the stacked commutator of its
+    # basis must give the same bits
+    alg = _algebra(spec)
+    oracle = oracle_structure_constants(alg)
+    assert np.array_equal(alg._structure_from_basis(), oracle)
+    assert np.array_equal(alg.structure_constants, oracle)
+
+
+@pytest.mark.parametrize("spec", list(al.SUPPORTED_SPECS) + ["so3", "u1", "su2+u1", "u1+so3"])
+def test_jacobi_residual_matches_the_pair_loop(spec):
+    alg = _algebra(spec)
+    assert abs(alg._jacobi_residual() - oracle_jacobi_residual(alg)) <= 1e-15
+
+
+def _bumped_su3():
+    """su3 with an antisymmetric 1e-6 bump of the pair (e_0, e_1)."""
+    su3 = _algebra("su3")
+    f = su3.structure_constants.copy()
+    f[0, 1, 2] += 1e-6
+    f[1, 0, 2] -= 1e-6
+    return al.LieAlgebra("su3", "su", su3.basis, factors=su3.factors, f_table=f)
+
+
+def test_jacobi_residual_of_a_bumped_table_matches_the_pair_loop(monkeypatch):
+    monkeypatch.setattr(al, "_JACOBI_TOL", np.inf)
+    alg = _bumped_su3()
+    assert alg._jacobi_residual() > 1e-7
+    assert abs(alg._jacobi_residual() - oracle_jacobi_residual(alg)) <= 1e-15
+
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _closure_failure():
+    # [i s1, i s2] = -2 i s3 leaves the span of i s1, i s2
+    return al.LieAlgebra("pair", "su", 1j * PAULI[:2], factors=[])
+
+
+def _antisymmetry_failure():
+    # two commuting directions with f[0, 0, 1] = 1e-6: ad e_1 = 0 and
+    # [ad e_0, ad e_0] = 0, so Jacobi holds; abelian, so no Killing gate
+    f = np.zeros((2, 2, 2))
+    f[0, 0, 1] = 1e-6
+    basis = np.array([np.diag([1j, 0]), np.diag([0, 1j])])
+    return al.LieAlgebra("u1+u1", "sum", basis, factors=[], f_table=f)
+
+
+def _killing_failure():
+    # sl(2, R) = span(i e_0, i e_1, e_2) of su2: a real Lie algebra with an
+    # indefinite Killing form, on su2's anti-Hermitian basis
+    f = _algebra("su2").structure_constants.copy()
+    f[[0, 1], [1, 0]] *= -1
+    return al.LieAlgebra("sl2", "su", 1j * PAULI, factors=[al.Factor("sl2", 0, 3)], f_table=f)
+
+
+def _anti_hermitian_failure():
+    # S^-1 (i s_a) S with S = diag(2, 1) brackets like su2 but is not skew
+    S = np.diag([2.0, 1.0])
+    return al.LieAlgebra("su2", "su", np.linalg.inv(S) @ (1j * PAULI) @ S,
+                         factors=[al.Factor("su2", 0, 3)])
+
+
+@pytest.mark.parametrize("build,message", [
+    (_closure_failure, r"pair: bracket closure residual 2\.00e\+00"),
+    (_antisymmetry_failure, r"u1\+u1: antisymmetry violated \(2\.00e-06\)"),
+    (_bumped_su3, r"su3: Jacobi residual 2\.00e-06"),
+    (_killing_failure, r"sl2: Killing form not negative definite on sl2 \(top eigenvalue 8\.00e\+00\)"),
+    (_anti_hermitian_failure, r"su2: basis not anti-Hermitian \(1\.50e\+00\)"),
+], ids=["closure", "antisymmetry", "jacobi", "killing", "anti_hermitian"])
+def test_each_constructor_gate_names_its_residual(build, message):
+    # each input passes every gate before the one it fails
+    with pytest.raises(ConstructionError, match=message):
+        build()

@@ -165,6 +165,22 @@ def test_path_transport_site_step_on_nonabelian_data():
     assert np.abs(hol.path_transport(a, path) - expect).max() < 1e-12
 
 
+def test_path_transport_of_a_site_form_converts_only_its_links(monkeypatch):
+    # forward and backward hops, wrapping on every axis
+    alg = al.build_algebra("su", 3)
+    _, a = analytic_exp_field(alg, lat.TorusLattice((16, 16, 16)), amp=0.5, seed=4)
+    assert a.sampling == "site"
+    path = [(0, 0, 0), (15, 0, 0), (15, 15, 0), (15, 15, 15), (15, 0, 15), (0, 0, 15),
+            (1, 0, 15), (1, 0, 0), (1, 1, 0)]
+    expect = hol.path_transport(hol.link_form(a), path)
+
+    def whole_torus(form):
+        raise AssertionError("path_transport converted the whole torus")
+
+    monkeypatch.setattr(hol, "link_form", whole_torus)
+    assert np.abs(hol.path_transport(a, path) - expect).max() <= 1e-14
+
+
 def _sweep_path(cover, v):
     """Sites of the developing sweep from the corner of the star of v to
     its far corner: last axis, then middle, then first."""

@@ -1,6 +1,7 @@
 """Source hygiene of the package: no module keeps an import it does not use,
 no top-level name goes unused, only `algebra.py` reads the algebra's
-tables, and only a fixed list of functions branches on a form's sampling."""
+tables, only a fixed list of functions branches on a form's sampling, and
+`algebra.py` nests no two loops over the algebra's dimension."""
 
 import ast
 from collections import Counter
@@ -132,3 +133,33 @@ def test_every_top_level_name_is_referenced():
               if not (name.startswith("__") and name.endswith("__"))
               and refs[name] <= _references(node)[name]]
     assert not unused, f"top-level names referenced nowhere: {unused}"
+
+
+def _over_dim(it) -> bool:
+    """Whether a loop's iterable is range(..., d) or range(..., x.dim)."""
+    return (isinstance(it, ast.Call) and getattr(it.func, "id", None) == "range"
+            and any(getattr(arg, "id", None) == "d" or getattr(arg, "attr", None) == "dim"
+                    for arg in it.args))
+
+
+def _dim_loops(node):
+    """(node, clauses) of every for-statement and comprehension under node
+    with clauses > 0 of its own running over the dimension."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.For) and _over_dim(n.iter):
+            yield n, 1
+        elif isinstance(n, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            k = sum(_over_dim(g.iter) for g in n.generators)
+            if k:
+                yield n, k
+
+
+def test_algebra_nests_no_loops_over_the_dimension():
+    # a Python loop over pairs of basis elements runs d^2 interpreter steps
+    # at construction (2704 for f4); pairs are batched as stacked GEMMs
+    nested = []
+    for name, node in _functions(ast.parse((SRC / "algebra.py").read_text())):
+        for loop, k in _dim_loops(node):
+            if k + sum(kk for inner, kk in _dim_loops(loop) if inner is not loop) > 1:
+                nested.append((name, loop.lineno))
+    assert not nested, f"loops over the dimension nested at {nested}"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import span_failure_field
+from conftest import oracle_random_noise, span_failure_field
 from skyrme import algebra as al
 from skyrme import lattice as lat
 from skyrme.errors import GeneratorError, LogRangeError
@@ -247,3 +247,36 @@ def test_log_derivative_names_a_link_whose_log_left_the_algebra():
     assert exc.axis == 1 and exc.value is None
     assert len(exc.site) == 3 and exc.mask[(0,) + exc.site]
     assert exc.mask[0].all() and not exc.mask[1:].any()
+
+
+@pytest.mark.parametrize("spec", ["su2", "su3", "spin7", "g2", "su2+su3"])
+@pytest.mark.parametrize("dims", [(4, 5, 6), (8, 8, 8)])
+@pytest.mark.parametrize("smoothness", [0.5, 1.0, 2.0])
+def test_make_random_matches_per_component_smoothing(spec, dims, smoothness):
+    # one filter over the component axis with sigma 0 there, bit for bit
+    alg = al.parse_algebra(spec)
+    L = lat.TorusLattice(dims)
+    noise = oracle_random_noise(L, alg, 3, smoothness)
+    noise *= 0.4 / np.sqrt(alg.norm_sq(noise).max())
+    u = lat.make_random(L, alg, seed=3, smoothness=smoothness, amplitude=0.4)
+    assert np.array_equal(u.values, al.group_exp(alg, noise))
+
+
+@pytest.mark.parametrize("spec", ["u1", "su2+u1", "u1+so3"])
+def test_make_random_amplitude_bounds_abelian_blocks(spec):
+    # the Killing norm vanishes on u1; amplitude bounds its phase as well
+    alg = al.parse_algebra(spec)
+    L = lat.TorusLattice((8, 8, 8))
+    abelian = np.ones(alg.dim, dtype=bool)
+    for fac in alg.factors:
+        abelian[fac.start:fac.stop] = False
+    fields = []
+    for amplitude in (0.1, 0.5):
+        u = lat.make_random(L, alg, seed=0, smoothness=0.5, amplitude=amplitude)
+        X = al.group_log(alg, u.values)[0]
+        phase = np.abs(X[..., abelian]).max()
+        size = np.sqrt(alg.norm_sq(X) + (X[..., abelian] ** 2).sum(axis=-1)).max()
+        assert 0 < phase <= amplitude * (1 + 1e-12)
+        assert size == pytest.approx(amplitude, rel=1e-12)
+        fields.append(u.values)
+    assert not np.allclose(fields[0], fields[1])
