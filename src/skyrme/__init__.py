@@ -39,7 +39,6 @@ from .lattice import (
     AlgebraTwoForm,
     GroupField,
     TorusLattice,
-    flatness_residual,
     gauge_transform,
     log_derivative,
     make_hedgehog,

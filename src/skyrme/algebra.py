@@ -263,6 +263,15 @@ class LieAlgebra:
         return max(0.0, float(np.linalg.eigvalsh(L_inv @ self.norm_gram @ L_inv.T).max()))
 
     @cached_property
+    def killing_3form(self) -> tuple[np.ndarray, ...]:
+        """Per simple factor, T_abd = B([e_a, e_b], e_d) on its basis block laid
+        out (d_k, d_k^2), so L @ T is T(L, ., .) for a batch L (..., d_k).  T is
+        totally antisymmetric: f is in (a, b), and B is ad-invariant."""
+        f, B = self.structure_constants, self.killing_matrix
+        return tuple(np.einsum("abc,cd->abd", f[k, k, k], B[k, k]).reshape(k.stop - k.start, -1)
+                     for k in (slice(fac.start, fac.stop) for fac in self.factors))
+
+    @cached_property
     def block_layout(self) -> tuple[tuple[int, "LieAlgebra"], ...]:
         """(representation offset, block) for every atomic block, in order;
         an atomic algebra is its own block at offset 0."""

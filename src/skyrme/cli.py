@@ -178,7 +178,10 @@ def cmd_holonomy(args) -> int:
     _print_holonomy(rep)
     if args.compare is not None:
         b = fileio.read_one_form(args.compare, sampling=args.sampling)
-        gauge_from_holonomy(a, b, cover, tol=args.tol)
+        try:
+            gauge_from_holonomy(a, b, cover, tol=args.tol)
+        except ValueError as exc:
+            raise ConfigError(f"--compare {args.compare}: {exc}") from exc
         print("holonomy=equal")
     return 0
 
@@ -186,9 +189,12 @@ def cmd_holonomy(args) -> int:
 def cmd_develop(args) -> int:
     if args.out is None:
         raise ConfigError("develop needs --out PATH")
-    a = fileio.read_one_form(args.form, sampling=args.sampling)
     corner = _as_numbers(args.corner, 3, "corner", int)
     shape = _as_numbers(args.shape, 3, "shape", int)
+    if min(shape) < 3:
+        raise ConfigError(f"--shape {args.shape}: the chart is written as a lattice, "
+                          "which needs at least 3 sites per axis")
+    a = fileio.read_one_form(args.form, sampling=args.sampling)
     chart = develop_cube(a, corner, shape)
     # a chart is not periodic; store it as a standalone block with the
     # physical extents of the cube

@@ -3,12 +3,13 @@
 A flat potential is integrated over cubes by an axis-ordered sweep of
 link transports g <- g exp(h a_i(x)) for u' = u a: last axis first from
 the cube corner, then the middle axis per slice, then the first axis
-filling the volume.  A site form is developed as its `link_form`, so the
-gate, the charts, `path_transport` and the connection descent all see
-the same transports.  All cubes of a cover are developed in one batched
-sweep; the curvature density is computed once on the torus from the
-plaquettes of the transports, and each cube's flatness residual is its
-window sum over the cube interior.
+filling the volume.  Every form acts through its `link_form`
+(`lattice.link_form`, the identity on a link form), so the gate, the
+charts, `path_transport`, the gauge action and the connection descent
+all see the same transports.  All cubes of a cover are developed in one
+batched sweep; the curvature density is computed once on the torus from
+the plaquettes of the transports, and each cube's flatness residual is
+its window sum over the cube interior.
 
 The gate is first certified without a matrix log.  Write a plaquette as
 P = A B^H with A = T_i(x) T_j(x+e_i), B = T_j(x) T_i(x+e_j); B is
@@ -48,7 +49,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, group_exp, group_log
 from .errors import AtlasError, FlatnessError, HolonomyMismatchError, LogRangeError
-from .lattice import PLANES, AlgebraOneForm, GroupField, TorusLattice
+from .lattice import PLANES, AlgebraOneForm, GroupField, TorusLattice, _link_stencil, link_form
 
 __all__ = [
     "CubicalCover",
@@ -57,7 +58,6 @@ __all__ = [
     "HolonomyRep",
     "develop_cube",
     "path_transport",
-    "link_form",
     "build_atlas",
     "holonomy_rep",
     "gauge_from_holonomy",
@@ -187,31 +187,6 @@ def _grid(windows) -> tuple:
     return w0[:, :, None, None], w1[:, None, :, None], w2[:, None, None, :]
 
 
-def link_form(a: AlgebraOneForm) -> AlgebraOneForm:
-    """The lattice connection of the site form a, the one owner of site
-    transports: the link x -> x + e_i carries exp(h b_i(x)) with
-
-        h b_i(x) = (h/24)(-a(x-e_i) + 13 a(x) + 13 a(x+e_i) - a(x+2e_i))
-                   + (h^2/12) [a(x), a(x+e_i)],
-
-    the fourth-order two-point Magnus step with the cubic cell average
-    (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 9 (2000)).  Every
-    link of the torus is interior; the step is exact on constant forms.
-    """
-    alg, h = a.algebra, a.lattice.spacings
-    coeffs = [_link_stencil(alg, h[i], *(np.roll(a.coeffs[i], k, axis=i) for k in (1, 0, -1, -2)))
-              for i in range(3)]
-    return AlgebraOneForm(a.lattice, alg, np.stack(coeffs), sampling="link")
-
-
-def _link_stencil(alg: LieAlgebra, h, before, a0, a1, after) -> np.ndarray:
-    """b_i of `link_form` from the site values a(x - e_i), a(x), a(x + e_i)
-    and a(x + 2e_i) along the link's axis, batched over leading axes."""
-    pair = a0 + a1
-    # the cubic correction (pair - before - after)/24 vanishes on constants
-    return pair / 2.0 + (pair - (before + after)) / 24.0 + (h / 12.0) * alg.bracket(a0, a1)
-
-
 def _plaquette_density(alg: LieAlgebra, plaq: np.ndarray, area: float) -> np.ndarray:
     """|log P / area|^2 for a batch (k, N, N) of plaquettes P.
 
@@ -235,16 +210,15 @@ def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
 
     `windows` holds the cubes' wrapped site indices, three (S, n_i) arrays;
     returns the (S, n1, n2, n3, N, N) charts of the transports
-    T_i = exp(h_i a_i), those of its `link_form` for a site form.  The
-    curvature is their plaquette defect (zero for a log derivative however
-    steep the field), computed once per torus site.  A cube's residual is
+    T_i = exp(h_i b_i) of b = `link_form(a)`.  The curvature is their
+    plaquette defect (zero for a log derivative however steep the field),
+    computed once per torus site.  A cube's residual is
     sqrt(cell volume * window sum of |F|^2 over its interior); the first
     cube above the gate (default 10 * max spacing) raises FlatnessError.
     The gate is first certified from the plaquette chords, with no log
     taken (see the module docstring); failing that, the plaquette logs decide.
     """
-    if a.sampling == "site":
-        a = link_form(a)
+    a = link_form(a)
     alg = a.algebra
     lattice = a.lattice
     h = lattice.spacings
@@ -561,8 +535,13 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
     down the maximal tree so its tree labels match the first atlas, and
     the non-tree circuit labels are compared: any defect beyond `tol`
     means the holonomies differ (never a field).  The glued gauge is
-    (u^1_p)^-1 k_p u^2_p, chart-assembled.
+    (u^1_p)^-1 k_p u^2_p, chart-assembled.  Forms of different algebras
+    or lattices raise ValueError.
     """
+    if a1.algebra.name != a2.algebra.name or a1.lattice != a2.lattice:
+        raise ValueError("forms differ in group or lattice: " + " against ".join(
+            f"{a.algebra.name} on dims {a.lattice.dims}, lengths {a.lattice.lengths}"
+            for a in (a1, a2)))
     if cover is None:
         cover = CubicalCover.for_lattice(a1.lattice)
     A1 = build_atlas(a1, cover, tol=tol)

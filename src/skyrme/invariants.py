@@ -130,20 +130,15 @@ def _symmetrized_log_derivative(u: GroupField) -> np.ndarray:
     return np.stack([0.5 * (L[i] + np.roll(L[i], 1, axis=i)) for i in range(3)])
 
 
-def _killing_3form(alg: LieAlgebra, idx: slice = slice(None)) -> np.ndarray:
-    """T_abd = B([e_a, e_b], e_d) on the basis block `idx`."""
-    return np.einsum("abc,cd->abd", alg.structure_constants[idx, idx, idx],
-                     alg.killing_matrix[idx, idx])
-
-
 def topological_charge(u: GroupField, v_ref: GroupField | None = None) -> np.ndarray:
     """Unrounded per-factor charges of u relative to v_ref (identity if None).
 
     The six-term sum over permutations is exactly 6 B([Lb_1, Lb_2], Lb_3):
     T_abd = B([e_a, e_b], e_d) is antisymmetric in (a, b), and in (b, d)
     because the Killing form is ad-invariant, B([X, Y], Z) = -B(Y, [X, Z]).
-    T(Lb_1, Lb_2, Lb_3) is one matmul of Lb_1 against T as (d, d^2), then
-    a contraction with Lb_2 and Lb_3.
+    T(Lb_1, Lb_2, Lb_3) is one matmul of Lb_1 against the factor's
+    `LieAlgebra.killing_3form` layout (d, d^2), then a contraction with
+    Lb_2 and Lb_3.
     """
     alg = u.algebra
     w = u if v_ref is None else multiply(u, inverse_field(v_ref))
@@ -153,7 +148,7 @@ def topological_charge(u: GroupField, v_ref: GroupField | None = None) -> np.nda
         idx = slice(fac.start, fac.stop)
         d = fac.stop - fac.start
         L1, L2, L3 = (Lb[i][..., idx].reshape(-1, d) for i in range(3))
-        M = (L1 @ _killing_3form(alg, idx).reshape(d, d * d)).reshape(-1, d, d)
+        M = (L1 @ alg.killing_3form[k]).reshape(-1, d, d)
         total = 6.0 * np.einsum("xb,xb->", L2, np.einsum("xbd,xd->xb", M, L3))
         K = float(factor_constant(alg, k))
         out.append(-(K / (192.0 * np.pi ** 2)) * u.lattice.cell_volume * total)
@@ -284,9 +279,10 @@ def invariant_of_connection(a, b, cover=None,
                             tol: float = DEFAULT_SECTOR_TOL) -> SectorInvariants:
     """Invariants of a flat potential a relative to the reference b.
 
-    Reconstructs u with a = gauge_transform(b, u) (for link forms the exact
-    action on the transports exp(h b)) from equal holonomy, and reports the
-    invariants of u; fails when a and b sit in different holonomy strata.
+    Reconstructs u with a = gauge_transform(b, u) (the exact action on the
+    transports of b's `link_form`, for every form) from equal holonomy, and
+    reports the invariants of u; fails when a and b sit in different
+    holonomy strata.
     """
     from .holonomy import CubicalCover, gauge_from_holonomy
 

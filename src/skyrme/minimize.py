@@ -36,13 +36,14 @@ import numpy as np
 
 from .algebra import LieAlgebra, group_exp
 from .errors import FlatnessError, LineSearchError, LogRangeError, SectorError
-from .holonomy import CubicalCover, build_atlas, link_form
+from .holonomy import CubicalCover, build_atlas
 from .invariants import SectorInvariants, reference_map, sector_of
 from .lattice import (
     AlgebraOneForm,
     GroupField,
     TorusLattice,
     gauge_transform,
+    link_form,
     log_derivative,
     make_hedgehog,
     skyrme_energy_connection,
@@ -318,9 +319,10 @@ def minimize_connection(b: AlgebraOneForm, sector: SectorInvariants,
     flat reference b, within the requested sector.
 
     A non-zero b must pass `build_atlas` over the default cover, the gate
-    of every sector query; a site form is then read as its `link_form`, a
-    lattice connection with b's holonomy.  Returns (a_final, trace), a_final
-    link-sampled; the trace reports E[a] at each iterate.
+    of every sector query; it then acts through its `link_form`, a lattice
+    connection with b's holonomy, taken once before the descent.  Returns
+    (a_final, trace), a_final link-sampled; the trace reports E[a] at each
+    iterate.
     """
     if not b.is_zero():
         try:
@@ -328,8 +330,7 @@ def minimize_connection(b: AlgebraOneForm, sector: SectorInvariants,
         except ValueError as exc:
             raise FlatnessError(f"reference potential cannot be gated: {exc}") from exc
         build_atlas(b, cover)
-        if b.sampling == "site":
-            b = link_form(b)
+        b = link_form(b)
     final_u, trace = _descend(seed_field(b.lattice, b.algebra, sector),
                               lambda u: skyrme_energy_connection(gauge_transform(b, u)),
                               lambda u: _gradient(gauge_transform(b, u)), opts, b)

@@ -3,7 +3,7 @@ import pytest
 
 from skyrme import algebra as alg_mod
 from skyrme import holonomy as hol
-from skyrme.lattice import TorusLattice
+from skyrme.lattice import TorusLattice, zero_one_form
 
 
 @pytest.fixture(autouse=True)
@@ -111,6 +111,19 @@ def analytic_exp_field(alg, lattice, amp, seed, n_modes=6):
     w = GroupField(lattice, alg, group_exp(alg, X))
     form = AlgebraOneForm(lattice, alg, A, sampling="site")
     return w, form
+
+
+def flat_site_form(spec, n):
+    """A flat site form on the n^3 torus: for su2 the constant commuting
+    form theta = 0.7 on the first axis, for su3 the exact Maurer-Cartan
+    form of `analytic_exp_field` seed 4 read at sites."""
+    alg = alg_mod.parse_algebra(spec)
+    L = TorusLattice((n, n, n))
+    if spec == "su3":
+        return analytic_exp_field(alg, L, amp=0.5, seed=4)[1]
+    a = zero_one_form(L, alg)
+    a.coeffs[0, ..., 2] = 0.7
+    return a
 
 
 def local_fd_gradient(u, site, t=1e-5, links=None):

@@ -208,6 +208,27 @@ def test_cli_holonomy_rejects_a_spacing_that_does_not_divide(tmp_path, capsys, s
     assert "--spacing 3" in err and "must divide" in err
 
 
+@pytest.mark.parametrize("first, second, spec", [
+    ((8, "su2", "hedgehog"), (12, "su2", "zero"), "su2"),
+    ((8, "su2", "hedgehog"), (12, "su2", "hedgehog"), "su2"),
+    ((12, "su2", "hedgehog"), (8, "su2", "hedgehog"), "su2"),
+    ((8, "su2", "zero"), (8, "su3", "zero"), "su3"),
+])
+def test_cli_holonomy_compare_rejects_another_lattice_or_group(tmp_path, capsys,
+                                                               first, second, spec):
+    paths = []
+    for k, (n, group, kind) in enumerate((first, second)):
+        L, alg = lat.TorusLattice((n, n, n)), al.parse_algebra(group)
+        a = (lat.zero_one_form(L, alg) if kind == "zero"
+             else lat.log_derivative(lat.make_hedgehog(L, alg, 0.45)))
+        paths.append(tmp_path / f"{k}.skya")
+        fileio.write_one_form(paths[-1], a)
+    assert main(["holonomy", str(paths[0]), "--compare", str(paths[1])]) == 2
+    err = capsys.readouterr().err
+    assert f"--compare {paths[1]}" in err and spec in err
+    assert all(f"dims ({n}, {n}, {n})" in err for n, _, _ in (first, second))
+
+
 # stdout of `holonomy A --compare B` on the forms below, as printed before
 # the atlas memo: the memo must not change a byte of it
 COMPARE_STDOUT = """\
@@ -268,6 +289,16 @@ def test_cli_develop(tmp_path, capsys, su2):
     chart = fileio.read_field(out)
     assert chart.lattice.dims == (5, 5, 5)
     assert np.abs(chart.values[0, 0, 0] - np.eye(2)).max() < 1e-12
+
+
+@pytest.mark.parametrize("shape", ["0,4,4", "1,1,1", "5,2,5"])
+def test_cli_develop_rejects_a_shape_below_three(tmp_path, capsys, su2, lat8, shape):
+    pa = tmp_path / "z.skya"
+    fileio.write_one_form(pa, lat.zero_one_form(lat8, su2))
+    out = tmp_path / "chart.skyf"
+    assert main(["develop", str(pa), "--shape", shape, "--out", str(out)]) == 2
+    assert f"--shape {shape}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_minimize_map(tmp_path, capsys):

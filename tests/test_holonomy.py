@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import analytic_exp_field, oracle_star_residuals, sup_deviation_mod_constant
+from conftest import (
+    analytic_exp_field,
+    flat_site_form,
+    oracle_star_residuals,
+    sup_deviation_mod_constant,
+)
 from skyrme import algebra as al
 from skyrme import holonomy as hol
 from skyrme import invariants as inv
@@ -584,6 +589,19 @@ def test_holonomy_gauge_invariance(su2, lat16, cover16):
     assert np.abs(t - base).max() < 1e-6
 
 
+@pytest.mark.parametrize("spec,n", [("su2", 8), ("su2", 16), ("su3", 16)])
+@pytest.mark.parametrize("amplitude", [1e-3, 0.1, 0.5])
+def test_site_form_holonomy_is_gauge_invariant(spec, n, amplitude):
+    # a site form acts through its link form, so its gauge transform
+    # conjugates every holonomy by w(base) exactly; the su3 form is flat to
+    # the order of the link stencil, so its edge scores reach about 2e-4
+    a = flat_site_form(spec, n)
+    base = hol.holonomy_rep(a, tol=1e-3).traces
+    w = lat.make_random(a.lattice, a.algebra, seed=3, amplitude=amplitude)
+    got = hol.holonomy_rep(lat.gauge_transform(a, w), tol=1e-3).traces
+    assert np.abs(got - base).max() <= 1e-12
+
+
 def test_holonomy_weak_limit_surrogate(su2, lat16, cover16):
     # theta_n -> theta with small gauge wiggles: traces converge
     theta = 0.9
@@ -646,6 +664,18 @@ def test_gauge_from_holonomy_mismatch(su2, lat16, cover16):
     z = lat.zero_one_form(lat16, su2)
     with pytest.raises(HolonomyMismatchError, match="holonomies differ"):
         hol.gauge_from_holonomy(a1, z, cover16)
+
+
+@pytest.mark.parametrize("other", [(12, "su2"), (8, "su3")])
+def test_gauge_from_holonomy_rejects_forms_of_other_lattices_or_groups(su2, lat8, other):
+    n, spec = other
+    a = lat.log_derivative(lat.make_hedgehog(lat8, su2, 0.3))
+    b = lat.zero_one_form(lat.TorusLattice((n, n, n)), al.parse_algebra(spec))
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(ValueError) as info:
+            hol.gauge_from_holonomy(first, second)
+        assert "su2 on dims (8, 8, 8)" in str(info.value)
+        assert f"{spec} on dims ({n}, {n}, {n})" in str(info.value)
 
 
 # ----------------------------------------------------------------------

@@ -41,9 +41,6 @@ def test_every_import_is_used(path):
 
 TABLES = {"structure_constants", "norm_gram", "killing_matrix", "basis",
           "_gram", "_real_basis", "_coords_map", "_ad_table"}  # and their private layouts
-# (module, top-level function) allowed to read a table: the Killing 3-form
-# is built once per factor from f and B
-TABLE_READERS = {("invariants.py", "_killing_3form")}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "algebra.py"],
@@ -52,20 +49,16 @@ def test_only_algebra_reads_the_tables(path):
     # LieAlgebra's kernels are the one owner of every contraction against
     # the tables; any other read is a second copy of a kernel
     tree = ast.parse(path.read_text())
-    reads = []
-    for top in tree.body:
-        if (path.name, getattr(top, "name", None)) in TABLE_READERS:
-            continue
-        reads += [(n.attr, n.lineno) for n in ast.walk(top)
-                  if isinstance(n, ast.Attribute) and n.attr in TABLES]
+    reads = [(n.attr, n.lineno) for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr in TABLES]
     assert not reads, f"{path.name} reads algebra tables at {reads}"
 
 
 # (module, function) allowed to compare a `.sampling` against "site" or
-# "link", once each: every transport of a site form is taken from
-# `holonomy.link_form`, and a new site stencil means editing this list
-SAMPLING_READERS = {("holonomy.py", "_develop"), ("holonomy.py", "path_transport"),
-                    ("minimize.py", "minimize_connection"), ("lattice.py", "gauge_transform"),
+# "link", once each: every form acts through `lattice.link_form`, and only
+# `path_transport` runs its stencil on single links; a new site stencil
+# means editing this list
+SAMPLING_READERS = {("lattice.py", "link_form"), ("holonomy.py", "path_transport"),
                     ("lattice.py", "AlgebraOneForm.__post_init__")}
 
 

@@ -64,9 +64,10 @@ CHART_SPECS = list(al.SUPPORTED_SPECS) + ["u1", "so3", "su2+su3", "spin7+u1"]
 def test_killing_3form_is_totally_antisymmetric(spec):
     # the identity behind topological_charge's single contraction: every
     # permutation term of the six-term sum is sgn * T(Lb_1, Lb_2, Lb_3)
-    T = inv._killing_3form(_algebra(spec))
-    assert np.abs(T + T.transpose(1, 0, 2)).max() <= 1e-12
-    assert np.abs(T + T.transpose(0, 2, 1)).max() <= 1e-12
+    for T in _algebra(spec).killing_3form:
+        T = T.reshape(len(T), len(T), len(T))
+        assert np.abs(T + T.transpose(1, 0, 2)).max() <= 1e-12
+        assert np.abs(T + T.transpose(0, 2, 1)).max() <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
