@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: constants | gen | energy | invariants | holonomy | develop |
-minimize.  Configuration is a flat ``key = value`` text file with ``#``
-comments; explicit flags override config values.  Every library error
-maps to a distinct nonzero exit code with a one-line diagnostic.
+minimize.  `holonomy` and `develop` read SKYA files as lattice
+connections, the link values `fileio.write_one_form` stores.
+Configuration is a flat ``key = value`` text file with ``#`` comments;
+explicit flags override config values.  Every library error maps to a
+distinct nonzero exit code with a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def _print_holonomy(rep) -> None:
 
 
 def cmd_holonomy(args) -> int:
-    a = fileio.read_one_form(args.form, sampling=args.sampling)
+    a = fileio.read_one_form(args.form)
     try:
         cover = CubicalCover.for_lattice(a.lattice, args.spacing)
     except ValueError as exc:
@@ -177,7 +179,7 @@ def cmd_holonomy(args) -> int:
     rep = holonomy_rep(a, cover, tol=args.tol)
     _print_holonomy(rep)
     if args.compare is not None:
-        b = fileio.read_one_form(args.compare, sampling=args.sampling)
+        b = fileio.read_one_form(args.compare)
         try:
             gauge_from_holonomy(a, b, cover, tol=args.tol)
         except ValueError as exc:
@@ -194,7 +196,7 @@ def cmd_develop(args) -> int:
     if min(shape) < 3:
         raise ConfigError(f"--shape {args.shape}: the chart is written as a lattice, "
                           "which needs at least 3 sites per axis")
-    a = fileio.read_one_form(args.form, sampling=args.sampling)
+    a = fileio.read_one_form(args.form)
     chart = develop_cube(a, corner, shape)
     # a chart is not periodic; store it as a standalone block with the
     # physical extents of the cube
@@ -259,18 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="sector invariants of a field file")
     p.add_argument("field")
 
-    p = sub.add_parser("holonomy", help="generator-loop holonomy of a flat one-form")
+    p = sub.add_parser("holonomy", help="generator-loop holonomy of a flat SKYA connection")
     p.add_argument("form")
-    p.add_argument("--compare", help="second one-form; exit 0 only if gauge equivalent")
+    p.add_argument("--compare", help="second SKYA connection; exit 0 only if gauge equivalent")
     p.add_argument("--spacing", type=int, default=None, help="cover spacing in sites")
-    p.add_argument("--sampling", choices=("site", "link"), default="link")
     p.add_argument("--tol", type=float, default=1e-6)
 
-    p = sub.add_parser("develop", help="integrate a developing map over a cube")
+    p = sub.add_parser("develop", help="develop an SKYA connection over a cube")
     p.add_argument("form")
     p.add_argument("--corner", default="0,0,0")
     p.add_argument("--shape", required=True)
-    p.add_argument("--sampling", choices=("site", "link"), default="link")
     p.add_argument("--out")
 
     p = sub.add_parser("minimize", help="sector-preserving energy descent")

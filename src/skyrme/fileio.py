@@ -5,6 +5,9 @@ id, rep_dim N, N1, N2, N3; three binary64 periods; then site-major data
 (x^3 fastest) of row-major N x N matrices as (re, im) binary64 pairs.
 SKYA (algebra-valued 1-forms): magic ``SKYA0001``, same header, then the
 three component blocks in axis order, each laid out like a field block.
+An SKYA file holds a lattice connection: link values b_i(x), the link
+x -> x + e_i carrying exp(h_i b_i(x)).  A site form is stored as its
+`lattice.link_form`; a link form is stored as it is.
 
 C-ordered complex128 is exactly the (re, im) pair layout, so blocks are
 written and read with tobytes/frombuffer plus an explicit little-endian
@@ -19,7 +22,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, parse_algebra
 from .errors import FileFormatError
-from .lattice import AlgebraOneForm, GroupField, TorusLattice
+from .lattice import AlgebraOneForm, GroupField, TorusLattice, link_form
 
 __all__ = ["write_field", "read_field", "write_one_form", "read_one_form",
            "GROUP_IDS", "group_id", "group_from_id"]
@@ -101,6 +104,8 @@ def read_field(path) -> GroupField:
 
 
 def write_one_form(path, a: AlgebraOneForm) -> None:
+    """Write the lattice connection `link_form(a)` of a as SKYA."""
+    a = link_form(a)
     with open(path, "wb") as fh:
         _write_header(fh, _MAGIC_FORM, a.algebra, a.lattice)
         for i in range(3):
@@ -109,6 +114,8 @@ def write_one_form(path, a: AlgebraOneForm) -> None:
 
 
 def read_one_form(path, sampling: str = "link") -> AlgebraOneForm:
+    """Read an SKYA file.  Files this package writes hold link values, the
+    default `sampling`; another value relabels the data as it is."""
     with open(path, "rb") as fh:
         alg, lattice = _read_header(fh, _MAGIC_FORM)
         comps = []

@@ -3,13 +3,13 @@
 A flat potential is integrated over cubes by an axis-ordered sweep of
 link transports g <- g exp(h a_i(x)) for u' = u a: last axis first from
 the cube corner, then the middle axis per slice, then the first axis
-filling the volume.  Every form acts through its `link_form`
-(`lattice.link_form`, the identity on a link form), so the gate, the
-charts, `path_transport`, the gauge action and the connection descent
-all see the same transports.  All cubes of a cover are developed in one
-batched sweep; the curvature density is computed once on the torus from
-the plaquettes of the transports, and each cube's flatness residual is
-its window sum over the cube interior.
+filling the volume.  Every form acts through its lattice connection
+`lattice.link_form` (the identity on a link form, and what one-form files
+hold), so the gate, the charts, `path_transport`, the gauge action and
+the connection descent all see the same transports.  All cubes of a
+cover are developed in one batched sweep; the curvature density is
+computed once on the torus from the plaquettes of the transports, and
+each cube's flatness residual is its window sum over the cube interior.
 
 The gate is first certified without a matrix log.  Write a plaquette as
 P = A B^H with A = T_i(x) T_j(x+e_i), B = T_j(x) T_i(x+e_j); B is
@@ -49,7 +49,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, group_exp, group_log
 from .errors import AtlasError, FlatnessError, HolonomyMismatchError, LogRangeError
-from .lattice import PLANES, AlgebraOneForm, GroupField, TorusLattice, _link_stencil, link_form
+from .lattice import PLANES, AlgebraOneForm, GroupField, TorusLattice, link_form
 
 __all__ = [
     "CubicalCover",
@@ -103,11 +103,13 @@ class CubicalCover:
     @classmethod
     def for_lattice(cls, lattice: TorusLattice, spacing: int | None = None) -> "CubicalCover":
         if spacing is None:
-            spacing = max(2, lattice.dims[0] // 4)
-            while lattice.dims[0] % spacing or any(n % spacing for n in lattice.dims):
-                spacing -= 1
-                if spacing < 2:
-                    raise ValueError(f"no valid cover spacing for dims {lattice.dims}")
+            # the largest valid spacing up to dims[0] // 4, else the next above
+            fits = [s for s in range(2, min(lattice.dims) // 2 + 1)
+                    if not any(n % s for n in lattice.dims)]
+            if not fits:
+                raise ValueError(f"no valid cover spacing for dims {lattice.dims}")
+            spacing = max((s for s in fits if s <= max(2, lattice.dims[0] // 4)),
+                          default=fits[0])
         return cls(lattice, int(spacing))
 
     @property
@@ -308,18 +310,17 @@ def develop_cube(a: AlgebraOneForm, corner, shape,
 
 
 def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
-    """Ordered product of the link transports exp(h_i a_i) along a lattice
-    polyline; a site form is read as its `link_form`, whose stencil runs on
-    the path's links alone, so the product equals the developed chart
-    along the same path.
+    """Ordered product of the link transports exp(h_i b_i) of the lattice
+    connection b = `link_form(a)` along a lattice polyline, so the product
+    equals the developed chart along the same path.
 
     `path` is a sequence of site index triples; consecutive sites must
     differ by one step along a single axis (periodic wrap allowed).
     """
-    alg = a.algebra
+    a = link_form(a)
     dims = a.lattice.dims
     h = a.lattice.spacings
-    g = np.eye(alg.rep_dim, dtype=complex)
+    g = np.eye(a.algebra.rep_dim, dtype=complex)
     for k in range(len(path) - 1):
         p = tuple(int(v) % dims[i] for i, v in enumerate(path[k]))
         q = tuple(int(v) % dims[i] for i, v in enumerate(path[k + 1]))
@@ -328,12 +329,7 @@ def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
         if len(moves) != 1 or moves[0][1] not in (1, dims[moves[0][0]] - 1):
             raise ValueError(f"path hop {p} -> {q} is not a single link")
         ax, d = moves[0]
-        x = list(p if d == 1 else q)
-        coeff = a.coeffs[(ax,) + tuple(x)]
-        if a.sampling == "site":  # link_form's stencil on this link alone
-            x[ax] = np.arange(x[ax] - 1, x[ax] + 3) % dims[ax]
-            coeff = _link_stencil(alg, h[ax], *a.coeffs[(ax,) + tuple(x)])
-        step = group_exp(alg, h[ax] * coeff)
+        step = group_exp(a.algebra, h[ax] * a.coeffs[(ax,) + (p if d == 1 else q)])
         g = g @ step if d == 1 else g @ step.conj().T
     return g
 

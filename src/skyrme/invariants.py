@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import LieAlgebra, _pauli, factor_constant, group_log, parse_algebra
+from .algebra import LieAlgebra, factor_constant, group_exp, group_log, parse_algebra
 from .errors import HolonomyMismatchError, LogRangeError, NoLiftError, SectorError
 from .lattice import (
     GroupField,
@@ -189,12 +189,7 @@ def _lift_sign_so3(line: np.ndarray, block: LieAlgebra) -> int:
     if angles.max() >= np.pi / 2:
         raise LogRangeError("field too rough: SO(3) link outside half the injectivity radius")
     # lift each link to SU(2) near 1: rotation by theta about n -> exp(theta/2 n.isig)
-    half = 0.5 * coords
-    th = np.linalg.norm(half, axis=-1)
-    cos = np.cos(th)
-    sinc = np.where(th > 1e-300, np.sin(th) / np.maximum(th, 1e-300), 1.0)
-    axis_part = np.einsum("xa,aij->xij", half * sinc[:, None], 1j * _pauli())
-    q = cos[:, None, None] * np.eye(2) + axis_part
+    q = group_exp(parse_algebra("su2"), 0.5 * coords)
     total = np.eye(2, dtype=complex)
     for qk in q:
         total = total @ qk

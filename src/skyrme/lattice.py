@@ -115,7 +115,8 @@ class AlgebraOneForm:
     `sampling` records where the components live: "site" for values at
     lattice sites, "link" for link-midpoint data such as log derivatives.
     A link form is a lattice connection with transports exp(h_i a_i(x));
-    a site form acts everywhere through its `link_form`.
+    a site form acts everywhere through its `link_form`, which is also
+    what `fileio.write_one_form` stores.
     """
 
     lattice: TorusLattice
@@ -237,17 +238,14 @@ def link_form(a: AlgebraOneForm) -> AlgebraOneForm:
     if a.sampling == "link":
         return a
     alg, h = a.algebra, a.lattice.spacings
-    coeffs = [_link_stencil(alg, h[i], *(np.roll(a.coeffs[i], k, axis=i) for k in (1, 0, -1, -2)))
-              for i in range(3)]
+    coeffs = []
+    for i in range(3):
+        before, a0, a1, after = (np.roll(a.coeffs[i], k, axis=i) for k in (1, 0, -1, -2))
+        pair = a0 + a1
+        # the cubic correction (pair - before - after)/24 vanishes on constants
+        coeffs.append(pair / 2.0 + (pair - (before + after)) / 24.0
+                      + (h[i] / 12.0) * alg.bracket(a0, a1))
     return AlgebraOneForm(a.lattice, alg, np.stack(coeffs), sampling="link")
-
-
-def _link_stencil(alg: LieAlgebra, h, before, a0, a1, after) -> np.ndarray:
-    """b_i of `link_form` from the site values a(x - e_i), a(x), a(x + e_i)
-    and a(x + 2e_i) along the link's axis, batched over leading axes."""
-    pair = a0 + a1
-    # the cubic correction (pair - before - after)/24 vanishes on constants
-    return pair / 2.0 + (pair - (before + after)) / 24.0 + (h / 12.0) * alg.bracket(a0, a1)
 
 
 def gauge_transform(b: AlgebraOneForm, u: GroupField) -> AlgebraOneForm:

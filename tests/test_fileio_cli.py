@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import analytic_exp_field, span_failure_field
+from conftest import analytic_exp_field, flat_site_form, span_failure_field
 from skyrme import algebra as al
 from skyrme import cli, fileio
 from skyrme import holonomy as hol
@@ -36,6 +36,16 @@ def test_one_form_round_trip(tmp_path, su2, lat8):
     back = fileio.read_one_form(p)
     assert back.sampling == "link"
     assert np.abs(back.coeffs - a.coeffs).max() < 1e-12
+
+
+def test_a_site_form_is_stored_as_its_lattice_connection(tmp_path):
+    a = flat_site_form("su3", 8)
+    assert a.sampling == "site"
+    p = tmp_path / "a.skya"
+    fileio.write_one_form(p, a)
+    back = fileio.read_one_form(p)
+    assert back.sampling == "link"
+    assert np.abs(back.coeffs - lat.link_form(a).coeffs).max() <= 1e-12
 
 
 def test_header_layout(tmp_path, u1, lat8):
@@ -166,7 +176,7 @@ def test_cli_holonomy_and_compare(tmp_path, capsys, su2):
     a.coeffs[0, ..., 2] = theta
     pa = tmp_path / "a.skya"
     fileio.write_one_form(pa, a)
-    assert main(["holonomy", str(pa), "--sampling", "site"]) == 0
+    assert main(["holonomy", str(pa)]) == 0
     out = capsys.readouterr().out
     assert "loop=1 trace=" in out
     tr = float(out.splitlines()[0].split("trace=")[1].split("+")[0].rstrip("j"))
@@ -178,12 +188,12 @@ def test_cli_holonomy_and_compare(tmp_path, capsys, su2):
     pb = tmp_path / "b.skya"
     fileio.write_one_form(pb, a2)
     assert main(["holonomy", str(pa), "--compare", str(pb),
-                 "--sampling", "site", "--tol", "1e-3"]) == 0
+                 "--tol", "1e-3"]) == 0
     assert "holonomy=equal" in capsys.readouterr().out
     z = lat.zero_one_form(L, su2)
     pz = tmp_path / "z.skya"
     fileio.write_one_form(pz, z)
-    assert main(["holonomy", str(pa), "--compare", str(pz), "--sampling", "site"]) == 7
+    assert main(["holonomy", str(pa), "--compare", str(pz)]) == 7
     assert "holonomies differ" in capsys.readouterr().err
 
 
@@ -194,10 +204,29 @@ def test_cli_holonomy_of_a_flat_site_form(tmp_path, capsys):
     _, a = analytic_exp_field(su3, lat.TorusLattice((16, 16, 16)), amp=0.5, seed=3)
     pa = tmp_path / "a.skya"
     fileio.write_one_form(pa, a)
-    assert main(["holonomy", str(pa), "--sampling", "site", "--tol", "1e-3"]) == 0
+    assert main(["holonomy", str(pa), "--tol", "1e-3"]) == 0
     traces = [complex(line.split("trace=")[1]) for line in capsys.readouterr().out.splitlines()
               if line.startswith("loop=")]
     assert len(traces) == 3 and max(abs(t - 3.0) for t in traces) <= 1e-2
+
+
+@pytest.mark.parametrize("spec, n, amplitude, tol", [
+    ("su3", 16, 1e-3, "1e-3"),
+    ("su3", 16, 0.5, "1e-3"),
+    ("su2", 8, 0.5, None),
+])
+def test_cli_holonomy_compares_a_site_form_with_its_gauge_transform(tmp_path, capsys, spec, n,
+                                                                     amplitude, tol):
+    # the transform is a link form; the file of the site form holds its
+    # link_form, so both files are read as the same kind of connection
+    a = flat_site_form(spec, n)
+    w = lat.make_random(a.lattice, a.algebra, seed=3, amplitude=amplitude)
+    pa, pb = tmp_path / "a.skya", tmp_path / "b.skya"
+    fileio.write_one_form(pa, a)
+    fileio.write_one_form(pb, lat.gauge_transform(a, w))
+    tol = [] if tol is None else ["--tol", tol]
+    assert main(["holonomy", str(pa), "--compare", str(pb)] + tol) == 0
+    assert "holonomy=equal" in capsys.readouterr().out
 
 
 def test_cli_holonomy_rejects_a_spacing_that_does_not_divide(tmp_path, capsys, su2, lat8):
@@ -254,7 +283,7 @@ def test_cli_holonomy_compare_develops_each_form_once(tmp_path, capsys, su2, lat
     fileio.write_one_form(pa, a)
     fileio.write_one_form(pb, lat.gauge_transform(a, w))
     assert main(["holonomy", str(pa), "--compare", str(pb),
-                 "--sampling", "site", "--tol", "1e-3"]) == 0
+                 "--tol", "1e-3"]) == 0
     assert capsys.readouterr().out == COMPARE_STDOUT
     # one development per distinct form: a for its holonomy and as the
     # reconstruction's first side (memo hit), then b

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +67,35 @@ def test_cover_rejects_bad_spacing():
         hol.CubicalCover(lat.TorusLattice((10, 10, 10)), 4)
     with pytest.raises(ValueError):
         hol.CubicalCover(lat.TorusLattice((8, 8, 8)), 8)
+
+
+@pytest.mark.parametrize("dims", [(9, 9, 9), (6, 6, 9)])
+def test_default_cover_looks_above_a_quarter_of_the_first_axis(dims):
+    # no spacing up to dims[0] // 4 = 2 divides these dims, but 3 does
+    assert hol.CubicalCover.for_lattice(lat.TorusLattice(dims)).spacing == 3
+
+
+def test_default_cover_refuses_a_lattice_without_a_spacing():
+    with pytest.raises(ValueError, match="no valid cover spacing"):
+        hol.CubicalCover.for_lattice(lat.TorusLattice((5, 5, 5)))
+
+
+def test_default_cover_is_the_largest_valid_spacing_up_to_a_quarter():
+    for dims in itertools.product(range(3, 19), repeat=3):
+        L = lat.TorusLattice(dims)
+        valid = []
+        for s in range(2, max(dims) + 1):
+            try:
+                valid.append(hol.CubicalCover(L, s).spacing)
+            except ValueError:
+                pass
+        if not valid:
+            with pytest.raises(ValueError):
+                hol.CubicalCover.for_lattice(L)
+            continue
+        quarter = [s for s in valid if s <= dims[0] // 4]
+        expect = max(quarter) if quarter else min(valid)
+        assert hol.CubicalCover.for_lattice(L).spacing == expect, dims
 
 
 # ----------------------------------------------------------------------
@@ -168,22 +198,6 @@ def test_path_transport_site_step_on_nonabelian_data():
         no_bracket = no_bracket @ expm(mean if forward else -mean)
     assert np.abs(expect - no_bracket).max() > 1e-6
     assert np.abs(hol.path_transport(a, path) - expect).max() < 1e-12
-
-
-def test_path_transport_of_a_site_form_converts_only_its_links(monkeypatch):
-    # forward and backward hops, wrapping on every axis
-    alg = al.build_algebra("su", 3)
-    _, a = analytic_exp_field(alg, lat.TorusLattice((16, 16, 16)), amp=0.5, seed=4)
-    assert a.sampling == "site"
-    path = [(0, 0, 0), (15, 0, 0), (15, 15, 0), (15, 15, 15), (15, 0, 15), (0, 0, 15),
-            (1, 0, 15), (1, 0, 0), (1, 1, 0)]
-    expect = hol.path_transport(hol.link_form(a), path)
-
-    def whole_torus(form):
-        raise AssertionError("path_transport converted the whole torus")
-
-    monkeypatch.setattr(hol, "link_form", whole_torus)
-    assert np.abs(hol.path_transport(a, path) - expect).max() <= 1e-14
 
 
 def _sweep_path(cover, v):

@@ -1,7 +1,8 @@
 """Source hygiene of the package: no module keeps an import it does not use,
-no top-level name goes unused, only `algebra.py` reads the algebra's
-tables, only a fixed list of functions branches on a form's sampling, and
-`algebra.py` nests no two loops over the algebra's dimension."""
+no top-level name goes unused, no module imports another's private name,
+only `algebra.py` reads the algebra's tables, only a fixed list of
+functions branches on a form's sampling, and `algebra.py` nests no two
+loops over the algebra's dimension."""
 
 import ast
 from collections import Counter
@@ -39,6 +40,17 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    # a `_name` is its module's own; a second module reaching for it keeps
+    # a second call site of what should have one owner
+    tree = ast.parse(path.read_text())
+    private = [(alias.name, node.lineno) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"{path.name} imports private names {private}"
+
+
 TABLES = {"structure_constants", "norm_gram", "killing_matrix", "basis",
           "_gram", "_real_basis", "_coords_map", "_ad_table"}  # and their private layouts
 
@@ -55,11 +67,10 @@ def test_only_algebra_reads_the_tables(path):
 
 
 # (module, function) allowed to compare a `.sampling` against "site" or
-# "link", once each: every form acts through `lattice.link_form`, and only
-# `path_transport` runs its stencil on single links; a new site stencil
+# "link", once each: every form acts through `lattice.link_form`, the one
+# site stencil, and the constructor checks the label; a second stencil
 # means editing this list
-SAMPLING_READERS = {("lattice.py", "link_form"), ("holonomy.py", "path_transport"),
-                    ("lattice.py", "AlgebraOneForm.__post_init__")}
+SAMPLING_READERS = {("lattice.py", "link_form"), ("lattice.py", "AlgebraOneForm.__post_init__")}
 
 
 def _functions(tree: ast.Module):
