@@ -3,17 +3,14 @@
 from .algebra import (
     LieAlgebra,
     Su2Embedding,
-    algebra_norm_sq,
     build_algebra,
     certification_report,
     direct_sum,
     group_exp,
     group_log,
-    killing_pairing,
     normalizing_constant,
     parse_algebra,
     primitive_su2,
-    project_factor,
     theta_density,
 )
 from .holonomy import (

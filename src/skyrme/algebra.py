@@ -11,9 +11,9 @@ chart, so exp and log are defined for all of them.
 
 Algebra elements are real coordinate vectors in the stored basis; the
 norm is |X|^2 = -(1/8) Tr(ad X ad X), computed from structure-constant
-tables.  Normalizing constants K are certified as exact rationals from
-the Killing trace of the image of v = diag(i, -i) under a primitive
-su(2) embedding.
+tables that no other module reads.  Normalizing constants K are certified
+as exact rationals from the Killing trace of the image of v = diag(i, -i)
+under a primitive su(2) embedding.
 """
 
 from __future__ import annotations
@@ -38,12 +38,9 @@ __all__ = [
     "build_algebra",
     "parse_algebra",
     "direct_sum",
-    "killing_pairing",
-    "algebra_norm_sq",
     "primitive_su2",
     "normalizing_constant",
     "theta_density",
-    "project_factor",
     "group_exp",
     "group_log",
     "certification_report",
@@ -104,9 +101,10 @@ class LieAlgebra:
     killing_matrix : B[a, b] = Tr(ad e_a ad e_b)
     factors : simple-factor blocks (empty for u1)
 
-    The kernels below are the only code that contracts against these
-    tables.  They run as BLAS matmuls against flat layouts cached at
-    construction (`norm_sq` against norm_gram itself):
+    The kernels `bracket`, `norm_sq`, `ad_matrix` and `bernoulli_pair`, and
+    the charge kernel `theta_density`, are the only code that contracts
+    against these tables.  They run as BLAS matmuls against flat layouts
+    cached at construction (`norm_sq` against norm_gram itself):
 
     - ad table (dim, dim^2): row a is ad(e_a) flattened with the output
       index first, so X @ table is ad(X) for a whole batch;
@@ -115,7 +113,8 @@ class LieAlgebra:
       real numbers;
     - coordinate map (2 N^2, dim): the conjugate real basis with the
       inverse basis gram folded in, so a matrix viewed as real numbers
-      @ map is its least-squares coordinates.
+      @ map is its least-squares coordinates;
+    - on first use, `killing_3form` and ad in a trace-orthonormal frame.
 
     Coordinates are real arrays (..., dim) and matrices complex arrays
     (..., N, N), with any leading batch shape and any strides.  `bracket`
@@ -300,13 +299,31 @@ class LieAlgebra:
     @cached_property
     def orthonormal_ad(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(R, R^-1, F) with R^T R the trace-form gram Re Tr(e_a^* e_b) and
-        F[a] = R ad(e_a) R^-1.  ad is skew for that positive-definite,
-        ad-invariant form, so X @ F.reshape(dim, dim * dim) gives ad(X) as a
-        real skew matrix in the orthonormal frame R x (abelian directions
+        F (dim, dim^2) the rows R ad(e_a) R^-1 flattened.  ad is skew for that
+        positive-definite, ad-invariant form, so X @ F gives ad(X) as a real
+        skew matrix in the orthonormal frame R x (abelian directions
         included, where the Killing form vanishes)."""
         R = np.linalg.cholesky(self._gram).T
         R_inv = np.linalg.inv(R)
-        return R, R_inv, R @ self.ad_matrix(np.eye(self.dim)) @ R_inv
+        return R, R_inv, (R @ self.ad_matrix(np.eye(self.dim)) @ R_inv).reshape(self.dim, -1)
+
+    def bernoulli_pair(self, ell, v) -> tuple[np.ndarray, np.ndarray]:
+        """(B(ad ell) v, B(-ad ell) v), B(z) = z / (1 - e^-z), exactly, batched
+        over the leading axes of ell and v (..., dim).
+
+        B(z) = z/2 + (z/2) coth(z/2).  In the trace-orthonormal frame ad_ell
+        is a real skew A with eigenvalues i w, and A^T A = W diag(w^2) W^T,
+        so the even part is W diag((w/2) cot(w/2)) W^T, shared by both signs;
+        the link-log range keeps |w| < 2 pi, away from the poles of cot."""
+        R, R_inv, F = self.orthonormal_ad
+        A = (ell @ F).reshape(ell.shape[:-1] + (self.dim, self.dim))
+        vt = (v @ R.T)[..., None]
+        w2, W = np.linalg.eigh(np.swapaxes(A, -1, -2) @ A)
+        half = 0.5 * np.sqrt(np.clip(w2, 0.0, None))
+        even = np.cos(half) / np.sinc(half / np.pi)  # x cot x, 1 at x = 0
+        ev = W @ (even[..., None] * (np.swapaxes(W, -1, -2) @ vt))
+        odd = 0.5 * (A @ vt)
+        return ((ev + odd)[..., 0] @ R_inv.T, (ev - odd)[..., 0] @ R_inv.T)
 
     # ----- group realization -----
 
@@ -592,14 +609,9 @@ def direct_sum(*algs: LieAlgebra) -> LieAlgebra:
 # Killing data, embeddings, constants
 # ----------------------------------------------------------------------
 
-def killing_pairing(alg: LieAlgebra, X, Y) -> float:
-    """Tr(ad X ad Y) from the adjoint tables; symmetric bilinear."""
+def _killing_pairing(alg: LieAlgebra, X, Y) -> float:
+    """Tr(ad X ad Y) of two elements from the Killing table; symmetric bilinear."""
     return float(np.einsum("...a,ab,...b->...", np.asarray(X), alg.killing_matrix, np.asarray(Y)))
-
-
-def algebra_norm_sq(alg: LieAlgebra, X) -> float:
-    """|X|^2 = -(1/8) Tr(ad X ad X) of one element."""
-    return float(alg.norm_sq(X))
 
 
 def _su2_triple_from_v(alg: LieAlgebra, V: np.ndarray) -> np.ndarray:
@@ -613,8 +625,8 @@ def _su2_triple_from_v(alg: LieAlgebra, V: np.ndarray) -> np.ndarray:
         raise ConstructionError(f"{alg.name}: su(2) completion eigenspace has dim {null.shape[0]}")
     Y = null[0]
     X2 = -0.5 * np.real(adv @ Y)
-    num = killing_pairing(alg, alg.bracket(Y, X2), V)
-    den = killing_pairing(alg, V, V)
+    num = _killing_pairing(alg, alg.bracket(Y, X2), V)
+    den = _killing_pairing(alg, V, V)
     c0 = num / den  # [Y, -ad(V)Y/2] = c0 V + orthogonal remainder
     if abs(c0) < 1e-12:
         raise ConstructionError(f"{alg.name}: degenerate su(2) completion")
@@ -698,7 +710,7 @@ def factor_constant(alg: LieAlgebra, k: int) -> Fraction:
 def killing_trace_of_v(alg: LieAlgebra) -> int:
     """Integer-certified Tr(ad(h(v))^2), the trace behind every constant K."""
     emb = primitive_su2(alg)
-    tr = killing_pairing(alg, emb.image_of_v, emb.image_of_v)
+    tr = _killing_pairing(alg, emb.image_of_v, emb.image_of_v)
     if abs(tr - round(tr)) > _TRACE_INT_TOL:
         raise CertificationError(f"{alg.name}: non-integral Killing trace {tr!r}")
     return round(tr)
@@ -720,28 +732,18 @@ def table_constant(spec: str) -> Fraction:
     raise UnsupportedAlgebraError(f"no table constant for {spec!r}")
 
 
-def project_factor(alg: LieAlgebra, k: int, X) -> np.ndarray:
-    """Killing-orthogonal projection onto simple factor k (a coordinate mask
-    for block-diagonal bases)."""
+def theta_density(alg: LieAlgebra, k: int, X, Y, Z) -> np.ndarray:
+    """The normalized bi-invariant 3-form of simple factor k, the one charge
+    kernel: -(K_k / 32 pi^2) Tr(ad [X^, Y^] ad Z^), ^ the Killing projection
+    onto the factor's coordinate block.  X, Y, Z (..., dim) broadcast: X's
+    block @ `killing_3form[k]` is T(X, ., .), then Y and Z contract it.
+    Totally antisymmetric in (X, Y, Z)."""
     fac = alg.factors[k]
-    out = np.zeros_like(np.asarray(X, dtype=float))
-    out[..., fac.start:fac.stop] = np.asarray(X)[..., fac.start:fac.stop]
-    return out
-
-
-def theta_density(alg: LieAlgebra, k: int, X, Y, Z) -> float:
-    """Value of the normalized bi-invariant 3-form on factor k:
-
-        -(K_k / 32 pi^2) Tr(ad [X^, Y^] ad Z^)
-
-    with ^ the Killing-orthogonal projection onto the factor.  Fully
-    antisymmetric in (X, Y, Z)."""
-    K = float(factor_constant(alg, k))
-    Xp = project_factor(alg, k, X)
-    Yp = project_factor(alg, k, Y)
-    Zp = project_factor(alg, k, Z)
-    val = killing_pairing(alg, alg.bracket(Xp, Yp), Zp)
-    return -(K / (32.0 * np.pi ** 2)) * val
+    d = fac.stop - fac.start
+    X, Y, Z = (np.asarray(W, dtype=float)[..., fac.start:fac.stop] for W in (X, Y, Z))
+    M = (X @ alg.killing_3form[k]).reshape(X.shape[:-1] + (d, d))
+    val = np.einsum("...b,...b->...", Y, np.einsum("...bd,...d->...b", M, Z))
+    return -(float(factor_constant(alg, k)) / (32.0 * np.pi ** 2)) * val
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ Subcommands: constants | gen | energy | invariants | holonomy | develop |
 minimize.  `holonomy` and `develop` read SKYA files as lattice
 connections, the link values `fileio.write_one_form` stores.
 Configuration is a flat ``key = value`` text file with ``#`` comments;
-explicit flags override config values.  Every library error maps to a
-distinct nonzero exit code with a one-line diagnostic.
+`gen` and `minimize` each reject a key they do not read.  Every library
+error maps to a distinct nonzero exit code with a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -42,7 +42,19 @@ exit codes:
 """
 
 
-def _parse_config(path: str) -> dict:
+# the keys each config-reading command reads, whatever its mode; any other
+# key is an error, so a misspelt option cannot fall back to its default
+_OPTION_CASTS = {
+    "max_iters": int, "grad_tol": float, "initial_step": float,
+    "shrink": float, "armijo_c": float, "grow": float,
+    "max_backtracks": int, "sector_interval": int, "sector_tol": float,
+}
+_GEN_KEYS = {"group", "dims", "lengths", "kind", "radius", "charge", "winding",
+             "seed", "smoothness", "amplitude"}
+_MINIMIZE_KEYS = {"group", "dims", "lengths", "alpha", "charges", *_OPTION_CASTS}
+
+
+def _parse_config(path: str, keys: set) -> dict:
     cfg = {}
     try:
         with open(path) as fh:
@@ -53,6 +65,9 @@ def _parse_config(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, val = (s.strip() for s in line.split("=", 1))
+                if key not in keys:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
+                                      f"(known: {', '.join(sorted(keys))})")
                 cfg[key] = val
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
@@ -95,12 +110,7 @@ def _lattice_from(cfg: dict) -> TorusLattice:
 
 def _options_from(cfg: dict) -> MinimizeOptions:
     opts = MinimizeOptions()
-    casts = {
-        "max_iters": int, "grad_tol": float, "initial_step": float,
-        "shrink": float, "armijo_c": float, "grow": float,
-        "max_backtracks": int, "sector_interval": int, "sector_tol": float,
-    }
-    for key, cast in casts.items():
+    for key, cast in _OPTION_CASTS.items():
         if key in cfg:
             setattr(opts, key, _scalar(cfg, key, cast, None))
             try:
@@ -124,7 +134,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = _parse_config(args.config)
+    cfg = _parse_config(args.config, _GEN_KEYS)
     if args.out is None:
         raise ConfigError("gen needs --out PATH")
     alg = parse_algebra(cfg.get("group", "su2"))
@@ -208,7 +218,7 @@ def cmd_develop(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    cfg = _parse_config(args.config)
+    cfg = _parse_config(args.config, _MINIMIZE_KEYS)
     if args.out is None:
         raise ConfigError("minimize needs --out PATH")
     opts = _options_from(cfg)

@@ -5,10 +5,12 @@ The charge of a map u relative to a reference v is
 
     c^k = -(K_k / 192 pi^2) sum_x vol sum_{perm} eps^{ijl}
               Tr( ad[Lb_i^, Lb_j^] ad Lb_l^ )
+        = sum_x vol theta_k(Lb_1, Lb_2, Lb_3)
 
 where Lb is the site-symmetrized log derivative of w = u v^-1, the hat
 is Killing projection onto factor k, and the 192 = 6 * 32 pairs the
-six-term antisymmetrization with the 3-form normalization.  Site
+six-term antisymmetrization with the 3-form normalization.  theta_k is
+`algebra.theta_density`, the one charge kernel.  Site
 symmetrization (the mean of the two adjacent link logs per axis) keeps
 the product consistently centered; without it the staggered midpoints
 cost an order of accuracy on composite fields.
@@ -25,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import LieAlgebra, factor_constant, group_exp, group_log, parse_algebra
+from .algebra import LieAlgebra, group_exp, group_log, parse_algebra, theta_density
 from .errors import HolonomyMismatchError, LogRangeError, NoLiftError, SectorError
 from .lattice import (
     GroupField,
@@ -131,28 +133,18 @@ def _symmetrized_log_derivative(u: GroupField) -> np.ndarray:
 
 
 def topological_charge(u: GroupField, v_ref: GroupField | None = None) -> np.ndarray:
-    """Unrounded per-factor charges of u relative to v_ref (identity if None).
+    """Unrounded per-factor charges of u relative to v_ref (identity if None):
+    per factor k, the cell volume times the site sum of
+    `algebra.theta_density(k, Lb_1, Lb_2, Lb_3)`.
 
-    The six-term sum over permutations is exactly 6 B([Lb_1, Lb_2], Lb_3):
-    T_abd = B([e_a, e_b], e_d) is antisymmetric in (a, b), and in (b, d)
-    because the Killing form is ad-invariant, B([X, Y], Z) = -B(Y, [X, Z]).
-    T(Lb_1, Lb_2, Lb_3) is one matmul of Lb_1 against the factor's
-    `LieAlgebra.killing_3form` layout (d, d^2), then a contraction with
-    Lb_2 and Lb_3.
+    That is the six-term sum over permutations divided by 6: the 3-form is
+    totally antisymmetric, since f_abc is antisymmetric in (a, b) and the
+    Killing form is ad-invariant, B([X, Y], Z) = -B(Y, [X, Z]).
     """
-    alg = u.algebra
     w = u if v_ref is None else multiply(u, inverse_field(v_ref))
     Lb = _symmetrized_log_derivative(w)
-    out = []
-    for k, fac in enumerate(alg.factors):
-        idx = slice(fac.start, fac.stop)
-        d = fac.stop - fac.start
-        L1, L2, L3 = (Lb[i][..., idx].reshape(-1, d) for i in range(3))
-        M = (L1 @ alg.killing_3form[k]).reshape(-1, d, d)
-        total = 6.0 * np.einsum("xb,xb->", L2, np.einsum("xbd,xd->xb", M, L3))
-        K = float(factor_constant(alg, k))
-        out.append(-(K / (192.0 * np.pi ** 2)) * u.lattice.cell_volume * total)
-    return np.array(out)
+    return np.array([u.lattice.cell_volume * theta_density(u.algebra, k, *Lb).sum()
+                     for k in range(len(u.algebra.factors))])
 
 
 # ----------------------------------------------------------------------
@@ -182,14 +174,21 @@ def _winding_u1(line: np.ndarray) -> int:
 
 
 def _lift_sign_so3(line: np.ndarray, block: LieAlgebra) -> int:
-    """Parity of the unit-quaternion lift of a closed SO(3) loop."""
+    """Parity of the SU(2) lift of a closed SO(3) loop.
+
+    Each link is lifted near 1 through the Lie algebra homomorphism
+    so(3) -> su(2), E_a -> -(1/2) i sigma_a: so(3) has [E_0, E_1] = E_2 and
+    [i sigma_0, i sigma_1] = -2 i sigma_2, so the minus sign makes the map
+    preserve brackets, and the lifted links multiply as the links do.  The
+    lifted loop closes on +1 (parity 0) or -1 (parity 1).
+    """
     links = np.einsum("xji,xjk->xik", np.conj(line), np.roll(line, -1, axis=0))
     coords, _ = group_log(block, links, threshold=1.9)
     angles = np.linalg.norm(coords, axis=-1)
     if angles.max() >= np.pi / 2:
         raise LogRangeError("field too rough: SO(3) link outside half the injectivity radius")
-    # lift each link to SU(2) near 1: rotation by theta about n -> exp(theta/2 n.isig)
-    q = group_exp(parse_algebra("su2"), 0.5 * coords)
+    # rotation by theta about n -> exp(-(theta/2) n.i sigma)
+    q = group_exp(parse_algebra("su2"), -0.5 * coords)
     total = np.eye(2, dtype=complex)
     for qk in q:
         total = total @ qk

@@ -200,17 +200,10 @@ def log_derivative(u: GroupField) -> AlgebraOneForm:
 
 
 def wedge_bracket(L: AlgebraOneForm) -> AlgebraTwoForm:
-    """Site-local plane components [L_i, L_j] for (i,j) in PLANES."""
+    """Site-local plane components [L_i, L_j] for (i,j) in PLANES: the one
+    owner of the three plane brackets, read by the energy and its gradient."""
     out = np.stack([L.algebra.bracket(L.coeffs[i], L.coeffs[j]) for i, j in PLANES])
     return AlgebraTwoForm(L.lattice, L.algebra, out)
-
-
-def _energy_from_components(alg: LieAlgebra, coeffs: np.ndarray, cellvol: float) -> float:
-    quad = 0.5 * alg.norm_sq(coeffs).sum()
-    quart = 0.0
-    for i, j in PLANES:
-        quart += 0.25 * alg.norm_sq(alg.bracket(coeffs[i], coeffs[j])).sum()
-    return float(cellvol * (quad + quart))
 
 
 def skyrme_energy_map(u: GroupField) -> float:
@@ -220,7 +213,12 @@ def skyrme_energy_map(u: GroupField) -> float:
 
 def skyrme_energy_connection(a: AlgebraOneForm) -> float:
     """E[a] with the 1/16 |[a,a]|^2 quartic term; equals E(u) when a = Du."""
-    return _energy_from_components(a.algebra, a.coeffs, a.lattice.cell_volume)
+    alg = a.algebra
+    quad = 0.5 * alg.norm_sq(a.coeffs).sum()
+    quart = 0.0
+    for W in wedge_bracket(a).coeffs:
+        quart += 0.25 * alg.norm_sq(W).sum()
+    return float(a.lattice.cell_volume * (quad + quart))
 
 
 def link_form(a: AlgebraOneForm) -> AlgebraOneForm:

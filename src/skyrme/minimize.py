@@ -8,9 +8,10 @@ exp(t Y) gives
     dl/dt = B(ad_l) Y - B(-ad_l) X,      B(z) = z / (1 - e^-z),
 
 so each link scatters its energy gradient to both endpoint sites through
-the transpose of B.  B(ad_l) is applied exactly, from the spectrum of
-ad_l: its eigenvalues are i w with |w| < 2 pi on the link-log range, where
-the Bernoulli series of B converges too slowly (and diverges at 2 pi).
+the transpose of B.  `LieAlgebra.bernoulli_pair` applies B(+-ad_l)
+exactly, from the spectrum of ad_l: its eigenvalues are i w with
+|w| < 2 pi on the link-log range, where the Bernoulli series of B
+converges too slowly (and diverges at 2 pi).
 
 Armijo backtracking keeps the energy non-increasing.  The link-log range
 is an inequality constraint: a trial that pushes links out of range
@@ -39,6 +40,7 @@ from .errors import FlatnessError, LineSearchError, LogRangeError, SectorError
 from .holonomy import CubicalCover, build_atlas
 from .invariants import SectorInvariants, reference_map, sector_of
 from .lattice import (
+    PLANES,
     AlgebraOneForm,
     GroupField,
     TorusLattice,
@@ -48,6 +50,7 @@ from .lattice import (
     make_hedgehog,
     skyrme_energy_connection,
     skyrme_energy_map,
+    wedge_bracket,
 )
 
 __all__ = [
@@ -77,14 +80,20 @@ class MinimizeOptions:
     max_rotation: float = 0.4  # cap on |tau G| per site, keeps trials in log range
 
     def __post_init__(self):
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
-        if not 0.0 < self.armijo_c <= 0.5:
-            raise ValueError("sufficient-decrease constant must lie in (0, 0.5]")
-        if self.sector_interval < 1:
-            raise ValueError("sector_interval must be at least 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        # each value outside its range would run silently wrong: no step,
+        # no growth, or a sector gate that can never trip
+        for ok, what in ((0.0 < self.shrink < 1.0, "shrink must lie in (0, 1)"),
+                         (0.0 < self.armijo_c <= 0.5,
+                          "sufficient-decrease constant must lie in (0, 0.5]"),
+                         (self.sector_interval >= 1, "sector_interval must be at least 1"),
+                         (self.max_iters >= 1, "max_iters must be at least 1"),
+                         (self.initial_step > 0.0, "initial_step must be positive"),
+                         (self.max_rotation > 0.0, "max_rotation must be positive"),
+                         (self.grow >= 1.0, "grow must be at least 1"),
+                         (self.grad_tol >= 0.0, "grad_tol must not be negative"),
+                         (0.0 < self.sector_tol <= 0.5, "sector_tol must lie in (0, 0.5]")):
+            if not ok:
+                raise ValueError(what)
 
 
 @dataclass
@@ -134,36 +143,16 @@ class MinimizeTrace:
         return out.getvalue()
 
 
-def _apply_B_pair(alg: LieAlgebra, ell: np.ndarray, v: np.ndarray):
-    """(B(ad_ell) v, B(-ad_ell) v), exactly, batched over sites.
+def _energy_gradient_terms(L: AlgebraOneForm) -> np.ndarray:
+    """P_i = dE-density/d(component i): a_i + 1/2 sum_j [a_j, [a_i, a_j]].
 
-    B(z) = z/2 + (z/2) coth(z/2); the even part is a function of ad_ell^2.
-    In the trace-orthonormal frame ad_ell is a real skew matrix A with
-    eigenvalues i w, and A^T A = W diag(w^2) W^T, so the even part is
-    W diag((w/2) cot(w/2)) W^T, shared by both signs.  The link-log
-    threshold keeps |w| < 2 pi, away from the poles of cot.
-    """
-    R, R_inv, F = alg.orthonormal_ad
-    d = alg.dim
-    A = (ell @ F.reshape(d, d * d)).reshape(ell.shape[:-1] + (d, d))
-    vt = (v @ R.T)[..., None]
-    w2, W = np.linalg.eigh(np.swapaxes(A, -1, -2) @ A)
-    half = 0.5 * np.sqrt(np.clip(w2, 0.0, None))
-    even = np.cos(half) / np.sinc(half / np.pi)  # x cot x, 1 at x = 0
-    ev = W @ (even[..., None] * (np.swapaxes(W, -1, -2) @ vt))
-    odd = 0.5 * (A @ vt)
-    return ((ev + odd)[..., 0] @ R_inv.T, (ev - odd)[..., 0] @ R_inv.T)
-
-
-def _energy_gradient_terms(alg: LieAlgebra, comps: np.ndarray) -> np.ndarray:
-    """P_i = dE-density/d(component i): a_i + 1/2 sum_j [a_j, [a_i, a_j]]."""
-    P = np.empty_like(comps)
-    for i in range(3):
-        P[i] = comps[i]
-        for j in range(3):
-            if j == i:
-                continue
-            P[i] += 0.5 * alg.bracket(comps[j], alg.bracket(comps[i], comps[j]))
+    Each plane (i, j) of `wedge_bracket` holds W = [a_i, a_j] once and
+    gives 1/2 [a_j, W] to P_i and -1/2 [a_i, W] to P_j."""
+    alg, comps = L.algebra, L.coeffs
+    P = comps.copy()
+    for (i, j), W in zip(PLANES, wedge_bracket(L).coeffs):
+        P[i] += 0.5 * alg.bracket(comps[j], W)
+        P[j] -= 0.5 * alg.bracket(comps[i], W)
     return P
 
 
@@ -174,10 +163,10 @@ def _gradient(L: AlgebraOneForm) -> np.ndarray:
     alg = L.algebra
     h = L.lattice.spacings
     cellvol = L.lattice.cell_volume
-    P = _energy_gradient_terms(alg, L.coeffs)
+    P = _energy_gradient_terms(L)
     G = np.zeros(L.lattice.dims + (alg.dim,))
     for i in range(3):
-        plus, minus = _apply_B_pair(alg, h[i] * L.coeffs[i], P[i])
+        plus, minus = alg.bernoulli_pair(h[i] * L.coeffs[i], P[i])
         G -= (cellvol / h[i]) * plus
         G += (cellvol / h[i]) * np.roll(minus, 1, axis=i)
     return G

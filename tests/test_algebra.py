@@ -73,11 +73,11 @@ def test_basis_anti_hermitian(any_alg):
 
 def test_su2_killing_and_norms(su2):
     assert np.allclose(su2.killing_matrix, -8.0 * np.eye(3))
-    assert al.killing_pairing(su2, [0, 0, 1], [0, 0, 1]) == pytest.approx(-8.0)
-    assert al.algebra_norm_sq(su2, [0, 0, 1]) == pytest.approx(1.0)
-    assert al.algebra_norm_sq(su2, np.zeros(3)) == 0.0
-    assert al.algebra_norm_sq(su2, [1, 1, 0]) == pytest.approx(2.0)
-    assert al.killing_pairing(su2, [0.3, -1.2, 0.5], np.zeros(3)) == 0.0
+    assert al._killing_pairing(su2, [0, 0, 1], [0, 0, 1]) == pytest.approx(-8.0)
+    assert su2.norm_sq([0, 0, 1]) == pytest.approx(1.0)
+    assert su2.norm_sq(np.zeros(3)) == 0.0
+    assert su2.norm_sq([1, 1, 0]) == pytest.approx(2.0)
+    assert al._killing_pairing(su2, [0.3, -1.2, 0.5], np.zeros(3)) == 0.0
 
 
 def test_g2_explicit_matrix_entries():
@@ -94,7 +94,7 @@ def test_g2_explicit_matrix_entries():
 def test_g2_killing_trace_of_v():
     g2 = al.build_algebra("g2")
     emb = al.primitive_su2(g2)
-    tr = al.killing_pairing(g2, emb.image_of_v, emb.image_of_v)
+    tr = al._killing_pairing(g2, emb.image_of_v, emb.image_of_v)
     assert tr == pytest.approx(-16.0, abs=1e-9)
     assert al.normalizing_constant(g2) == Fraction(1, 2)
 
@@ -212,17 +212,38 @@ def test_theta_density_simple_projection_is_identity(su2):
     assert al.theta_density(su2, 0, X, Y, Z) == pytest.approx(-(K / (32 * np.pi ** 2)) * raw)
 
 
-def test_project_factor(su2):
-    assert np.allclose(al.project_factor(su2, 0, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+def test_theta_density_reads_only_its_factor_block(su2):
+    # on su2 + su2, factor k sees only its own block: the other block's
+    # coordinates never enter, and its value is that of the block alone
     s = al.direct_sum(su2, su2)
-    X = np.arange(6.0)
-    assert np.allclose(al.project_factor(s, 0, X), [0, 1, 2, 0, 0, 0])
-    assert np.allclose(al.project_factor(s, 1, X), [0, 0, 0, 3, 4, 5])
     rng = np.random.default_rng(6)
-    Y = rng.standard_normal(6)
-    once = al.project_factor(s, 0, Y)
-    assert np.allclose(al.project_factor(s, 0, once), once)
-    assert np.allclose(al.project_factor(s, 0, Y) + al.project_factor(s, 1, Y), Y)
+    X, Y, Z = rng.standard_normal((3, 6))
+    for k, own in enumerate((slice(0, 3), slice(3, 6))):
+        other = slice(3, 6) if k == 0 else slice(0, 3)
+        alone = al.theta_density(su2, 0, X[own], Y[own], Z[own])
+        assert al.theta_density(s, k, X, Y, Z) == pytest.approx(alone, rel=1e-14)
+        Xo, Yo, Zo = X.copy(), Y.copy(), Z.copy()
+        for W in (Xo, Yo, Zo):
+            W[other] = rng.standard_normal(3)
+        assert al.theta_density(s, k, Xo, Yo, Zo) == al.theta_density(s, k, X, Y, Z)
+    X[3:] = Y[3:] = Z[3:] = 0.0
+    assert al.theta_density(s, 1, X, Y, Z) == 0.0
+
+
+@pytest.mark.parametrize("spec", ["su2", "su3", "g2", "su2+su3"])
+def test_batched_theta_density_matches_elementwise(spec):
+    # one call over a (4, 5) batch, Z broadcast from a single element,
+    # equals the per-element values
+    alg = al.parse_algebra(spec)
+    rng = np.random.default_rng(7)
+    X, Y = rng.standard_normal((2, 4, 5, alg.dim))
+    Z = rng.standard_normal(alg.dim)
+    for k in range(len(alg.factors)):
+        batch = al.theta_density(alg, k, X, Y, Z)
+        assert batch.shape == (4, 5)
+        single = np.array([[al.theta_density(alg, k, X[a, b], Y[a, b], Z) for b in range(5)]
+                           for a in range(4)])
+        np.testing.assert_allclose(batch, single, rtol=1e-13, atol=1e-15)
 
 
 def test_direct_sum_killing_blocks(su2):
@@ -309,8 +330,6 @@ def test_kernels_match_matrix_oracles(spec, seed, grid, scale):
     norms = alg.norm_sq(X)
     assert norms.shape == grid
     np.testing.assert_allclose(norms.ravel(), trace, rtol=1e-10, atol=1e-14 * scale ** 2)
-    single = np.array([al.algebra_norm_sq(alg, x) for x in flat])
-    np.testing.assert_allclose(single, norms.ravel(), rtol=1e-12, atol=0.0)
 
 
 # ----------------------------------------------------------------------

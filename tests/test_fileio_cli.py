@@ -409,6 +409,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     ("dims = 2,6,6", "dims", "2,6,6"),
     ("shrink = 2", "shrink", "2"),
     ("sector_interval = 0", "sector_interval", "0"),
+    ("initial_step = 0", "initial_step", "0"),
+    ("initial_step = -0.5", "initial_step", "-0.5"),
+    ("sector_tol = 0.6", "sector_tol", "0.6"),
+    ("grow = 0.5", "grow", "0.5"),
+    ("grad_tol = -1", "grad_tol", "-1"),
 ])
 def test_cli_minimize_bad_config_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                    line, key, value):
@@ -426,6 +431,27 @@ def test_cli_minimize_bad_config_is_a_config_error(tmp_path, capsys, monkeypatch
     assert main(["minimize", "--config", str(mcfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert key in err and repr(value) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, body", [
+    ("gen", "group = su2\ndims = 4,4,4\nkind = random\nmax_iter = 5\n"),
+    ("gen", "group = su2\ndims = 4,4,4\nkind = random\nseeds = 3\n"),
+    ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\nmax_iter = 5\n"),
+    ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\nkind = random\n"),
+])
+def test_cli_rejects_a_key_it_does_not_read(tmp_path, capsys, monkeypatch, command, body):
+    # a misspelt key is an error naming it, not a silent default
+    def no_descent(*args, **kwargs):
+        raise AssertionError("no descent may start from a bad config")
+
+    monkeypatch.setattr(cli, "minimize_connection", no_descent)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(body)
+    out = tmp_path / "x.out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    key = body.splitlines()[-1].split("=")[0].strip()
+    assert f"unknown key {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

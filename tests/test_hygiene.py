@@ -52,7 +52,8 @@ def test_no_module_imports_a_private_name(path):
 
 
 TABLES = {"structure_constants", "norm_gram", "killing_matrix", "basis",
-          "_gram", "_real_basis", "_coords_map", "_ad_table"}  # and their private layouts
+          "_gram", "_real_basis", "_coords_map", "_ad_table",  # and their private layouts
+          "killing_3form", "orthonormal_ad"}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "algebra.py"],

@@ -93,6 +93,17 @@ def test_charge_of_hedgehog_matches_six_term_sum(spec, center, charge):
     assert np.abs(inv.topological_charge(u) - six_term_charge(u)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("spec", ["su2", "su3", "su2+su3", "so3"])
+def test_charge_is_the_cell_volume_times_the_theta_density_sum(spec):
+    alg = _algebra(spec)
+    L = lat.TorusLattice((6, 6, 6))
+    u = lat.make_random(L, alg, seed=11, amplitude=0.8)
+    Lb = inv._symmetrized_log_derivative(u)
+    expect = [L.cell_volume * al.theta_density(alg, k, Lb[0], Lb[1], Lb[2]).sum()
+              for k in range(len(alg.factors))]
+    np.testing.assert_allclose(inv.topological_charge(u), expect, rtol=1e-14, atol=1e-16)
+
+
 def test_u1_winding_invariant(u1, lat12):
     f = lat.make_winding(lat12, u1, (1, 2, 0))
     assert inv.one_dim_invariant(f) == (1, 2, 0)
@@ -185,6 +196,36 @@ def test_reference_map_carries_its_alpha(spec, data):
     s = inv.sector_of(v)
     assert s.alpha == reduced and s.alpha_orders == orders
     assert s.charges == (0,) * len(alg.factors)
+
+
+# the holonomy coordinates are invariants of every field of a sector, not
+# only of fields whose links commute along the generator loops
+INVARIANCE_SPECS = ["so3", "u1", "su2+u1", "u1+so3", "su2+u1+su2"]
+LAT8 = lat.TorusLattice((8, 8, 8))
+
+
+@pytest.mark.parametrize("spec", INVARIANCE_SPECS)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 31), amplitude=st.floats(0.05, 0.4),
+       shift=st.tuples(*[st.integers(0, 7)] * 3))
+def test_sector_of_noisy_reference_is_invariant(spec, data, seed, amplitude, shift):
+    # reference_map(alpha) times small smooth noise is homotopic to the
+    # reference: sector_of reads alpha with zero charges, and so it does
+    # after a lattice translation, left or right multiplication by a
+    # constant, and conjugation by a constant
+    alg = _algebra(spec)
+    orders = inv.pi1_orders(alg)
+    alpha = _public_alpha([[data.draw(st.integers(0, 1) if r == 2 else st.integers(-1, 1))
+                            for r in orders] for _ in range(3)])
+    u = lat.multiply(inv.reference_map(LAT8, alg, alpha),
+                     lat.make_random(LAT8, alg, seed=seed, amplitude=amplitude))
+    g = al.group_exp(alg, 2.0 * np.random.default_rng(seed).standard_normal(alg.dim))
+    fields = [u, lat.GroupField(LAT8, alg, np.roll(u.values, shift, axis=(0, 1, 2))),
+              lat.GroupField(LAT8, alg, g @ u.values), lat.right_translate(u, g),
+              lat.GroupField(LAT8, alg, g @ u.values @ g.conj().T)]
+    for w in fields:
+        s = inv.sector_of(w)
+        assert s.alpha == alpha and s.charges == (0,) * len(alg.factors)
 
 
 def test_sector_of_hedgehog(su2, lat16):

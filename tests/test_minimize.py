@@ -16,6 +16,22 @@ def test_options_validation():
         mz.MinimizeOptions(armijo_c=0.7)
 
 
+@pytest.mark.parametrize("options", [
+    {"initial_step": 0.0}, {"initial_step": -0.5}, {"max_rotation": 0.0},
+    {"max_rotation": -1.0}, {"sector_tol": 0.0}, {"sector_tol": 0.6}, {"grow": 0.9},
+    {"grad_tol": -1e-6},
+])
+def test_options_reject_values_that_run_silently_wrong(options):
+    # a non-positive step or rotation cap never moves the field, and a
+    # sector_tol above 0.5 can never trip the unresolved-sector gate
+    with pytest.raises(ValueError, match=next(iter(options))):
+        mz.MinimizeOptions(**options)
+
+
+def test_options_keep_their_edge_values():
+    mz.MinimizeOptions(max_backtracks=0, sector_tol=0.5, grow=1.0, grad_tol=0.0)
+
+
 def test_gradient_constant_zero(su2, lat8):
     G = mz.lattice_gradient(lat.constant_field(lat8, su2))
     assert np.abs(G).max() == 0.0
