@@ -33,7 +33,6 @@ from .invariants import (
 )
 from .lattice import (
     AlgebraOneForm,
-    AlgebraTwoForm,
     GroupField,
     TorusLattice,
     gauge_transform,

@@ -78,7 +78,6 @@ class Su2Embedding:
     """Images of the fixed su(2) basis (i sigma_1, i sigma_2, i sigma_3)
     under a homomorphism generating the third homotopy group."""
 
-    parent: "LieAlgebra"
     images: np.ndarray  # (3, dim) coordinates
     residual: float
 
@@ -236,7 +235,7 @@ class LieAlgebra:
         its own exception and message.
         """
         coords, res = self._matrix_coords(np.asarray(M, dtype=complex))
-        if error is not None and res > SPAN_TOL:
+        if error is not None and not res <= SPAN_TOL:  # NaN fails too
             raise error(res)
         return coords, res
 
@@ -341,7 +340,7 @@ class LieAlgebra:
             dev = max(dev, np.abs(g.imag).max())
         if self.group_kind in ("special_unitary", "special_orthogonal", "symplectic"):
             dev = max(dev, np.abs(np.linalg.det(g) - 1.0).max())
-        if dev > _GROUP_TOL:
+        if not dev <= _GROUP_TOL:  # NaN fails too
             raise LogRangeError(f"{self.name}: matrices fail group constraints ({dev:.2e})")
         return float(dev)
 
@@ -688,7 +687,7 @@ def primitive_su2(alg: LieAlgebra) -> Su2Embedding:
         res = max(res, np.abs(lhs + 2.0 * images[c]).max())
     if res > _SU2_TOL:
         raise ConstructionError(f"{alg.name}: su(2) homomorphism residual {res:.2e}")
-    emb = Su2Embedding(alg, images, float(res))
+    emb = Su2Embedding(images, float(res))
     alg._su2_cache = emb
     return emb
 

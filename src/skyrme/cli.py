@@ -4,7 +4,8 @@ Subcommands: constants | gen | energy | invariants | holonomy | develop |
 minimize.  `holonomy` and `develop` read SKYA files as lattice
 connections, the link values `fileio.write_one_form` stores.
 Configuration is a flat ``key = value`` text file with ``#`` comments;
-`gen` and `minimize` each reject a key they do not read.  Every library
+`gen` and `minimize` each reject a key they do not read in their mode
+(the `kind` of `gen`; seeding or ``--field`` for `minimize`).  Every library
 error maps to a distinct nonzero exit code with a one-line diagnostic.
 """
 
@@ -16,7 +17,8 @@ import sys
 from . import fileio
 from .algebra import certification_report, parse_algebra
 from .errors import CertificationError, ConfigError, SkyrmeError
-from .holonomy import CubicalCover, develop_cube, gauge_from_holonomy, holonomy_rep
+from .holonomy import (DEFAULT_ATLAS_TOL, CubicalCover, develop_cube, gauge_from_holonomy,
+                       holonomy_rep)
 from .invariants import SectorInvariants, pi1_orders, sector_of
 from .lattice import (
     GroupField,
@@ -42,20 +44,29 @@ exit codes:
 """
 
 
-# the keys each config-reading command reads, whatever its mode; any other
-# key is an error, so a misspelt option cannot fall back to its default
+# the keys each config-reading command reads in each mode; any other key
+# is an error, so a misspelt or idle option cannot pass unnoticed
 _OPTION_CASTS = {
     "max_iters": int, "grad_tol": float, "initial_step": float,
     "shrink": float, "armijo_c": float, "grow": float,
     "max_backtracks": int, "sector_interval": int, "sector_tol": float,
 }
-_GEN_KEYS = {"group", "dims", "lengths", "kind", "radius", "charge", "winding",
-             "seed", "smoothness", "amplitude"}
-_MINIMIZE_KEYS = {"group", "dims", "lengths", "alpha", "charges", *_OPTION_CASTS}
+_GEN_KIND_KEYS = {"hedgehog": {"radius", "charge"}, "winding": {"winding"},
+                  "random": {"seed", "smoothness", "amplitude"}}
+_SEED_KEYS = {"group", "dims", "lengths", "alpha", "charges"}
 
 
-def _parse_config(path: str, keys: set) -> dict:
-    cfg = {}
+def _gen_keys(cfg: dict) -> set:
+    kind = cfg.get("kind", "hedgehog")
+    if kind not in _GEN_KIND_KEYS:
+        raise ConfigError(f"unknown kind {kind!r} (hedgehog|winding|random)")
+    return {"group", "dims", "lengths", "kind"} | _GEN_KIND_KEYS[kind]
+
+
+def _parse_config(path: str, keys) -> dict:
+    """The ``key = value`` pairs of a config file; `keys(cfg)` is the set
+    of keys the command reads for them, and any other key is an error."""
+    entries = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -64,13 +75,15 @@ def _parse_config(path: str, keys: set) -> dict:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, val = (s.strip() for s in line.split("=", 1))
-                if key not in keys:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
-                                      f"(known: {', '.join(sorted(keys))})")
-                cfg[key] = val
+                entries.append((lineno, *(s.strip() for s in line.split("=", 1))))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    cfg = {key: val for _, key, val in entries}
+    known = keys(cfg)
+    for lineno, key, _ in entries:
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
+                              f"(known: {', '.join(sorted(known))})")
     return cfg
 
 
@@ -134,7 +147,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = _parse_config(args.config, _GEN_KEYS)
+    cfg = _parse_config(args.config, _gen_keys)
     if args.out is None:
         raise ConfigError("gen needs --out PATH")
     alg = parse_algebra(cfg.get("group", "su2"))
@@ -147,12 +160,10 @@ def cmd_gen(args) -> int:
     elif kind == "winding":
         m = _as_numbers(cfg.get("winding", "0,0,0"), 3, "winding", int)
         u = make_winding(lattice, alg, m)
-    elif kind == "random":
+    else:  # random, the last kind `_gen_keys` admits
         u = make_random(lattice, alg, seed=_scalar(cfg, "seed", int, 0),
                         smoothness=_scalar(cfg, "smoothness", float, 2.0),
                         amplitude=_scalar(cfg, "amplitude", float, 0.5))
-    else:
-        raise ConfigError(f"unknown kind {kind!r} (hedgehog|winding|random)")
     fileio.write_field(args.out, u)
     print(f"wrote {args.out} kind={kind} group={alg.name} dims={lattice.dims}")
     return 0
@@ -212,13 +223,15 @@ def cmd_develop(args) -> int:
     # physical extents of the cube
     h = a.lattice.spacings
     sub = TorusLattice(shape, tuple(shape[i] * h[i] for i in range(3)))
-    fileio.write_field(args.out, GroupField(sub, a.algebra, chart.values))
+    fileio.write_field(args.out, GroupField(sub, a.algebra, chart))
     print(f"wrote {args.out} corner={corner} shape={shape}")
     return 0
 
 
 def cmd_minimize(args) -> int:
-    cfg = _parse_config(args.config, _MINIMIZE_KEYS)
+    # the sector keys seed the field, so a --field run reads only the options
+    read = set(_OPTION_CASTS) | (_SEED_KEYS if args.field is None else set())
+    cfg = _parse_config(args.config, lambda cfg: read)
     if args.out is None:
         raise ConfigError("minimize needs --out PATH")
     opts = _options_from(cfg)
@@ -275,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("form")
     p.add_argument("--compare", help="second SKYA connection; exit 0 only if gauge equivalent")
     p.add_argument("--spacing", type=int, default=None, help="cover spacing in sites")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=DEFAULT_ATLAS_TOL)
 
     p = sub.add_parser("develop", help="develop an SKYA connection over a cube")
     p.add_argument("form")

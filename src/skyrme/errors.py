@@ -33,7 +33,9 @@ class LogRangeError(SkyrmeError):
     every failing element of the batch.
     From link logs, `axis` (1-based, as in the message) and `site` name the
     worst link x -> x + e_axis, and `mask` has shape (3,) + lattice dims,
-    indexed by axis - 1.  Errors from other checks leave these None.
+    indexed by axis - 1.  From the 1-d invariant's lift, `axis`, `site`
+    and `value` name the refused link of the generator line through the
+    base site, with no mask.  Errors from other checks leave these None.
     """
 
     exit_code = 4

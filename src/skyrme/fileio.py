@@ -86,6 +86,13 @@ def _read_block(fh, lattice: TorusLattice, rep: int) -> np.ndarray:
     return arr.reshape(lattice.dims + (rep, rep))
 
 
+def _check_finite(block: np.ndarray, what: str) -> None:
+    """Reject a NaN or Inf entry of a (dims, N, N) block, naming its site."""
+    bad = np.argwhere(~np.isfinite(block).all(axis=(-2, -1)))
+    if len(bad):
+        raise FileFormatError(f"non-finite {what} at site {tuple(int(i) for i in bad[0])}")
+
+
 def write_field(path, u: GroupField) -> None:
     with open(path, "wb") as fh:
         _write_header(fh, _MAGIC_FIELD, u.algebra, u.lattice)
@@ -98,6 +105,7 @@ def read_field(path) -> GroupField:
         values = _read_block(fh, lattice, alg.rep_dim)
         if fh.read(1):
             raise FileFormatError("trailing bytes after field data")
+    _check_finite(values, "matrix entry")
     u = GroupField(lattice, alg, values)
     u.validate()
     return u
@@ -119,8 +127,9 @@ def read_one_form(path, sampling: str = "link") -> AlgebraOneForm:
     with open(path, "rb") as fh:
         alg, lattice = _read_header(fh, _MAGIC_FORM)
         comps = []
-        for _ in range(3):
+        for i in range(3):
             M = _read_block(fh, lattice, alg.rep_dim)
+            _check_finite(M, f"entry in component {i + 1}")
             comps.append(alg.to_coords(M, error=lambda res: FileFormatError(
                 f"component outside algebra span (residual {res:.2e})"))[0])
         if fh.read(1):

@@ -53,7 +53,6 @@ from .lattice import PLANES, AlgebraOneForm, GroupField, TorusLattice, link_form
 
 __all__ = [
     "CubicalCover",
-    "CubeChart",
     "DevelopingAtlas",
     "HolonomyRep",
     "develop_cube",
@@ -121,6 +120,8 @@ class CubicalCover:
         return (0, 0, 0)
 
     def vertices(self):
+        """Coarse vertices in lexicographic order, the base first; every
+        `tree_parent` comes before its children."""
         return list(np.ndindex(self.shape))
 
     def star_corner(self, v) -> tuple[int, int, int]:
@@ -147,10 +148,6 @@ class CubicalCover:
             return (v[0] - 1, 0, 0), 0
         return None
 
-    def tree_order(self):
-        """Vertices in root-first order (parents before children)."""
-        return sorted(self.vertices(), key=lambda v: (v[0], v[1], v[2]))
-
     def circuit(self, axis: int):
         """Generator loop along `axis` through the base: oriented edge list."""
         n = self.shape[axis]
@@ -171,16 +168,6 @@ class CubicalCover:
 # ----------------------------------------------------------------------
 # cube development
 # ----------------------------------------------------------------------
-
-@dataclass
-class CubeChart:
-    """Group elements on a cube of sites anchored at `corner` (wrapped)."""
-
-    lattice: TorusLattice
-    algebra: LieAlgebra
-    corner: tuple[int, int, int]
-    values: np.ndarray  # (n1, n2, n3, N, N)
-
 
 def _grid(windows) -> tuple:
     """Index tuple picking the (S, n1, n2, n3) sites of S cubes from their
@@ -293,8 +280,9 @@ def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
 
 
 def develop_cube(a: AlgebraOneForm, corner, shape,
-                 flatness_gate: float | None = None) -> CubeChart:
-    """Integrate u' = u a over a cube with u(corner) = 1.
+                 flatness_gate: float | None = None) -> np.ndarray:
+    """Integrate u' = u a over a cube with u(corner) = 1; returns the
+    (n1, n2, n3, N, N) chart on the `shape` sites from the wrapped `corner`.
 
     The one-cube case of the batched developer.  The sweep fills the last
     axis from the corner, then the middle axis on each slice, then the
@@ -303,10 +291,9 @@ def develop_cube(a: AlgebraOneForm, corner, shape,
     pass the flatness gate (default 10 * max spacing); path dependence
     would otherwise make the sweep meaningless.
     """
-    corner = tuple(int(c) for c in corner)
     dims = a.lattice.dims
     windows = [(corner[i] + np.arange(int(shape[i])))[None] % dims[i] for i in range(3)]
-    return CubeChart(a.lattice, a.algebra, corner, _develop(a, windows, flatness_gate)[0])
+    return _develop(a, windows, flatness_gate)[0]
 
 
 def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
@@ -401,14 +388,13 @@ class DevelopingAtlas:
             for v, eax in self.cover.circuit(ax):
                 g = g @ self.label(v, eax)
             els.append(g)
-        return HolonomyRep(self.cover.base, np.stack(els))
+        return HolonomyRep(np.stack(els))
 
 
 @dataclass
 class HolonomyRep:
     """Generator-loop holonomies anchored at the cover's base vertex."""
 
-    base: tuple[int, int, int]
     elements: np.ndarray  # (3, N, N)
 
     @property
@@ -420,11 +406,12 @@ class HolonomyRep:
         return float(max(np.abs(e[i] @ e[j] - e[j] @ e[i]).max() for i, j in PLANES))
 
 
-def build_atlas(a: AlgebraOneForm, cover: CubicalCover,
+def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
                 tol: float = DEFAULT_ATLAS_TOL,
                 flatness_gate: float | None = None) -> DevelopingAtlas:
-    """Develop every star in one batched sweep and estimate the constant
-    edge labels.
+    """Develop every star of `cover` in one batched sweep and estimate the
+    constant edge labels.  The default cover is `CubicalCover.for_lattice`
+    of a's lattice; this is the one place that chooses it.
 
     The label of an oriented edge [p, q] is the overlap mean of
     u_p(x) u_q(x)^-1 projected back to the group (`pair_label`); its
@@ -442,6 +429,8 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover,
     one atlas.  Charts and edge labels are read-only, cached or not.
     """
     global _last_atlas
+    if cover is None:
+        cover = CubicalCover.for_lattice(a.lattice)
     verts = cover.vertices()
     if a.is_zero():
         n, eye = 2 * cover.spacing + 1, a.algebra.group_identity()
@@ -475,10 +464,7 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover,
 def holonomy_rep(a: AlgebraOneForm, cover: CubicalCover | None = None,
                  **kwargs) -> HolonomyRep:
     """Holonomy of each torus generator of a, read off its atlas over
-    `cover` (default `CubicalCover.for_lattice`); `kwargs` go to
-    `build_atlas`."""
-    if cover is None:
-        cover = CubicalCover.for_lattice(a.lattice)
+    `cover`; `cover` and `kwargs` go to `build_atlas`."""
     return build_atlas(a, cover, **kwargs).holonomy()
 
 
@@ -525,22 +511,21 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
                         tol: float = DEFAULT_ATLAS_TOL) -> GroupField:
     """Reconstruct u with a2 = gauge_transform(a1, u) from equal holonomy.
 
-    Both potentials are developed over the cover with `tol` as the edge
-    score bound, so an atlas `holonomy_rep` built with the same `tol` is
-    a memo hit.  The second atlas is aligned at the base vertex, corrected
-    down the maximal tree so its tree labels match the first atlas, and
-    the non-tree circuit labels are compared: any defect beyond `tol`
-    means the holonomies differ (never a field).  The glued gauge is
-    (u^1_p)^-1 k_p u^2_p, chart-assembled.  Forms of different algebras
-    or lattices raise ValueError.
+    Both potentials are developed over the cover (`build_atlas`'s default
+    for None) with `tol` as the edge score bound, so an atlas `holonomy_rep`
+    built with the same `tol` is a memo hit.  The second atlas is aligned
+    at the base vertex, corrected down the maximal tree so its tree labels
+    match the first atlas, and the non-tree circuit labels are compared:
+    any defect beyond `tol` means the holonomies differ (never a field).
+    The glued gauge is (u^1_p)^-1 k_p u^2_p, chart-assembled.  Forms of
+    different algebras or lattices raise ValueError.
     """
     if a1.algebra.name != a2.algebra.name or a1.lattice != a2.lattice:
         raise ValueError("forms differ in group or lattice: " + " against ".join(
             f"{a.algebra.name} on dims {a.lattice.dims}, lengths {a.lattice.lengths}"
             for a in (a1, a2)))
-    if cover is None:
-        cover = CubicalCover.for_lattice(a1.lattice)
     A1 = build_atlas(a1, cover, tol=tol)
+    cover = A1.cover
     A2 = build_atlas(a2, cover, tol=tol)
     rho1 = A1.holonomy().elements
     rho2 = A2.holonomy().elements
@@ -551,7 +536,7 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
 
     # tree correction: k_child = g1_e^-1 k_parent g2_e along parent -> child
     k = {cover.base: C}
-    for v in cover.tree_order():
+    for v in cover.vertices():
         par = cover.tree_parent(v)
         if par is None:
             continue

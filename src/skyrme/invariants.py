@@ -29,6 +29,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, group_exp, group_log, parse_algebra, theta_density
 from .errors import HolonomyMismatchError, LogRangeError, NoLiftError, SectorError
+from .holonomy import gauge_from_holonomy
 from .lattice import (
     GroupField,
     TorusLattice,
@@ -151,21 +152,22 @@ def topological_charge(u: GroupField, v_ref: GroupField | None = None) -> np.nda
 # one-dimensional invariant
 # ----------------------------------------------------------------------
 
-def _axis_line(values: np.ndarray, axis: int) -> np.ndarray:
-    """Group elements along the generator line through the base site."""
-    if axis == 0:
-        return values[:, 0, 0]
-    if axis == 1:
-        return values[0, :, 0]
-    return values[0, 0, :]
+def _refused_link(what: str, axis: int, angles: np.ndarray) -> LogRangeError:
+    """The error naming the link of the base line along `axis` (0-based)
+    turned farthest by `angles`: its site, 1-based axis and |lambda - 1|."""
+    k = int(np.argmax(angles))
+    site = tuple(k if i == axis else 0 for i in range(3))
+    return LogRangeError(f"field too rough: {what} at site {site} on axis {axis + 1} (turned "
+                         f"by {angles[k]:.4f} rad)", axis=axis + 1, site=site,
+                         value=float(2.0 * np.sin(angles[k] / 2.0)))
 
 
-def _winding_u1(line: np.ndarray) -> int:
+def _winding_u1(line: np.ndarray, axis: int) -> int:
     phases = np.angle(line[..., 0, 0])
     steps = np.diff(np.append(phases, phases[0]))
     steps = (steps + np.pi) % (2 * np.pi) - np.pi
     if np.abs(np.abs(steps) - np.pi).min() < 1e-9:
-        raise LogRangeError("field too rough: half-turn link defeats the U(1) lift")
+        raise _refused_link("half-turn link defeats the U(1) lift", axis, np.abs(steps))
     total = steps.sum() / (2 * np.pi)
     n = int(round(total))
     if abs(total - n) > 1e-6:
@@ -173,7 +175,7 @@ def _winding_u1(line: np.ndarray) -> int:
     return n
 
 
-def _lift_sign_so3(line: np.ndarray, block: LieAlgebra) -> int:
+def _lift_sign_so3(line: np.ndarray, block: LieAlgebra, axis: int) -> int:
     """Parity of the SU(2) lift of a closed SO(3) loop.
 
     Each link is lifted near 1 through the Lie algebra homomorphism
@@ -183,10 +185,11 @@ def _lift_sign_so3(line: np.ndarray, block: LieAlgebra) -> int:
     lifted loop closes on +1 (parity 0) or -1 (parity 1).
     """
     links = np.einsum("xji,xjk->xik", np.conj(line), np.roll(line, -1, axis=0))
-    coords, _ = group_log(block, links, threshold=1.9)
-    angles = np.linalg.norm(coords, axis=-1)
+    # rotation angles from the traces 1 + 2 cos(theta), before any log
+    angles = np.arccos(np.clip((np.einsum("xii->x", links).real - 1.0) / 2.0, -1.0, 1.0))
     if angles.max() >= np.pi / 2:
-        raise LogRangeError("field too rough: SO(3) link outside half the injectivity radius")
+        raise _refused_link("SO(3) link outside half the injectivity radius", axis, angles)
+    coords, _ = group_log(block, links, threshold=1.9)
     # rotation by theta about n -> exp(-(theta/2) n.i sigma)
     q = group_exp(parse_algebra("su2"), -0.5 * coords)
     total = np.eye(2, dtype=complex)
@@ -207,11 +210,12 @@ def one_dim_invariant(u: GroupField) -> tuple:
     channels = _lift_channels(u.algebra)
     per_axis = []
     for ax in range(3):
-        line = _axis_line(u.values, ax)
+        # the generator line through the base site
+        line = u.values[tuple(slice(None) if i == ax else 0 for i in range(3))]
         vals = []
         for off, blk, r in channels:
             sub = line[..., off:off + blk.rep_dim, off:off + blk.rep_dim]
-            vals.append(_winding_u1(sub) if r == 0 else _lift_sign_so3(sub, blk))
+            vals.append(_winding_u1(sub, ax) if r == 0 else _lift_sign_so3(sub, blk, ax))
         per_axis.append(_alpha_entry(vals))
     return tuple(per_axis)
 
@@ -269,21 +273,16 @@ def sector_of(u: GroupField, tol: float = DEFAULT_SECTOR_TOL) -> SectorInvariant
     )
 
 
-def invariant_of_connection(a, b, cover=None,
-                            tol: float = DEFAULT_SECTOR_TOL) -> SectorInvariants:
+def invariant_of_connection(a, b, cover=None) -> SectorInvariants:
     """Invariants of a flat potential a relative to the reference b.
 
     Reconstructs u with a = gauge_transform(b, u) (the exact action on the
     transports of b's `link_form`, for every form) from equal holonomy, and
     reports the invariants of u; fails when a and b sit in different
-    holonomy strata.
+    holonomy strata.  `cover` goes to `gauge_from_holonomy`.
     """
-    from .holonomy import CubicalCover, gauge_from_holonomy
-
-    if cover is None:
-        cover = CubicalCover.for_lattice(a.lattice)
     try:
         u = gauge_from_holonomy(b, a, cover)
     except HolonomyMismatchError as exc:
         raise HolonomyMismatchError(f"not in the same holonomy stratum: {exc}") from exc
-    return sector_of(u, tol=tol)
+    return sector_of(u)

@@ -30,7 +30,6 @@ __all__ = [
     "TorusLattice",
     "GroupField",
     "AlgebraOneForm",
-    "AlgebraTwoForm",
     "PLANES",
     "log_derivative",
     "wedge_bracket",
@@ -138,15 +137,6 @@ class AlgebraOneForm:
         return not self.coeffs.any()
 
 
-@dataclass
-class AlgebraTwoForm:
-    """Plane components ((2,3), (3,1), (1,2) in 1-based axes), units 1/length^2."""
-
-    lattice: TorusLattice
-    algebra: LieAlgebra
-    coeffs: np.ndarray  # (3, N1, N2, N3, dim)
-
-
 # ----------------------------------------------------------------------
 # log derivative and energies
 # ----------------------------------------------------------------------
@@ -199,11 +189,11 @@ def log_derivative(u: GroupField) -> AlgebraOneForm:
     return AlgebraOneForm(u.lattice, u.algebra, _link_logs(u), sampling="link")
 
 
-def wedge_bracket(L: AlgebraOneForm) -> AlgebraTwoForm:
-    """Site-local plane components [L_i, L_j] for (i,j) in PLANES: the one
-    owner of the three plane brackets, read by the energy and its gradient."""
-    out = np.stack([L.algebra.bracket(L.coeffs[i], L.coeffs[j]) for i, j in PLANES])
-    return AlgebraTwoForm(L.lattice, L.algebra, out)
+def wedge_bracket(L: AlgebraOneForm) -> np.ndarray:
+    """Site-local plane brackets [L_i, L_j] for (i, j) in PLANES, as
+    (3,) + dims + (dim,) coordinates (units 1/length^2): the one owner of
+    the three plane brackets, read by the energy and its gradient."""
+    return np.stack([L.algebra.bracket(L.coeffs[i], L.coeffs[j]) for i, j in PLANES])
 
 
 def skyrme_energy_map(u: GroupField) -> float:
@@ -216,7 +206,7 @@ def skyrme_energy_connection(a: AlgebraOneForm) -> float:
     alg = a.algebra
     quad = 0.5 * alg.norm_sq(a.coeffs).sum()
     quart = 0.0
-    for W in wedge_bracket(a).coeffs:
+    for W in wedge_bracket(a):
         quart += 0.25 * alg.norm_sq(W).sum()
     return float(a.lattice.cell_volume * (quad + quart))
 

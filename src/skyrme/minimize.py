@@ -37,8 +37,8 @@ import numpy as np
 
 from .algebra import LieAlgebra, group_exp
 from .errors import FlatnessError, LineSearchError, LogRangeError, SectorError
-from .holonomy import CubicalCover, build_atlas
-from .invariants import SectorInvariants, reference_map, sector_of
+from .holonomy import build_atlas
+from .invariants import DEFAULT_SECTOR_TOL, SectorInvariants, reference_map, sector_of
 from .lattice import (
     PLANES,
     AlgebraOneForm,
@@ -76,7 +76,7 @@ class MinimizeOptions:
     grow: float = 1.5
     max_backtracks: int = 40
     sector_interval: int = 25
-    sector_tol: float = 0.25
+    sector_tol: float = DEFAULT_SECTOR_TOL
     max_rotation: float = 0.4  # cap on |tau G| per site, keeps trials in log range
 
     def __post_init__(self):
@@ -150,7 +150,7 @@ def _energy_gradient_terms(L: AlgebraOneForm) -> np.ndarray:
     gives 1/2 [a_j, W] to P_i and -1/2 [a_i, W] to P_j."""
     alg, comps = L.algebra, L.coeffs
     P = comps.copy()
-    for (i, j), W in zip(PLANES, wedge_bracket(L).coeffs):
+    for (i, j), W in zip(PLANES, wedge_bracket(L)):
         P[i] += 0.5 * alg.bracket(comps[j], W)
         P[j] -= 0.5 * alg.bracket(comps[i], W)
     return P
@@ -315,10 +315,9 @@ def minimize_connection(b: AlgebraOneForm, sector: SectorInvariants,
     """
     if not b.is_zero():
         try:
-            cover = CubicalCover.for_lattice(b.lattice)
-        except ValueError as exc:
+            build_atlas(b)
+        except ValueError as exc:  # no default cover fits the lattice
             raise FlatnessError(f"reference potential cannot be gated: {exc}") from exc
-        build_atlas(b, cover)
         b = link_form(b)
     final_u, trace = _descend(seed_field(b.lattice, b.algebra, sector),
                               lambda u: skyrme_energy_connection(gauge_transform(b, u)),

@@ -146,7 +146,7 @@ def local_fd_gradient(u, site, t=1e-5, links=None):
         dens = 0.5 * sum(np.einsum("...a,ab,...b->...", L.coeffs[i], gram, L.coeffs[i])
                          for i in range(3))
         W = wedge_bracket(L)
-        dens = dens + 0.25 * sum(np.einsum("...a,ab,...b->...", W.coeffs[p], gram, W.coeffs[p])
+        dens = dens + 0.25 * sum(np.einsum("...a,ab,...b->...", W[p], gram, W[p])
                                  for p in range(3))
         return v.lattice.cell_volume * dens
 

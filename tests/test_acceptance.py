@@ -115,7 +115,7 @@ def test_criterion_6_developing_map():
         L = lat.TorusLattice((n, n, n))
         w, A = analytic_exp_field(su2, L, amp=0.5, seed=3)
         chart = hol.develop_cube(A, (0, 0, 0), (n, n, n), flatness_gate=np.inf)
-        devs[n] = sup_deviation_mod_constant(su2, chart.values, w.values)
+        devs[n] = sup_deviation_mod_constant(su2, chart, w.values)
     order = np.log2(devs[16] / devs[32])
     ok = order >= 1.8 and devs[32] <= 1e-3
     report(6, ok, f"sup deviation from g*w: {devs[16]:.2e} (16^3) -> {devs[32]:.2e} "
@@ -189,7 +189,7 @@ def _energy_density(u):
     dens = 0.5 * sum(np.einsum("...a,ab,...b->...", L.coeffs[i], gram, L.coeffs[i])
                      for i in range(3))
     W = lat.wedge_bracket(L)
-    dens = dens + 0.25 * sum(np.einsum("...a,ab,...b->...", W.coeffs[p], gram, W.coeffs[p])
+    dens = dens + 0.25 * sum(np.einsum("...a,ab,...b->...", W[p], gram, W[p])
                              for p in range(3))
     return u.lattice.cell_volume * dens
 

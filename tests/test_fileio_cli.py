@@ -437,6 +437,9 @@ def test_cli_minimize_bad_config_is_a_config_error(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize("command, body", [
     ("gen", "group = su2\ndims = 4,4,4\nkind = random\nmax_iter = 5\n"),
     ("gen", "group = su2\ndims = 4,4,4\nkind = random\nseeds = 3\n"),
+    ("gen", "group = su2\ndims = 4,4,4\nkind = random\nradius = 0.3\n"),
+    ("gen", "group = su2\ndims = 4,4,4\nkind = winding\nseed = 3\n"),
+    ("gen", "group = su2\ndims = 4,4,4\nwinding = 1,0,0\n"),
     ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\nmax_iter = 5\n"),
     ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\nkind = random\n"),
 ])
@@ -453,6 +456,65 @@ def test_cli_rejects_a_key_it_does_not_read(tmp_path, capsys, monkeypatch, comma
     key = body.splitlines()[-1].split("=")[0].strip()
     assert f"unknown key {key!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["group = su2", "dims = 6,6,6", "lengths = 1,1,1",
+                                 "alpha = 0,0,0", "charges = 0"])
+def test_cli_minimize_field_rejects_the_seeding_keys(tmp_path, capsys, monkeypatch, su2, lat8,
+                                                     key):
+    # the sector keys only seed a field; a --field run would ignore them
+    def no_descent(*args, **kwargs):
+        raise AssertionError("no descent may start from a bad config")
+
+    monkeypatch.setattr(cli, "minimize_map", no_descent)
+    field = tmp_path / "u.skyf"
+    fileio.write_field(field, lat.constant_field(lat8, su2))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"max_iters = 3\n{key}\n")
+    out = tmp_path / "m.skyf"
+    assert main(["minimize", "--config", str(cfg), "--field", str(field),
+                 "--out", str(out)]) == 2
+    assert f"unknown key {key.split()[0]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("energy", np.nan), ("invariants", np.nan),
+    ("holonomy", np.nan), ("holonomy", np.inf), ("develop", np.nan), ("develop", -np.inf),
+])
+def test_cli_rejects_a_non_finite_file_entry(tmp_path, capsys, su2, lat8, command, bad):
+    # NaN passes every `x > tol` gate, so a corrupt entry is refused on reading
+    if command in ("energy", "invariants"):
+        u = lat.make_random(lat8, su2, seed=2, amplitude=0.3)
+        u.values[1, 2, 3, 0, 1] = bad
+        path, where = tmp_path / "u.skyf", "site (1, 2, 3)"
+        fileio.write_field(path, u)
+        args = [command, str(path)]
+    else:
+        a = lat.zero_one_form(lat8, su2, sampling="link")
+        a.coeffs[1, 2, 3, 4, 0] = bad
+        path, where = tmp_path / "a.skya", "component 2 at site (2, 3, 4)"
+        with np.errstate(invalid="ignore"):  # inf times a zero basis entry
+            fileio.write_one_form(path, a)
+        args = [command, str(path)] + (["--shape", "4,4,4", "--out", str(tmp_path / "c.skyf")]
+                                       if command == "develop" else [])
+    assert main(args) == 12
+    err = capsys.readouterr().err
+    assert "non-finite" in err and where in err
+
+
+def test_cli_invariants_names_the_so3_link_the_lift_refuses(tmp_path, capsys, so3, lat8):
+    u = lat.make_random(lat8, so3, seed=1, amplitude=0.2)
+    path = tmp_path / "u.skyf"
+    fileio.write_field(path, u)
+    assert main(["invariants", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("alpha=(0,0,0)")
+    # turn the base-line site (4, 0, 0) by 2 rad: links 3 -> 4 and 4 -> 5 on axis 1
+    u.values[4, 0, 0] = al.group_exp(so3, np.array([0.0, 0.0, 2.0])) @ u.values[4, 0, 0]
+    fileio.write_field(path, u)
+    assert main(["invariants", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "site (3, 0, 0) on axis 1" in err and "SO(3)" in err
 
 
 @pytest.mark.parametrize("line, key, value", [

@@ -40,7 +40,7 @@ def test_cover_structure(lat16):
     assert len(cov.edges()) == 3 * 64
     # tree touches every vertex exactly once
     seen = {cov.base}
-    for v in cov.tree_order():
+    for v in cov.vertices():
         par = cov.tree_parent(v)
         if par is None:
             assert v == cov.base
@@ -52,7 +52,7 @@ def test_cover_structure(lat16):
     assert len(seen) == 64
     # each generator circuit uses exactly one non-tree edge
     tree_edges = set()
-    for v in cov.tree_order():
+    for v in cov.vertices():
         par = cov.tree_parent(v)
         if par is not None:
             tree_edges.add(par)
@@ -104,14 +104,14 @@ def test_default_cover_is_the_largest_valid_spacing_up_to_a_quarter():
 
 def test_develop_zero_is_identity(su2, lat8):
     ch = hol.develop_cube(lat.zero_one_form(lat8, su2), (0, 0, 0), (5, 5, 5))
-    assert np.abs(ch.values - np.eye(2)).max() < 1e-14
+    assert np.abs(ch - np.eye(2)).max() < 1e-14
 
 
 def test_develop_log_derivative_reconstructs_exactly(su2, lat16):
     w = lat.make_random(lat16, su2, seed=3, smoothness=2.5, amplitude=0.5)
     a = lat.log_derivative(w)
     ch = hol.develop_cube(a, (0, 0, 0), (16, 16, 16))
-    assert sup_deviation_mod_constant(su2, ch.values, w.values) < 1e-12
+    assert sup_deviation_mod_constant(su2, ch, w.values) < 1e-12
 
 
 def test_develop_constant_abelian_closed_form(su2, lat8):
@@ -120,7 +120,7 @@ def test_develop_constant_abelian_closed_form(su2, lat8):
     ch = hol.develop_cube(a, (0, 0, 0), (8, 8, 8))
     x1 = np.arange(8) / 8.0
     expect = al.group_exp(su2, np.stack([np.zeros(8), np.zeros(8), c * x1], axis=-1))
-    assert np.abs(ch.values - expect[:, None, None]).max() < 1e-12
+    assert np.abs(ch - expect[:, None, None]).max() < 1e-12
 
 
 def test_develop_site_sampled_convergence(su2):
@@ -129,7 +129,7 @@ def test_develop_site_sampled_convergence(su2):
         L = lat.TorusLattice((n, n, n))
         w, A = analytic_exp_field(su2, L, amp=0.5, seed=3)
         ch = hol.develop_cube(A, (0, 0, 0), (n, n, n), flatness_gate=np.inf)
-        devs.append(sup_deviation_mod_constant(su2, ch.values, w.values))
+        devs.append(sup_deviation_mod_constant(su2, ch, w.values))
     order = np.log2(devs[0] / devs[1])
     assert order >= 1.8
 
@@ -144,7 +144,7 @@ def test_develop_site_form_converges_at_fourth_order(spec):
         L = lat.TorusLattice((n, n, n))
         w, A = analytic_exp_field(alg, L, amp=0.5, seed=3)
         ch = hol.develop_cube(A, (0, 0, 0), (n, n, n))
-        devs.append(sup_deviation_mod_constant(alg, ch.values, w.values))
+        devs.append(sup_deviation_mod_constant(alg, ch, w.values))
     assert np.log2(devs[0] / devs[1]) >= 3.5
 
 
@@ -234,7 +234,7 @@ def test_batched_atlas_matches_per_star_development(spec, sampling, n, spacing):
     atlas = hol.build_atlas(a, cover, tol=1e-6 if sampling == "link" else np.inf)
     side = 2 * spacing + 1
     for v in cover.vertices():
-        ref = hol.develop_cube(a, cover.star_corner(v), (side,) * 3).values
+        ref = hol.develop_cube(a, cover.star_corner(v), (side,) * 3)
         assert np.abs(atlas.charts[v] - ref).max() <= 1e-13
     # independent check: the sweep's path, multiplied link by link
     g = hol.path_transport(a, _sweep_path(cover, cover.base))
@@ -305,7 +305,7 @@ def test_out_of_range_plaquette_fails_the_gate(su2, lat8):
     assert f"vertex {exc.vertex}" in str(exc) and f"corner {exc.corner}" in str(exc)
     resid = oracle_star_residuals(a, cover)
     assert exc.vertex == cover.vertices()[int(np.argmax(resid == np.inf))]
-    assert hol.develop_cube(a, (2, 3, 4), (5, 5, 5), flatness_gate=np.inf).values.shape == \
+    assert hol.develop_cube(a, (2, 3, 4), (5, 5, 5), flatness_gate=np.inf).shape == \
         (5, 5, 5, 2, 2)
     atlas = hol.build_atlas(a, cover, tol=np.inf, flatness_gate=np.inf)
     assert len(atlas.charts) == len(cover.vertices())

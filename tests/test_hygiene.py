@@ -1,8 +1,8 @@
 """Source hygiene of the package: no module keeps an import it does not use,
 no top-level name goes unused, no module imports another's private name,
 only `algebra.py` reads the algebra's tables, only a fixed list of
-functions branches on a form's sampling, and `algebra.py` nests no two
-loops over the algebra's dimension."""
+functions branches on a form's sampling or chooses a cover, and
+`algebra.py` nests no two loops over the algebra's dimension."""
 
 import ast
 from collections import Counter
@@ -168,3 +168,16 @@ def test_algebra_nests_no_loops_over_the_dimension():
             if k + sum(kk for inner, kk in _dim_loops(loop) if inner is not loop) > 1:
                 nested.append((name, loop.lineno))
     assert not nested, f"loops over the dimension nested at {nested}"
+
+
+# (module, function) allowed to call `CubicalCover.for_lattice`: `build_atlas`
+# owns the default cover, and the CLI builds the cover of an explicit --spacing
+COVER_CHOOSERS = {("holonomy.py", "build_atlas"), ("cli.py", "cmd_holonomy")}
+
+
+def test_the_default_cover_has_one_owner():
+    calls = {(path.name, name) for path in MODULES
+             for name, node in _functions(ast.parse(path.read_text()))
+             for n in ast.walk(node)
+             if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "for_lattice"}
+    assert calls <= COVER_CHOOSERS, f"covers chosen outside their owners: {calls - COVER_CHOOSERS}"
