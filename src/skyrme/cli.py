@@ -191,6 +191,8 @@ def _print_holonomy(rep) -> None:
 
 
 def cmd_holonomy(args) -> int:
+    if not 0.0 < args.tol < float("inf"):
+        raise ConfigError(f"--tol {args.tol}: must be finite and positive")
     a = fileio.read_one_form(args.form)
     try:
         cover = CubicalCover.for_lattice(a.lattice, args.spacing)

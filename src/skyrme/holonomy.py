@@ -1,12 +1,12 @@
 """Developing maps, edge-path holonomy, and gauge reconstruction.
 
 A flat potential is integrated over cubes by an axis-ordered sweep of
-link transports g <- g exp(h a_i(x)) for u' = u a: last axis first from
-the cube corner, then the middle axis per slice, then the first axis
-filling the volume.  Every form acts through its lattice connection
-`lattice.link_form` (the identity on a link form, and what one-form files
-hold), so the gate, the charts, `path_transport`, the gauge action and
-the connection descent all see the same transports.  All cubes of a
+its `lattice.transports` T_i = exp(h_i b_i), g <- g T_i(x) for u' = u a:
+last axis first from the cube corner, then the middle axis per slice,
+then the first axis filling the volume.  b = `lattice.link_form(a)` is
+the identity on a link form and what one-form files hold, so the gate,
+the charts, `path_transport`, the gauge action `log_derivative(u, T)`
+and the connection descent all see the same transports.  All cubes of a
 cover are developed in one batched sweep; the curvature density is
 computed once on the torus from the plaquettes of the transports, and
 each cube's flatness residual is its window sum over the cube interior.
@@ -47,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, group_exp, group_log
+from .algebra import LieAlgebra, group_log
 from .errors import AtlasError, FlatnessError, HolonomyMismatchError, LogRangeError
-from .lattice import PLANES, AlgebraOneForm, GroupField, TorusLattice, link_form
+from .lattice import PLANES, AlgebraOneForm, GroupField, TorusLattice, transports
 
 __all__ = [
     "CubicalCover",
@@ -198,16 +198,15 @@ def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
     """Integrate u' = u a over S cubes at once, each with u(corner) = 1.
 
     `windows` holds the cubes' wrapped site indices, three (S, n_i) arrays;
-    returns the (S, n1, n2, n3, N, N) charts of the transports
-    T_i = exp(h_i b_i) of b = `link_form(a)`.  The curvature is their
-    plaquette defect (zero for a log derivative however steep the field),
-    computed once per torus site.  A cube's residual is
-    sqrt(cell volume * window sum of |F|^2 over its interior); the first
-    cube above the gate (default 10 * max spacing) raises FlatnessError.
+    returns the (S, n1, n2, n3, N, N) charts of a's `transports`, taken on
+    the whole torus.  The curvature is their plaquette defect (zero for a
+    log derivative however steep the field), computed once per torus site.
+    A cube's residual is sqrt(cell volume * window sum of |F|^2 over its
+    interior); the first above the gate (default 10 * max spacing) raises
+    FlatnessError.
     The gate is first certified from the plaquette chords, with no log
     taken (see the module docstring); failing that, the plaquette logs decide.
     """
-    a = link_form(a)
     alg = a.algebra
     lattice = a.lattice
     h = lattice.spacings
@@ -220,13 +219,9 @@ def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
     def residuals(density):
         return np.sqrt(lattice.cell_volume * density[interior].sum(axis=(1, 2, 3)))
 
-    # transports on the sites the cubes use, plaquettes on their interiors
-    used = np.zeros(lattice.dims, dtype=bool)
-    used[_grid(windows)] = True
     core = np.zeros(lattice.dims, dtype=bool)
     core[interior] = True
-    T = np.zeros((3,) + lattice.dims + (N, N), dtype=complex)
-    T[:, used] = group_exp(alg, np.asarray(h)[:, None, None] * a.coeffs[:, used])
+    T = transports(a)
 
     def halves(i, j):
         """A and B of the plaquettes P = A B^H on the interiors, one per
@@ -284,12 +279,13 @@ def develop_cube(a: AlgebraOneForm, corner, shape,
     """Integrate u' = u a over a cube with u(corner) = 1; returns the
     (n1, n2, n3, N, N) chart on the `shape` sites from the wrapped `corner`.
 
-    The one-cube case of the batched developer.  The sweep fills the last
-    axis from the corner, then the middle axis on each slice, then the
-    first axis through the volume.  The curvature density, computed per
-    site as for a whole cover, is summed over the cube interior, which must
-    pass the flatness gate (default 10 * max spacing); path dependence
-    would otherwise make the sweep meaningless.
+    The one-cube case of the batched developer: every link of the torus is
+    exponentiated, however small the cube.  The sweep fills the last axis
+    from the corner, then the middle axis on each slice, then the first
+    axis through the volume.  The curvature density, computed per site as
+    for a whole cover, is summed over the cube interior, which must pass
+    the flatness gate (default 10 * max spacing); path dependence would
+    otherwise make the sweep meaningless.
     """
     dims = a.lattice.dims
     windows = [(corner[i] + np.arange(int(shape[i])))[None] % dims[i] for i in range(3)]
@@ -297,16 +293,15 @@ def develop_cube(a: AlgebraOneForm, corner, shape,
 
 
 def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
-    """Ordered product of the link transports exp(h_i b_i) of the lattice
-    connection b = `link_form(a)` along a lattice polyline, so the product
-    equals the developed chart along the same path.
+    """Ordered product of a's `transports` along a lattice polyline, so the
+    product equals the developed chart along the same path.  Every link of
+    the torus is exponentiated, however short the path.
 
     `path` is a sequence of site index triples; consecutive sites must
     differ by one step along a single axis (periodic wrap allowed).
     """
-    a = link_form(a)
+    T = transports(a)
     dims = a.lattice.dims
-    h = a.lattice.spacings
     g = np.eye(a.algebra.rep_dim, dtype=complex)
     for k in range(len(path) - 1):
         p = tuple(int(v) % dims[i] for i, v in enumerate(path[k]))
@@ -316,8 +311,7 @@ def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
         if len(moves) != 1 or moves[0][1] not in (1, dims[moves[0][0]] - 1):
             raise ValueError(f"path hop {p} -> {q} is not a single link")
         ax, d = moves[0]
-        step = group_exp(a.algebra, h[ax] * a.coeffs[(ax,) + (p if d == 1 else q)])
-        g = g @ step if d == 1 else g @ step.conj().T
+        g = g @ (T[(ax,) + p] if d == 1 else T[(ax,) + q].conj().T)
     return g
 
 
@@ -451,7 +445,7 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
     atlas = DevelopingAtlas(cover, a.algebra, dict(zip(verts, charts)), {}, {})
     for v, ax in cover.edges():
         g, score = atlas.pair_label(v, cover.neighbor(v, ax))
-        if score > tol:
+        if not score <= tol:  # a NaN tol or score fails
             raise AtlasError(f"overlap constancy violated on edge {v}+e{ax + 1} "
                              f"(score {score:.3e} > {tol:.1e})")
         g.flags.writeable = False
@@ -501,7 +495,7 @@ def _align_constant(alg: LieAlgebra, rho1: np.ndarray, rho2: np.ndarray,
         err = max(np.abs(C @ r2 @ C.conj().T - r1).max() for r1, r2 in zip(rho1, rho2))
         if err < best_err:
             best, best_err = C, err
-    if best is None or best_err > tol:
+    if best is None or not best_err <= tol:
         raise HolonomyMismatchError(f"holonomies differ (conjugacy defect {best_err:.3e})")
     return best
 
@@ -530,7 +524,7 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
     rho1 = A1.holonomy().elements
     rho2 = A2.holonomy().elements
     tr_gap = np.abs(rho1.trace(axis1=1, axis2=2) - rho2.trace(axis1=1, axis2=2)).max()
-    if tr_gap > 10 * tol:
+    if not tr_gap <= 10 * tol:
         raise HolonomyMismatchError(f"holonomies differ (trace gap {tr_gap:.3e})")
     C = _align_constant(a1.algebra, rho1, rho2, tol=10 * tol)
 
@@ -549,7 +543,7 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
         q = cover.neighbor(v, ax)
         gbar = k[v] @ A2.label(v, ax) @ k[q].conj().T
         worst = max(worst, float(np.abs(gbar - A1.label(v, ax)).max()))
-    if worst > 50 * tol:
+    if not worst <= 50 * tol:
         raise HolonomyMismatchError(f"holonomies differ (circuit defect {worst:.3e})")
 
     # glue (u^1)^-1 k u^2 from the chart of the nearest vertex
@@ -568,6 +562,6 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
         raise AtlasError("atlas inconsistent: ownership tiling left gaps")
     # overlap agreement: compare every chart against the assembled field
     overlap_dev = max(float(np.abs(out[np.ix_(*w)] - g).max()) for w, g in zip(stars, gauges))
-    if overlap_dev > 50 * tol:
+    if not overlap_dev <= 50 * tol:
         raise AtlasError(f"atlas inconsistent (overlap deviation {overlap_dev:.3e})")
     return GroupField(cover.lattice, a1.algebra, out)

@@ -4,9 +4,10 @@ A `GroupField` stores one representation matrix per lattice site.  Its
 logarithmic derivative is the link form L_i(x) = (1/h_i) log(u(x)^-1 u(x+e_i)),
 an algebra-valued 1-form sampled on links (midpoints).  A link form b is a
 lattice connection with transports T_i = exp(h_i b_i); a site form acts
-through its `link_form`, the one owner of the site-to-link step.  The
-gauge action of u on any form logs u(x)^-1 T_i(x) u(x+e_i) through the
-same kernel as the log derivative.  The two energies
+through its `link_form`, the one site-to-link step, and `transports`
+is the one exponential of link coefficients.  The gauge action of u on
+any form is `log_derivative(u, T)`, the one link-log kernel.  The two
+energies
 
     E(u)  = sum_x vol ( 1/2 |L|^2 + 1/4 |L ^ L|^2 )
     E[a]  = sum_x vol ( 1/2 |a|^2 + 1/16 |[a, a]|^2 )
@@ -36,6 +37,7 @@ __all__ = [
     "skyrme_energy_map",
     "skyrme_energy_connection",
     "link_form",
+    "transports",
     "gauge_transform",
     "make_hedgehog",
     "make_winding",
@@ -67,8 +69,8 @@ class TorusLattice:
     def __post_init__(self):
         if len(self.dims) != 3 or any(int(n) < 3 for n in self.dims):
             raise ValueError("need three axes with at least 3 sites each")
-        if len(self.lengths) != 3 or any(l <= 0 for l in self.lengths):
-            raise ValueError("lengths must be positive")
+        if len(self.lengths) != 3 or not all(0 < l < np.inf for l in self.lengths):
+            raise ValueError("lengths must be finite and positive")
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
         object.__setattr__(self, "lengths", tuple(float(l) for l in self.lengths))
 
@@ -141,14 +143,15 @@ class AlgebraOneForm:
 # log derivative and energies
 # ----------------------------------------------------------------------
 
-def _link_logs(u: GroupField, T: np.ndarray | None = None) -> np.ndarray:
-    """Coordinates (1/h_i) log(u(x)^-1 T_i(x) u(x+e_i)) of every link, T the
-    (3,) + dims + (N, N) transports, None for the map's own links.
+def log_derivative(u: GroupField, T: np.ndarray | None = None) -> AlgebraOneForm:
+    """Link log form L_i(x) = (1/h_i) log(u(x)^-1 T_i(x) u(x+e_i)), the one
+    link-log kernel: T the (3,) + dims + (N, N) `transports` of a
+    connection, None for the map's own links u(x)^-1 u(x+e_i).
 
-    All three axes are checked first: the LogRangeError names the worst
-    link's axis, site and |lambda - 1| (None, outranking any distance, when
-    its log left the algebra), and its mask marks every failing link.
-    """
+    All three axes are checked first; for a field too rough for this
+    lattice the LogRangeError names the worst link's axis, site and
+    |lambda - 1| (None, outranking any distance, when its log left the
+    algebra), and its mask marks every failing link."""
     alg = u.algebra
     h = u.lattice.spacings
     comps = []
@@ -178,15 +181,7 @@ def _link_logs(u: GroupField, T: np.ndarray | None = None) -> np.ndarray:
             f"field too rough for this lattice: link at site {site} on axis {axis} "
             f"{what} ({int(mask.sum())} links out of range)",
             axis=axis, site=site, value=value, mask=mask)
-    return np.stack(comps)
-
-
-def log_derivative(u: GroupField) -> AlgebraOneForm:
-    """Link logarithm form L_i(x) = (1/h_i) log(u(x)^-1 u(x+e_i)); raises
-    LogRangeError (see `_link_logs`) when the field is too rough for this
-    lattice: a link beyond the principal branch margin, or a log outside
-    the algebra."""
-    return AlgebraOneForm(u.lattice, u.algebra, _link_logs(u), sampling="link")
+    return AlgebraOneForm(u.lattice, alg, np.stack(comps), sampling="link")
 
 
 def wedge_bracket(L: AlgebraOneForm) -> np.ndarray:
@@ -236,19 +231,24 @@ def link_form(a: AlgebraOneForm) -> AlgebraOneForm:
     return AlgebraOneForm(a.lattice, alg, np.stack(coeffs), sampling="link")
 
 
+def transports(a: AlgebraOneForm) -> np.ndarray:
+    """The link transports T_i(x) = exp(h_i b_i(x)) of the lattice
+    connection b = `link_form(a)`, as a (3,) + dims + (N, N) array: the one
+    exponential of link coefficients."""
+    b = link_form(a)
+    return group_exp(b.algebra, np.reshape(b.lattice.spacings, (3, 1, 1, 1, 1)) * b.coeffs)
+
+
 def gauge_transform(b: AlgebraOneForm, u: GroupField) -> AlgebraOneForm:
     """Gauge action of the map u on the potential b, always link-sampled.
 
-    Every form acts through its `link_form`, a lattice connection with
-    transports T_i = exp(h_i b_i), and u acts on its links exactly,
+    u acts exactly on the `transports` T_i of b,
     b_i -> (1/h_i) log(u(x)^-1 T_i u(x+e_i)) (Wilson, Phys. Rev. D 10
     (1974) 2445): gauge_transform(log_derivative(v), w) =
     log_derivative(v w), holonomy is kept and the cocycle identity holds
     to rounding, and b = 0 gives log_derivative(u).
     """
-    T = None if b.is_zero() else group_exp(
-        b.algebra, np.reshape(b.lattice.spacings, (3, 1, 1, 1, 1)) * link_form(b).coeffs)
-    return AlgebraOneForm(u.lattice, b.algebra, _link_logs(u, T), sampling="link")
+    return log_derivative(u, None if b.is_zero() else transports(b))
 
 
 # ----------------------------------------------------------------------
@@ -293,8 +293,8 @@ def make_hedgehog(lattice: TorusLattice, alg: LieAlgebra, radius: float,
     ball; f(0) = charge * pi, f(r >= radius) = 0.  A degree-`charge`
     representative through the primitive su(2).
     """
-    if radius >= min(lattice.lengths) / 2:
-        raise GeneratorError(f"profile radius {radius} must be < min period / 2")
+    if not 0 < radius < min(lattice.lengths) / 2:
+        raise GeneratorError(f"profile radius {radius} must lie in (0, min period / 2)")
     emb = primitive_su2(alg)
     xs = lattice.coordinates()
     center = tuple(l / 2 for l in lattice.lengths) if center is None else center
@@ -353,6 +353,8 @@ def make_random(lattice: TorusLattice, alg: LieAlgebra, seed: int,
     where the Killing norm vanishes, the u1 blocks.  So `amplitude` bounds
     every block, the u1 phase included; without a u1 block it bounds |X|.
     """
+    if not (0 <= smoothness < np.inf and 0 <= amplitude < np.inf):
+        raise GeneratorError(f"smoothness {smoothness}, amplitude {amplitude}: need finite >= 0")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(lattice.dims + (alg.dim,))
     noise = gaussian_filter(noise, sigma=(smoothness,) * 3 + (0,), mode="wrap")

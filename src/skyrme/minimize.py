@@ -23,8 +23,9 @@ gradient is larger raises LineSearchError.  The sector invariants are
 recomputed at fixed intervals and any drift aborts the run.
 
 Flat potentials are minimized over the gauge orbit a = gauge_transform(b, u)
-of a flat link form b, which fixes its holonomy stratum.  Its links
-u(x)^-1 exp(h b) u(x+e) vary with u exactly as the map links do, so one
+of a flat potential b, which fixes its holonomy stratum: with b's
+`transports` T taken once it is log_derivative(u, T), whose links
+u(x)^-1 T(x) u(x+e) vary with u exactly as the map links do, so one
 gradient, `_gradient` of the link logs, serves both descents.
 """
 
@@ -44,12 +45,11 @@ from .lattice import (
     AlgebraOneForm,
     GroupField,
     TorusLattice,
-    gauge_transform,
-    link_form,
     log_derivative,
     make_hedgehog,
     skyrme_energy_connection,
     skyrme_energy_map,
+    transports,
     wedge_bracket,
 )
 
@@ -183,13 +183,12 @@ def lattice_gradient(u: GroupField) -> np.ndarray:
     return _gradient(log_derivative(u))
 
 
-def _link_distance(u: GroupField, b: AlgebraOneForm | None, site: tuple, axis: int) -> float:
+def _link_distance(u: GroupField, T: np.ndarray | None, site: tuple, axis: int) -> float:
     """|lambda - 1| of the link from `site` along `axis` (1-based) that the
-    descent logs: u(x)^-1 exp(h b(x)) u(x+e), the map link for b None."""
+    descent logs: u(x)^-1 T(x) u(x+e), the map link for T None."""
     up = tuple((c + (k == axis - 1)) % n for k, (c, n) in enumerate(zip(site, u.lattice.dims)))
-    T = (np.eye(u.algebra.rep_dim) if b is None else
-         group_exp(u.algebra, u.lattice.spacings[axis - 1] * b.coeffs[(axis - 1,) + site]))
-    link = u.values[site].conj().T @ T @ u.values[up]
+    step = np.eye(u.algebra.rep_dim) if T is None else T[(axis - 1,) + site]
+    link = u.values[site].conj().T @ step @ u.values[up]
     return float(np.abs(np.linalg.eigvals(link) - 1.0).max())
 
 
@@ -204,9 +203,9 @@ def _check_sector(trace: MinimizeTrace, it: int, u: GroupField, opts: MinimizeOp
 
 
 def _descend(u: GroupField, energy_fn, grad_fn, opts: MinimizeOptions | None = None,
-             b: AlgebraOneForm | None = None) -> tuple[GroupField, MinimizeTrace]:
+             T: np.ndarray | None = None) -> tuple[GroupField, MinimizeTrace]:
     """Descent of energy_fn by grad_fn from u, its sector checked on entry, every
-    sector_interval steps and at the end; energy_fn logs the links of b (None: u's)."""
+    sector_interval steps and at the end; energy_fn logs u's links through T (None: u's own)."""
     opts = opts or MinimizeOptions()
     trace = MinimizeTrace()
     _check_sector(trace, 0, u, opts, "")
@@ -242,7 +241,7 @@ def _descend(u: GroupField, energy_fn, grad_fn, opts: MinimizeOptions | None = N
                 proj_sq = site_sq[~frozen].sum()
                 if np.sqrt(proj_sq) <= opts.grad_tol:
                     trace.barrier = (exc.site, exc.axis,
-                                     _link_distance(u, b, exc.site, exc.axis))
+                                     _link_distance(u, T, exc.site, exc.axis))
                     break
                 continue
             if E_t <= E - opts.armijo_c * tau * proj_sq:
@@ -308,18 +307,19 @@ def minimize_connection(b: AlgebraOneForm, sector: SectorInvariants,
     flat reference b, within the requested sector.
 
     A non-zero b must pass `build_atlas` over the default cover, the gate
-    of every sector query; it then acts through its `link_form`, a lattice
-    connection with b's holonomy, taken once before the descent.  Returns
-    (a_final, trace), a_final link-sampled; the trace reports E[a] at each
-    iterate.
+    of every sector query; its `transports` T, a lattice connection with
+    b's holonomy, are then taken once, and every iterate is
+    a = log_derivative(u, T).  Returns (a_final, trace), a_final
+    link-sampled; the trace reports E[a] at each iterate.
     """
+    T = None
     if not b.is_zero():
         try:
             build_atlas(b)
         except ValueError as exc:  # no default cover fits the lattice
             raise FlatnessError(f"reference potential cannot be gated: {exc}") from exc
-        b = link_form(b)
+        T = transports(b)
     final_u, trace = _descend(seed_field(b.lattice, b.algebra, sector),
-                              lambda u: skyrme_energy_connection(gauge_transform(b, u)),
-                              lambda u: _gradient(gauge_transform(b, u)), opts, b)
-    return gauge_transform(b, final_u), trace
+                              lambda u: skyrme_energy_connection(log_derivative(u, T)),
+                              lambda u: _gradient(log_derivative(u, T)), opts, T)
+    return log_derivative(final_u, T), trace

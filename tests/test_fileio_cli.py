@@ -237,6 +237,21 @@ def test_cli_holonomy_rejects_a_spacing_that_does_not_divide(tmp_path, capsys, s
     assert "--spacing 3" in err and "must divide" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_cli_holonomy_rejects_a_tol_that_is_not_finite_and_positive(tmp_path, capsys, su2,
+                                                                    lat8, tol):
+    # a NaN or infinite tol would pass every gate and call different
+    # holonomies equal; a non-positive one would fail every gate
+    pz, pc = tmp_path / "z.skya", tmp_path / "c.skya"
+    fileio.write_one_form(pz, lat.zero_one_form(lat8, su2))
+    c = lat.zero_one_form(lat8, su2, sampling="link")
+    c.coeffs[0, ..., 2] = 0.7
+    fileio.write_one_form(pc, c)
+    assert main(["holonomy", str(pz), "--compare", str(pc), "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err and "holonomy=equal" not in captured.out
+
+
 @pytest.mark.parametrize("first, second, spec", [
     ((8, "su2", "hedgehog"), (12, "su2", "zero"), "su2"),
     ((8, "su2", "hedgehog"), (12, "su2", "hedgehog"), "su2"),
@@ -528,4 +543,25 @@ def test_cli_gen_bad_number_is_a_config_error(tmp_path, capsys, line, key, value
     assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert key in err and repr(value) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, line, code", [
+    ("hedgehog", "radius = nan", 14),
+    ("hedgehog", "radius = 0", 14),
+    ("hedgehog", "radius = -0.2", 14),
+    ("random", "amplitude = nan", 14),
+    ("random", "smoothness = nan", 14),
+    ("random", "smoothness = -1", 14),
+    ("random", "lengths = 1,1,nan", 2),
+    ("random", "lengths = inf,1,1", 2),
+])
+def test_cli_gen_refuses_parameters_that_write_a_wrong_field(tmp_path, capsys, kind, line, code):
+    # each of these wrote a field of NaNs, the identity, or an unsmoothed
+    # field with exit 0; none may write a file
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"group = su2\ndims = 6,6,6\nkind = {kind}\n{line}\n")
+    out = tmp_path / "g.skyf"
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

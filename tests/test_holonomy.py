@@ -250,7 +250,7 @@ def test_flat_site_form_passes_the_default_gate(spec, n):
     _, a = analytic_exp_field(alg, lat.TorusLattice((n, n, n)), amp=0.5, seed=3)
     cover = hol.CubicalCover.for_lattice(a.lattice)
     atlas = hol.build_atlas(a, cover, tol=np.inf)
-    b = hol.link_form(a)
+    b = lat.link_form(a)
     for v in cover.vertices():
         g = hol.path_transport(b, _sweep_path(cover, v))
         assert np.abs(atlas.charts[v][-1, -1, -1] - g).max() <= 1e-12
@@ -263,7 +263,7 @@ def test_site_gate_residual_is_windowed_flatness_density(su2, lat8):
         hol.build_atlas(a, cover, flatness_gate=0.0)
     exc = info.value
     assert exc.vertex == cover.base and exc.corner == cover.star_corner(cover.base)
-    expect = oracle_star_residuals(hol.link_form(a), cover)[0]
+    expect = oracle_star_residuals(lat.link_form(a), cover)[0]
     assert abs(exc.residual - expect) <= 1e-12 * expect
 
 
@@ -424,6 +424,19 @@ def test_zero_form_atlas_skips_development(spec, sampling, monkeypatch):
         assert np.array_equal(g, np.eye(alg.rep_dim)) and atlas.edge_scores[(v, ax)] == 0.0
         g_ref, score_ref = reference.pair_label(v, cover.neighbor(v, ax))
         assert np.abs(g - g_ref).max() <= 1e-14 and score_ref <= 1e-14
+
+
+def test_atlas_gates_refuse_a_nan_tol(su2, lat8):
+    # NaN compares false, so each gate reads `not x <= tol` and fails;
+    # an infinite tol stays legal and passes every edge
+    c = lat.zero_one_form(lat8, su2, sampling="link")
+    c.coeffs[0, ..., 2] = 0.7
+    with pytest.raises(AtlasError):
+        hol.build_atlas(c, tol=np.nan)
+    assert hol.build_atlas(c, tol=np.inf).holonomy().elements.shape == (3, 2, 2)
+    rho = np.stack([np.eye(2, dtype=complex)] * 3)
+    with pytest.raises(HolonomyMismatchError):
+        hol._align_constant(su2, rho, rho, tol=np.nan)
 
 
 def test_atlas_log_derivative_scores(su2, lat16, cover16):

@@ -1,8 +1,9 @@
 """Source hygiene of the package: no module keeps an import it does not use,
 no top-level name goes unused, no module imports another's private name,
 only `algebra.py` reads the algebra's tables, only a fixed list of
-functions branches on a form's sampling or chooses a cover, and
-`algebra.py` nests no two loops over the algebra's dimension."""
+functions branches on a form's sampling, chooses a cover or exponentiates
+link coefficients, and `algebra.py` nests no two loops over the algebra's
+dimension."""
 
 import ast
 from collections import Counter
@@ -181,3 +182,20 @@ def test_the_default_cover_has_one_owner():
              for n in ast.walk(node)
              if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "for_lattice"}
     assert calls <= COVER_CHOOSERS, f"covers chosen outside their owners: {calls - COVER_CHOOSERS}"
+
+
+# (module, function) allowed to call `group_exp` on a form's coefficients:
+# a connection's transports are read from `lattice.transports`, and a
+# second exponential of link coefficients repeats that work
+LINK_EXPONENTIALS = {("lattice.py", "transports")}
+
+
+def test_link_coefficients_have_one_exponential():
+    calls = {(path.name, name) for path in MODULES
+             for name, node in _functions(ast.parse(path.read_text()))
+             for n in ast.walk(node)
+             if isinstance(n, ast.Call)
+             and "group_exp" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+             and any(isinstance(m, ast.Attribute) and m.attr == "coeffs" for m in ast.walk(n))}
+    assert calls <= LINK_EXPONENTIALS, \
+        f"link coefficients exponentiated outside `transports`: {sorted(calls - LINK_EXPONENTIALS)}"

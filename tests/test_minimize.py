@@ -308,12 +308,33 @@ def test_connection_barrier_names_the_logged_link(su2):
     u0 = lat.make_random(L, su2, seed=0, smoothness=0.5, amplitude=1.0)
     u, trace = mz._descend(u0, lambda w: -lat.skyrme_energy_connection(lat.gauge_transform(b, w)),
                            lambda w: -mz._gradient(lat.gauge_transform(b, w)),
-                           mz.MinimizeOptions(max_iters=200), b)
+                           mz.MinimizeOptions(max_iters=200), lat.transports(b))
     assert trace.termination == "barrier"
     site, axis, dist = trace.barrier
     logged = link_distances(lat.multiply(v, u))[(axis - 1,) + site]
     assert dist == pytest.approx(logged, abs=1e-12)
     assert abs(dist - link_distances(u)[(axis - 1,) + site]) > 1e-3
+
+
+def test_minimize_connection_exponentiates_the_reference_once(su2, lat8, monkeypatch):
+    # the gate's development and the descent's `transports` take the only
+    # exponentials of b's link coefficients; no energy or gradient call does
+    from skyrme import holonomy as hol
+
+    b = lat.log_derivative(lat.make_random(lat8, su2, seed=1, amplitude=0.6))
+    counted = []
+
+    def counting(alg, X):
+        counted.append(np.shape(X) == b.coeffs.shape)
+        return al.group_exp(alg, X)
+
+    for mod in (lat, hol, inv, mz):
+        if hasattr(mod, "group_exp"):
+            monkeypatch.setattr(mod, "group_exp", counting)
+    sector = inv.sector_of(lat.constant_field(lat8, su2))
+    _, trace = mz.minimize_connection(b, sector, mz.MinimizeOptions(max_iters=4))
+    assert len(trace.energies) == 4 and len(counted) >= 4  # one step exp per iteration
+    assert sum(counted) <= 2
 
 
 def test_minimize_connection_gates_the_reference(su2, lat8):
