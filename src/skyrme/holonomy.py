@@ -28,13 +28,14 @@ log derivative the chords are rounding noise.  Otherwise the plaquette
 logs are taken and the gate decides on them exactly as without the bound.
 A plaquette with no log in the algebra gives its cube an infinite residual.
 
-The holonomy of the torus is read off a cubical cover: one chart per
-coarse vertex, constant edge labels g_[p,q] estimated on star overlaps,
-and generator loops multiplied along circuits that close through the
-single non-tree edge of each axis.  Two flat potentials with the same
-holonomy are gauge equivalent; the reconstruction aligns the second
-atlas at the base vertex, propagates corrections down a maximal tree,
-verifies the circuit labels, and glues (u^1)^-1 u^2 into a global gauge.
+The holonomy of the torus is read off a cubical cover.  The atlas holds
+arrays over the coarse grid: a chart per vertex and, per axis, the
+constant label g_[v, v+e] of every edge, estimated in one batched step on
+the star overlaps.  A generator loop multiplies one axis's labels along
+the coarse line through the base.  Two flat potentials with the same
+holonomy are gauge equivalent; the reconstruction aligns the second atlas
+at the base vertex, sweeps corrections down a maximal tree, verifies every
+corrected label, and glues (u^1)^-1 u^2 into a global gauge.
 
 A sector query develops the same form twice in a row, once for its
 holonomy and again for the gauge reconstruction, so `build_atlas` keeps
@@ -44,6 +45,7 @@ the atlas of the last developed non-zero form in one slot (see there).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -78,12 +80,11 @@ _last_atlas: tuple | None = None
 
 @dataclass(frozen=True)
 class CubicalCover:
-    """Coarse vertex sublattice with stars of side 2s sites and a rooted tree.
+    """Coarse vertex sublattice with stars of side 2s sites.
 
-    Vertices are coarse index triples; the star of v is the closed cube of
-    2s+1 fine sites centered on it, so adjacent stars overlap in a slab of
-    s+1 sites.  Each torus generator circuit runs along one axis and uses
-    exactly one non-tree (wrap-around) edge.
+    Vertices are coarse index triples on the grid `shape`; the star of v
+    is the closed cube of 2s+1 fine sites centered on it, so adjacent
+    stars overlap in a slab of s+1 sites.
     """
 
     lattice: TorusLattice
@@ -120,43 +121,12 @@ class CubicalCover:
         return (0, 0, 0)
 
     def vertices(self):
-        """Coarse vertices in lexicographic order, the base first; every
-        `tree_parent` comes before its children."""
+        """Coarse vertices in lexicographic order, the base first."""
         return list(np.ndindex(self.shape))
 
     def star_corner(self, v) -> tuple[int, int, int]:
         return tuple((v[i] * self.spacing - self.spacing) % self.lattice.dims[i]
                      for i in range(3))
-
-    def neighbor(self, v, axis: int):
-        w = list(v)
-        w[axis] = (w[axis] + 1) % self.shape[axis]
-        return tuple(w)
-
-    def edges(self):
-        """Oriented edges (v, axis): v -> v + e_axis on the coarse grid."""
-        return [(v, ax) for v in self.vertices() for ax in range(3)]
-
-    def tree_parent(self, v):
-        """Parent of v in the maximal tree rooted at the base, as
-        (parent, axis) with edge parent -> v, or None at the root."""
-        if v[2] > 0:
-            return (v[0], v[1], v[2] - 1), 2
-        if v[1] > 0:
-            return (v[0], v[1] - 1, 0), 1
-        if v[0] > 0:
-            return (v[0] - 1, 0, 0), 0
-        return None
-
-    def circuit(self, axis: int):
-        """Generator loop along `axis` through the base: oriented edge list."""
-        n = self.shape[axis]
-        out = []
-        v = self.base
-        for _ in range(n):
-            out.append((v, axis))
-            v = self.neighbor(v, axis)
-        return out
 
     def star_indices(self) -> np.ndarray:
         """Wrapped site indices of every star, (S, 3, 2s+1) in vertices() order."""
@@ -292,17 +262,17 @@ def develop_cube(a: AlgebraOneForm, corner, shape,
     return _develop(a, windows, flatness_gate)[0]
 
 
-def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
-    """Ordered product of a's `transports` along a lattice polyline, so the
-    product equals the developed chart along the same path.  Every link of
-    the torus is exponentiated, however short the path.
+def path_transport(T: np.ndarray, path) -> np.ndarray:
+    """Ordered product of the link transports T along a lattice polyline,
+    so the product equals the developed chart along the same path.
 
-    `path` is a sequence of site index triples; consecutive sites must
-    differ by one step along a single axis (periodic wrap allowed).
+    T is the (3,) + dims + (N, N) array of `lattice.transports`, taken
+    once for any number of paths.  `path` is a sequence of site index
+    triples; consecutive sites must differ by one step along a single
+    axis (periodic wrap allowed).
     """
-    T = transports(a)
-    dims = a.lattice.dims
-    g = np.eye(a.algebra.rep_dim, dtype=complex)
+    dims = T.shape[1:4]
+    g = np.eye(T.shape[-1], dtype=complex)
     for k in range(len(path) - 1):
         p = tuple(int(v) % dims[i] for i, v in enumerate(path[k]))
         q = tuple(int(v) % dims[i] for i, v in enumerate(path[k + 1]))
@@ -320,69 +290,61 @@ def path_transport(a: AlgebraOneForm, path) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _project_group(alg: LieAlgebra, M: np.ndarray) -> np.ndarray:
-    """Nearest group element to M: polar factor, det-normalized when needed."""
+    """Nearest group elements to a batch (..., N, N) of matrices M: polar
+    factors, det-normalized when needed.  Raises AtlasError if any real M
+    projects onto the wrong orthogonal component."""
     if alg.group_kind == "special_orthogonal":
         M = M.real.astype(complex)
     W, _, Vh = np.linalg.svd(M)
     g = W @ Vh
     if alg.group_kind in ("special_unitary", "symplectic"):
         det = np.linalg.det(g)
-        g = g * np.exp(-1j * np.angle(det) / alg.rep_dim)
+        g = g * np.exp(-1j * np.angle(det) / alg.rep_dim)[..., None, None]
     elif alg.group_kind == "special_orthogonal":
-        if np.linalg.det(g.real).real < 0:
+        if (np.linalg.det(g.real) < 0).any():
             raise AtlasError("overlap mean projected onto the wrong orthogonal component")
         g = g.real.astype(complex)
     return g
 
 
+def _edge_labels(alg: LieAlgebra, charts: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(3, n1, n2, n3, N, N) labels and (3, n1, n2, n3) scores of the edges
+    v -> v + e_axis, from (n1, n2, n3, m, m, m, N, N) charts with m = 2s + 1:
+    the label g is the mean of u_v u_(v+e_axis)^-1 over the overlap (the
+    upper s + 1 sites of v's star along the axis), projected to the group,
+    and the score is the sup deviation of that product from g."""
+    grid, N = charts.shape[:3], charts.shape[-1]
+
+    def along(ax):  # one axis at a time: its temporaries are freed before the next
+        cut = (slice(None),) * (3 + ax)
+        prod = np.einsum("...ij,...kj->...ik", charts[cut + (slice(s, None),)],
+                         np.roll(charts[cut + (slice(None, s + 1),)], -1, axis=ax).conj())
+        g = _project_group(alg, prod.reshape(grid + (-1, N, N)).mean(axis=3))
+        prod -= g[:, :, :, None, None, None]
+        return g, np.abs(prod).max(axis=(3, 4, 5, 6, 7))
+
+    labels, scores = zip(*map(along, range(3)))
+    return np.stack(labels), np.stack(scores)
+
+
 @dataclass
 class DevelopingAtlas:
-    """Charts per cover vertex with constant edge labels on overlaps."""
+    """Arrays over the coarse grid `cover.shape` = (n1, n2, n3): the chart
+    of every vertex, and per axis the constant label and score of every
+    edge v -> v + e_axis.  All three are read-only."""
 
     cover: CubicalCover
     algebra: LieAlgebra
-    charts: dict
-    edge_labels: dict   # (v, axis) -> group element g_[v, v+e_axis]
-    edge_scores: dict   # (v, axis) -> sup deviation of u_p u_q^-1 from g
-
-    def label(self, v, axis: int) -> np.ndarray:
-        return self.edge_labels[(tuple(v), axis)]
-
-    def pair_label(self, p, q) -> tuple[np.ndarray, float]:
-        """Constant g with u_p = g u_q on st(p) cap st(q), for any two
-        vertices whose stars overlap (not only axis neighbors)."""
-        cov = self.cover
-        s = cov.spacing
-        sl_p, sl_q = [], []
-        for i in range(3):
-            d = (q[i] - p[i]) % cov.shape[i]
-            if d == 0:
-                sl_p.append(slice(0, 2 * s + 1))
-                sl_q.append(slice(0, 2 * s + 1))
-            elif d == 1:
-                sl_p.append(slice(s, 2 * s + 1))
-                sl_q.append(slice(0, s + 1))
-            elif d == cov.shape[i] - 1:
-                sl_p.append(slice(0, s + 1))
-                sl_q.append(slice(s, 2 * s + 1))
-            else:
-                raise ValueError(f"stars of {p} and {q} do not overlap")
-        up = self.charts[tuple(p)][tuple(sl_p)]
-        uq = self.charts[tuple(q)][tuple(sl_q)]
-        prod = np.einsum("...ij,...kj->...ik", up, uq.conj())
-        g = _project_group(self.algebra, prod.reshape(-1, *prod.shape[-2:]).mean(axis=0))
-        score = np.abs(prod - g).max()
-        return g, float(score)
+    charts: np.ndarray  # (n1, n2, n3, m, m, m, N, N), m = 2s + 1: u_v on the star of v
+    labels: np.ndarray  # (3, n1, n2, n3, N, N): g with u_v = g u_(v+e_axis) on the overlap
+    scores: np.ndarray  # (3, n1, n2, n3): sup deviation of u_v u_(v+e_axis)^-1 from g
 
     def holonomy(self) -> "HolonomyRep":
-        """Holonomy of each torus generator as the ordered product of edge labels."""
-        els = []
-        for ax in range(3):
-            g = np.eye(self.algebra.rep_dim, dtype=complex)
-            for v, eax in self.cover.circuit(ax):
-                g = g @ self.label(v, eax)
-            els.append(g)
-        return HolonomyRep(np.stack(els))
+        """Holonomy of each torus generator: the ordered product of the
+        labels of its axis along the coarse line through the base vertex."""
+        eye = np.eye(self.algebra.rep_dim, dtype=complex)
+        lines = (np.moveaxis(self.labels[ax], ax, 0)[:, 0, 0] for ax in range(3))
+        return HolonomyRep(np.stack([reduce(np.matmul, line, eye) for line in lines]))
 
 
 @dataclass
@@ -405,13 +367,15 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
                 flatness_gate: float | None = None) -> DevelopingAtlas:
     """Develop every star of `cover` in one batched sweep and estimate the
     constant edge labels.  The default cover is `CubicalCover.for_lattice`
-    of a's lattice; this is the one place that chooses it.
+    of a's lattice; this is the one place that chooses it, and a cover of
+    another lattice raises ValueError.
 
-    The label of an oriented edge [p, q] is the overlap mean of
-    u_p(x) u_q(x)^-1 projected back to the group (`pair_label`); its
-    recorded score is the sup deviation from constancy and must stay
-    below `tol`.  An identically zero form is not developed: F = 0 passes
-    any gate, and every chart and edge label is the identity.
+    The charts are the developed stars laid out on the coarse grid, and
+    `_edge_labels` estimates every edge label and score from them in one
+    batched step.  Every score must stay below `tol`; otherwise AtlasError
+    names the first failing edge in (vertex, axis) order.  An identically
+    zero form is not developed: F = 0 passes any gate, every chart and
+    edge label is the identity and every score is zero.
 
     The atlas of the last non-zero form developed is memoized in one slot.
     It is returned again when the algebra object, sampling, lattice, cover,
@@ -420,19 +384,20 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
     atlas whose gates passed on this input.  Errors are never stored.  On
     a miss the slot is emptied before developing, so the old charts are
     freed before the new ones are allocated and peak memory stays that of
-    one atlas.  Charts and edge labels are read-only, cached or not.
+    one atlas.  Charts, labels and scores are read-only, cached or not.
     """
     global _last_atlas
     if cover is None:
         cover = CubicalCover.for_lattice(a.lattice)
-    verts = cover.vertices()
+    elif cover.lattice != a.lattice:
+        raise ValueError(f"cover of dims {cover.lattice.dims}, lengths {cover.lattice.lengths}, "
+                         f"for a form on dims {a.lattice.dims}, lengths {a.lattice.lengths}")
+    grid = cover.shape
     if a.is_zero():
-        n, eye = 2 * cover.spacing + 1, a.algebra.group_identity()
-        eye.flags.writeable = False
-        charts = np.broadcast_to(eye, (len(verts), n, n, n) + eye.shape)
-        return DevelopingAtlas(cover, a.algebra, dict(zip(verts, charts)),
-                               dict.fromkeys(cover.edges(), eye),
-                               dict.fromkeys(cover.edges(), 0.0))
+        eye, m = a.algebra.group_identity(), 2 * cover.spacing + 1
+        return DevelopingAtlas(cover, a.algebra, np.broadcast_to(eye, grid + (m,) * 3 + eye.shape),
+                               np.broadcast_to(eye, (3,) + grid + eye.shape),
+                               np.broadcast_to(0.0, (3,) + grid))
     key = (a.algebra, a.sampling, a.lattice, cover, tol, flatness_gate)
     if (_last_atlas is not None and _last_atlas[0] == key
             and np.array_equal(_last_atlas[1], a.coeffs)):
@@ -440,17 +405,17 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
     _last_atlas = None
     coeffs = a.coeffs.copy()
     coeffs.flags.writeable = False
-    charts = _develop(a, cover.star_indices().transpose(1, 0, 2), flatness_gate, verts)
-    charts.flags.writeable = False
-    atlas = DevelopingAtlas(cover, a.algebra, dict(zip(verts, charts)), {}, {})
-    for v, ax in cover.edges():
-        g, score = atlas.pair_label(v, cover.neighbor(v, ax))
-        if not score <= tol:  # a NaN tol or score fails
-            raise AtlasError(f"overlap constancy violated on edge {v}+e{ax + 1} "
-                             f"(score {score:.3e} > {tol:.1e})")
-        g.flags.writeable = False
-        atlas.edge_labels[(v, ax)] = g
-        atlas.edge_scores[(v, ax)] = score
+    charts = _develop(a, cover.star_indices().transpose(1, 0, 2), flatness_gate, cover.vertices())
+    charts = charts.reshape(grid + charts.shape[1:])
+    labels, scores = _edge_labels(a.algebra, charts, cover.spacing)
+    if not (scores <= tol).all():  # a NaN tol or score fails
+        first = np.argmax(~(np.moveaxis(scores, 0, -1) <= tol))
+        *v, ax = (int(i) for i in np.unravel_index(first, grid + (3,)))
+        raise AtlasError(f"overlap constancy violated on edge {tuple(v)}+e{ax + 1} "
+                         f"(score {scores[(ax, *v)]:.3e} > {tol:.1e})")
+    for arr in (charts, labels, scores):
+        arr.flags.writeable = False
+    atlas = DevelopingAtlas(cover, a.algebra, charts, labels, scores)
     _last_atlas = (key, coeffs, atlas)
     return atlas
 
@@ -508,11 +473,14 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
     Both potentials are developed over the cover (`build_atlas`'s default
     for None) with `tol` as the edge score bound, so an atlas `holonomy_rep`
     built with the same `tol` is a memo hit.  The second atlas is aligned
-    at the base vertex, corrected down the maximal tree so its tree labels
-    match the first atlas, and the non-tree circuit labels are compared:
-    any defect beyond `tol` means the holonomies differ (never a field).
-    The glued gauge is (u^1_p)^-1 k_p u^2_p, chart-assembled.  Forms of
-    different algebras or lattices raise ValueError.
+    at the base vertex by a constant C, and corrections k are swept down a
+    maximal tree so its labels match the first atlas: along the first axis
+    on the base line, then the second over that line, then the third
+    through the volume (the development's axis sweep, axes reversed).  Every
+    corrected label is then compared; a defect beyond `tol` on the closing
+    edges means the holonomies differ (never a field).  The glued gauge is
+    (u^1_v)^-1 k_v u^2_v, chart-assembled.  Forms of different algebras or
+    lattices raise ValueError.
     """
     if a1.algebra.name != a2.algebra.name or a1.lattice != a2.lattice:
         raise ValueError("forms differ in group or lattice: " + " against ".join(
@@ -521,47 +489,49 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
     A1 = build_atlas(a1, cover, tol=tol)
     cover = A1.cover
     A2 = build_atlas(a2, cover, tol=tol)
-    rho1 = A1.holonomy().elements
-    rho2 = A2.holonomy().elements
+    rho1, rho2 = A1.holonomy().elements, A2.holonomy().elements
     tr_gap = np.abs(rho1.trace(axis1=1, axis2=2) - rho2.trace(axis1=1, axis2=2)).max()
     if not tr_gap <= 10 * tol:
         raise HolonomyMismatchError(f"holonomies differ (trace gap {tr_gap:.3e})")
     C = _align_constant(a1.algebra, rho1, rho2, tol=10 * tol)
 
-    # tree correction: k_child = g1_e^-1 k_parent g2_e along parent -> child
-    k = {cover.base: C}
-    for v in cover.vertices():
-        par = cover.tree_parent(v)
-        if par is None:
-            continue
-        p, ax = par
-        k[v] = A1.label(p, ax).conj().T @ k[p] @ A2.label(p, ax)
+    # tree correction k_w = g1^-1 k_v g2 along each tree edge v -> w = v + e_axis;
+    # sweeping axis ax fills the axes before it, the ones after stay at 0
+    L1, L2 = A1.labels, A2.labels
+    k = np.empty(cover.shape + C.shape, dtype=complex)
+    k[cover.base] = C
+    for ax in range(3):
+        kk, g1, g2 = (np.moveaxis(x, ax, 0) for x in (k, L1[ax], L2[ax]))
+        part = (slice(None),) * ax + (0,) * (2 - ax)
+        for i in range(1, cover.shape[ax]):
+            v = (i - 1,) + part
+            kk[(i,) + part] = g1[v].conj().swapaxes(-1, -2) @ kk[v] @ g2[v]
 
-    # all corrected labels must now match; non-tree edges test the holonomy
-    worst = 0.0
-    for v, ax in cover.edges():
-        q = cover.neighbor(v, ax)
-        gbar = k[v] @ A2.label(v, ax) @ k[q].conj().T
-        worst = max(worst, float(np.abs(gbar - A1.label(v, ax)).max()))
+    # all corrected labels must now match; the closing edges test the holonomy
+    worst = max(float(np.abs(k @ L2[ax] @ np.roll(k, -1, axis=ax).conj().swapaxes(-1, -2)
+                             - L1[ax]).max()) for ax in range(3))
     if not worst <= 50 * tol:
         raise HolonomyMismatchError(f"holonomies differ (circuit defect {worst:.3e})")
 
-    # glue (u^1)^-1 k u^2 from the chart of the nearest vertex
+    # glue (u^1)^-1 k u^2 = conj((u^1)^T conj(k u^2)), conjugated in place
     s = cover.spacing
-    stars = cover.star_indices()
-    gauges = [np.einsum("...ji,...jl->...il", A1.charts[v].conj(), k[v] @ A2.charts[v])
-              for v in cover.vertices()]
-    out = np.empty(cover.lattice.dims + gauges[0].shape[-2:], dtype=complex)
+    stars = cover.star_indices().transpose(1, 0, 2)
+    gauges = k[:, :, :, None, None, None] @ A2.charts
+    gauges = np.einsum("...ji,...jl->...il", A1.charts, np.conjugate(gauges, out=gauges))
+    np.conjugate(gauges, out=gauges)
+    gauges = gauges.reshape((-1,) + gauges.shape[3:])  # (S, m, m, m, N, N), vertices() order
+    out = np.empty(cover.lattice.dims + gauges.shape[-2:], dtype=complex)
     owner_written = np.zeros(cover.lattice.dims, dtype=bool)
     # ownership: the central s x s x s block of each star tiles the torus
     lo, hi = s - s // 2, s - s // 2 + s
-    owned = _grid(stars[:, :, lo:hi].transpose(1, 0, 2))
-    out[owned] = np.stack([g[lo:hi, lo:hi, lo:hi] for g in gauges])
+    owned = _grid(stars[:, :, lo:hi])
+    out[owned] = gauges[:, lo:hi, lo:hi, lo:hi]
     owner_written[owned] = True
     if not owner_written.all():
         raise AtlasError("atlas inconsistent: ownership tiling left gaps")
     # overlap agreement: compare every chart against the assembled field
-    overlap_dev = max(float(np.abs(out[np.ix_(*w)] - g).max()) for w, g in zip(stars, gauges))
+    gauges -= out[_grid(stars)]
+    overlap_dev = float(np.abs(gauges).max())
     if not overlap_dev <= 50 * tol:
         raise AtlasError(f"atlas inconsistent (overlap deviation {overlap_dev:.3e})")
     return GroupField(cover.lattice, a1.algebra, out)

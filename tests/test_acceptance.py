@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import analytic_exp_field, sup_deviation_mod_constant
+from conftest import analytic_exp_field, coarse_edges, sup_deviation_mod_constant
 from skyrme import algebra as al
 from skyrme import holonomy as hol
 from skyrme import invariants as inv
@@ -141,13 +141,13 @@ def test_criterion_7_holonomy():
     rng = np.random.default_rng(1)
     h = {v: al.group_exp(su2, 0.6 * rng.standard_normal(3)) for v in cover.vertices()}
     relab = {}
-    for (v, ax), g in atlas.edge_labels.items():
-        relab[(v, ax)] = h[v] @ g @ h[cover.neighbor(v, ax)].conj().T
+    for v, ax, q in coarse_edges(cover):
+        relab[(v, ax)] = h[v] @ atlas.labels[(ax,) + v] @ h[q].conj().T
     relabel_gap = 0.0
     for ell in range(3):
         g = np.eye(2, dtype=complex)
-        for v, eax in cover.circuit(ell):
-            g = g @ relab[(v, eax)]
+        for i in range(cover.shape[ell]):
+            g = g @ relab[(tuple(i if d == ell else 0 for d in range(3)), ell)]
         relabel_gap = max(relabel_gap, abs(np.trace(g) - rep.traces[ell]))
 
     w = lat.make_random(L, su2, seed=7, smoothness=2.5, amplitude=0.5)

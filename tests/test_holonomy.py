@@ -7,7 +7,9 @@ from scipy.linalg import expm
 
 from conftest import (
     analytic_exp_field,
+    coarse_edges,
     flat_site_form,
+    oracle_pair_label,
     oracle_star_residuals,
     sup_deviation_mod_constant,
 )
@@ -37,29 +39,6 @@ def test_cover_structure(lat16):
     cov = hol.CubicalCover.for_lattice(lat16)
     assert cov.spacing == 4 and cov.shape == (4, 4, 4)
     assert len(cov.vertices()) == 64
-    assert len(cov.edges()) == 3 * 64
-    # tree touches every vertex exactly once
-    seen = {cov.base}
-    for v in cov.vertices():
-        par = cov.tree_parent(v)
-        if par is None:
-            assert v == cov.base
-            continue
-        p, ax = par
-        assert p in seen
-        assert cov.neighbor(p, ax) == v
-        seen.add(v)
-    assert len(seen) == 64
-    # each generator circuit uses exactly one non-tree edge
-    tree_edges = set()
-    for v in cov.vertices():
-        par = cov.tree_parent(v)
-        if par is not None:
-            tree_edges.add(par)
-    for ax in range(3):
-        circ = cov.circuit(ax)
-        non_tree = [e for e in circ if e not in tree_edges]
-        assert len(non_tree) == 1
 
 
 def test_cover_rejects_bad_spacing():
@@ -159,16 +138,16 @@ def test_develop_flatness_gate(su2, lat8):
 def test_path_transport(su2, lat16):
     z = lat.zero_one_form(lat16, su2)
     loop = [(i, 0, 0) for i in range(17)]
-    assert np.abs(hol.path_transport(z, loop) - np.eye(2)).max() == 0.0
-    a = abelian_form(lat16, su2, 2 * np.pi)
-    g = hol.path_transport(a, loop)
+    assert np.abs(hol.path_transport(lat.transports(z), loop) - np.eye(2)).max() == 0.0
+    T = lat.transports(abelian_form(lat16, su2, 2 * np.pi))
+    g = hol.path_transport(T, loop)
     assert np.abs(g - np.eye(2)).max() < 1e-10
     half = [(i, 0, 0) for i in range(9)]
-    fwd = hol.path_transport(a, half)
-    bwd = hol.path_transport(a, half[::-1])
+    fwd = hol.path_transport(T, half)
+    bwd = hol.path_transport(T, half[::-1])
     assert np.abs(fwd @ bwd - np.eye(2)).max() < 1e-12
     with pytest.raises(ValueError):
-        hol.path_transport(a, [(0, 0, 0), (2, 0, 0)])
+        hol.path_transport(T, [(0, 0, 0), (2, 0, 0)])
 
 
 def test_path_transport_site_step_on_nonabelian_data():
@@ -197,7 +176,7 @@ def test_path_transport_site_step_on_nonabelian_data():
         expect = expect @ (step if forward else np.linalg.inv(step))
         no_bracket = no_bracket @ expm(mean if forward else -mean)
     assert np.abs(expect - no_bracket).max() > 1e-6
-    assert np.abs(hol.path_transport(a, path) - expect).max() < 1e-12
+    assert np.abs(hol.path_transport(lat.transports(a), path) - expect).max() < 1e-12
 
 
 def _sweep_path(cover, v):
@@ -237,7 +216,7 @@ def test_batched_atlas_matches_per_star_development(spec, sampling, n, spacing):
         ref = hol.develop_cube(a, cover.star_corner(v), (side,) * 3)
         assert np.abs(atlas.charts[v] - ref).max() <= 1e-13
     # independent check: the sweep's path, multiplied link by link
-    g = hol.path_transport(a, _sweep_path(cover, cover.base))
+    g = hol.path_transport(lat.transports(a), _sweep_path(cover, cover.base))
     assert np.abs(atlas.charts[cover.base][-1, -1, -1] - g).max() <= 1e-12
 
 
@@ -250,9 +229,9 @@ def test_flat_site_form_passes_the_default_gate(spec, n):
     _, a = analytic_exp_field(alg, lat.TorusLattice((n, n, n)), amp=0.5, seed=3)
     cover = hol.CubicalCover.for_lattice(a.lattice)
     atlas = hol.build_atlas(a, cover, tol=np.inf)
-    b = lat.link_form(a)
+    T = lat.transports(lat.link_form(a))
     for v in cover.vertices():
-        g = hol.path_transport(b, _sweep_path(cover, v))
+        g = hol.path_transport(T, _sweep_path(cover, v))
         assert np.abs(atlas.charts[v][-1, -1, -1] - g).max() <= 1e-12
 
 
@@ -308,7 +287,7 @@ def test_out_of_range_plaquette_fails_the_gate(su2, lat8):
     assert hol.develop_cube(a, (2, 3, 4), (5, 5, 5), flatness_gate=np.inf).shape == \
         (5, 5, 5, 2, 2)
     atlas = hol.build_atlas(a, cover, tol=np.inf, flatness_gate=np.inf)
-    assert len(atlas.charts) == len(cover.vertices())
+    assert atlas.charts.shape[:3] == cover.shape
 
 
 @pytest.mark.parametrize("spec", ["su3", "spin7"])
@@ -326,7 +305,7 @@ def test_plaquette_log_outside_the_algebra_fails_the_gate(spec):
     assert info.value.residual == np.inf
     assert info.value.vertex == cover.vertices()[int(np.argmax(resid == np.inf))]
     atlas = hol.build_atlas(a, cover, tol=np.inf, flatness_gate=np.inf)
-    assert len(atlas.charts) == len(cover.vertices())
+    assert atlas.charts.shape[:3] == cover.shape
 
 
 @pytest.mark.parametrize("spec", ["su2", "su3", "spin7"])
@@ -385,8 +364,7 @@ def test_flat_link_form_is_certified_without_a_log(spec, monkeypatch):
     assert len(logs) == 3
     for v in cover.vertices():
         assert np.array_equal(atlas.charts[v], exact.charts[v])
-    for e, g in exact.edge_labels.items():
-        assert np.array_equal(atlas.edge_labels[e], g)
+    assert np.array_equal(atlas.labels, exact.labels)
     assert np.array_equal(atlas.holonomy().elements, exact.holonomy().elements)
 
 
@@ -396,9 +374,8 @@ def test_flat_link_form_is_certified_without_a_log(spec, monkeypatch):
 
 def test_atlas_zero_form(su2, lat16, cover16):
     atlas = hol.build_atlas(lat.zero_one_form(lat16, su2), cover16)
-    for (v, ax), g in atlas.edge_labels.items():
-        assert np.abs(g - np.eye(2)).max() < 1e-13
-        assert atlas.edge_scores[(v, ax)] < 1e-13
+    assert np.abs(atlas.labels - np.eye(2)).max() < 1e-13
+    assert atlas.scores.max() < 1e-13
 
 
 @pytest.mark.parametrize("spec", ["su2", "su3", "spin7"])
@@ -408,21 +385,22 @@ def test_zero_form_atlas_skips_development(spec, sampling, monkeypatch):
     z = lat.zero_one_form(lat.TorusLattice((8, 8, 8)), alg, sampling=sampling)
     cover = hol.CubicalCover(z.lattice, 2)
     developed = hol._develop(z, cover.star_indices().transpose(1, 0, 2), None)
-    reference = hol.DevelopingAtlas(cover, alg, dict(zip(cover.vertices(), developed)), {}, {})
+    developed = developed.reshape(cover.shape + developed.shape[1:])
 
     def refuse(*args, **kwargs):
         raise AssertionError("the zero form was developed")
 
     monkeypatch.setattr(hol, "_develop", refuse)
     atlas = hol.build_atlas(z, cover)
-    for v, ref in zip(cover.vertices(), developed):
-        assert not atlas.charts[v].flags.writeable
-        assert np.abs(atlas.charts[v] - ref).max() <= 1e-14
-    assert sorted(atlas.edge_labels) == sorted(cover.edges())
-    for (v, ax), g in atlas.edge_labels.items():
-        assert not g.flags.writeable
-        assert np.array_equal(g, np.eye(alg.rep_dim)) and atlas.edge_scores[(v, ax)] == 0.0
-        g_ref, score_ref = reference.pair_label(v, cover.neighbor(v, ax))
+    assert not atlas.charts.flags.writeable
+    assert np.abs(atlas.charts - developed).max() <= 1e-14
+    assert atlas.labels.shape == (3,) + cover.shape + (alg.rep_dim,) * 2
+    assert atlas.scores.shape == (3,) + cover.shape
+    assert not atlas.labels.flags.writeable and not atlas.scores.flags.writeable
+    for v, ax, q in coarse_edges(cover):
+        g = atlas.labels[(ax,) + v]
+        assert np.array_equal(g, np.eye(alg.rep_dim)) and atlas.scores[(ax,) + v] == 0.0
+        g_ref, score_ref = oracle_pair_label(alg, developed, cover, v, q)
         assert np.abs(g - g_ref).max() <= 1e-14 and score_ref <= 1e-14
 
 
@@ -442,7 +420,7 @@ def test_atlas_gates_refuse_a_nan_tol(su2, lat8):
 def test_atlas_log_derivative_scores(su2, lat16, cover16):
     w = lat.make_random(lat16, su2, seed=5, smoothness=2.5, amplitude=0.5)
     atlas = hol.build_atlas(lat.log_derivative(w), cover16)
-    assert max(atlas.edge_scores.values()) < 1e-10
+    assert atlas.scores.max() < 1e-10
 
 
 def test_atlas_relabeling_covariance(su2, lat16, cover16):
@@ -454,14 +432,13 @@ def test_atlas_relabeling_covariance(su2, lat16, cover16):
     h = {v: al.group_exp(su2, 0.5 * rng.standard_normal(3)) for v in cover16.vertices()}
     rho = atlas.holonomy().elements
     relabeled = {}
-    for (v, ax), g in atlas.edge_labels.items():
-        q = cover16.neighbor(v, ax)
-        relabeled[(v, ax)] = h[v] @ g @ h[q].conj().T
+    for v, ax, q in coarse_edges(cover16):
+        relabeled[(v, ax)] = h[v] @ atlas.labels[(ax,) + v] @ h[q].conj().T
     prods = []
     for ax in range(3):
         g = np.eye(2, dtype=complex)
-        for v, eax in cover16.circuit(ax):
-            g = g @ relabeled[(v, eax)]
+        for i in range(cover16.shape[ax]):
+            g = g @ relabeled[(tuple(i if d == ax else 0 for d in range(3)), ax)]
         prods.append(g)
     hb = h[cover16.base]
     for ax in range(3):
@@ -476,11 +453,54 @@ def test_simple_equivalence_labels_compose(su2, lat16, cover16):
     p = (0, 0, 0)
     q = (1, 0, 0)
     r = (1, 1, 0)
-    g_pq, s1 = atlas.pair_label(p, q)
-    g_qr, s2 = atlas.pair_label(q, r)
-    g_pr, s3 = atlas.pair_label(p, r)
+    g_pq, s1 = atlas.labels[(0,) + p], atlas.scores[(0,) + p]
+    g_qr, s2 = atlas.labels[(1,) + q], atlas.scores[(1,) + q]
+    g_pr, s3 = oracle_pair_label(su2, atlas.charts, cover16, p, r)
     assert max(s1, s2, s3) < 1e-10
     assert np.abs(g_pq @ g_qr - g_pr).max() < 1e-10
+
+
+@pytest.mark.parametrize("spec", ["su2", "su3", "spin7", "so3"])
+@pytest.mark.parametrize("spacing", [2, 4])
+def test_batched_labels_match_the_per_edge_oracle(spec, spacing):
+    # site data is not an exact derivative, so the overlaps are far from
+    # constant and the projections have work to do; at spacing 4 the coarse
+    # grid is 2 wide and both neighbors of a vertex along an axis coincide
+    alg = al.parse_algebra(spec)
+    a = _smooth_form(alg, 8, "site")
+    cover = hol.CubicalCover(a.lattice, spacing)
+    atlas = hol.build_atlas(a, cover, tol=np.inf, flatness_gate=np.inf)
+    assert atlas.scores.max() > 1e-3
+    for v, ax, q in coarse_edges(cover):
+        g, score = oracle_pair_label(alg, atlas.charts, cover, v, q)
+        assert np.abs(atlas.labels[(ax,) + v] - g).max() <= 1e-15
+        assert abs(atlas.scores[(ax,) + v] - score) <= 1e-15
+
+
+def test_batched_projection_refuses_the_wrong_orthogonal_component(so3):
+    rng = np.random.default_rng(2)
+    batch = al.group_exp(so3, rng.standard_normal((2, 3, 3)))
+    g = hol._project_group(so3, batch + 1e-3 * rng.standard_normal(batch.shape))
+    assert g.shape == batch.shape and np.abs(g - batch).max() < 1e-2
+    batch[1, 2] = batch[1, 2] @ np.diag([1.0, 1.0, -1.0])  # one reflection in the batch
+    with pytest.raises(AtlasError, match="wrong orthogonal component"):
+        hol._project_group(so3, batch)
+
+
+@pytest.mark.parametrize("dims,spacing", [((6, 6, 6), 2), ((4, 4, 4), 2), ((12, 12, 12), 4)])
+def test_a_cover_of_another_lattice_is_refused(su2, lat8, dims, spacing):
+    # smaller covers read the 8^3 form at the wrong sites and answered a
+    # wrong holonomy; a larger one indexed past its transports
+    a = lat.zero_one_form(lat8, su2, sampling="link")
+    a.coeffs[0, ..., 2] = 0.7
+    zero = lat.zero_one_form(lat8, su2, sampling="link")
+    cover = hol.CubicalCover(lat.TorusLattice(dims), spacing)
+    for query in (lambda: hol.holonomy_rep(a, cover),
+                  lambda: inv.invariant_of_connection(a, zero, cover)):
+        with pytest.raises(ValueError) as info:
+            query()
+        assert f"cover of dims {dims}" in str(info.value)
+        assert "form on dims (8, 8, 8)" in str(info.value)
 
 
 # ----------------------------------------------------------------------
@@ -514,9 +534,7 @@ def test_in_place_edit_develops_again(su2, lat8, develop_calls):
     assert len(develop_calls) == 3
     for v in cover.vertices():
         assert np.array_equal(edited.charts[v], fresh.charts[v])
-    assert edited.edge_labels.keys() == fresh.edge_labels.keys()
-    for e, g in fresh.edge_labels.items():
-        assert np.array_equal(edited.edge_labels[e], g)
+    assert np.array_equal(edited.labels, fresh.labels)
 
 
 @pytest.mark.parametrize("change", ["tol", "flatness_gate", "spacing", "sampling",
@@ -569,8 +587,8 @@ def test_memoized_atlas_is_read_only(su2, lat8):
     cover = hol.CubicalCover(lat8, 2)
     atlas = hol.build_atlas(a, cover)
     assert hol.build_atlas(a, cover) is atlas
-    assert not any(chart.flags.writeable for chart in atlas.charts.values())
-    assert not any(g.flags.writeable for g in atlas.edge_labels.values())
+    assert not atlas.charts.flags.writeable
+    assert not atlas.labels.flags.writeable and not atlas.scores.flags.writeable
     with pytest.raises(ValueError):
         atlas.charts[cover.base][0, 0, 0] = 0.0
 

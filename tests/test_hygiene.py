@@ -2,8 +2,9 @@
 no top-level name goes unused, no module imports another's private name,
 only `algebra.py` reads the algebra's tables, only a fixed list of
 functions branches on a form's sampling, chooses a cover or exponentiates
-link coefficients, and `algebra.py` nests no two loops over the algebra's
-dimension."""
+link coefficients, `algebra.py` nests no two loops over the algebra's
+dimension, and `holonomy.py` loops over cover vertices only in
+`CubicalCover`."""
 
 import ast
 from collections import Counter
@@ -169,6 +170,36 @@ def test_algebra_nests_no_loops_over_the_dimension():
             if k + sum(kk for inner, kk in _dim_loops(loop) if inner is not loop) > 1:
                 nested.append((name, loop.lineno))
     assert not nested, f"loops over the dimension nested at {nested}"
+
+
+def _vertex_loops(node):
+    """Lines of the for-statements and comprehensions under node whose
+    iterable calls `.vertices()` or reads a name bound to such a call."""
+    def is_call(expr):
+        return isinstance(expr, ast.Call) and getattr(expr.func, "attr", None) == "vertices"
+
+    names = {t.id for n in ast.walk(node) if isinstance(n, ast.Assign) and is_call(n.value)
+             for t in n.targets if isinstance(t, ast.Name)}
+
+    def over_vertices(it):
+        return any(is_call(m) or (isinstance(m, ast.Name) and m.id in names)
+                   for m in ast.walk(it))
+
+    for n in ast.walk(node):
+        if isinstance(n, ast.For) and over_vertices(n.iter):
+            yield n.lineno
+        elif (isinstance(n, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+              and any(over_vertices(g.iter) for g in n.generators)):
+            yield n.lineno
+
+
+def test_the_atlas_loops_over_no_cover_vertices():
+    # the atlas is arrays over the coarse grid, so every step over its
+    # vertices and edges is one batched kernel; only the cover lists them
+    loops = [(name, line)
+             for name, node in _functions(ast.parse((SRC / "holonomy.py").read_text()))
+             if not name.startswith("CubicalCover.") for line in _vertex_loops(node)]
+    assert not loops, f"loops over cover vertices at {loops}"
 
 
 # (module, function) allowed to call `CubicalCover.for_lattice`: `build_atlas`
