@@ -289,8 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("holonomy", help="generator-loop holonomy of a flat SKYA connection")
     p.add_argument("form")
     p.add_argument("--compare", help="second SKYA connection; exit 0 only if gauge equivalent")
-    p.add_argument("--spacing", type=int, default=None, help="cover spacing in sites")
-    p.add_argument("--tol", type=float, default=DEFAULT_ATLAS_TOL)
+    p.add_argument("--spacing", type=int, default=None,
+                   help="cover spacing s in sites: the flatness gate sums the curvature over "
+                        "stars of 2s+1 sites, and the holonomy is based at the anchor site "
+                        "-s mod n on each axis")
+    p.add_argument("--tol", type=float, default=DEFAULT_ATLAS_TOL,
+                   help="bound on each residual link of the tree gauge, entrywise: within tol "
+                        "of 1 off the seam and of the base seam link on it; with --compare, "
+                        "also on each aligned link of the second form")
 
     p = sub.add_parser("develop", help="develop an SKYA connection over a cube")
     p.add_argument("form")

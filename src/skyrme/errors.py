@@ -68,9 +68,22 @@ class FlatnessError(SkyrmeError):
 
 
 class AtlasError(SkyrmeError):
-    """Developing-map atlas inconsistent (overlap constancy violated)."""
+    """Developing-map atlas inconsistent (link constancy violated).
+
+    Raised by the constancy gate, it says where: `site` and `axis`
+    (1-based, as in the message) name the worst residual link
+    x -> x + e_axis of the tree gauge, and `deviation` is its distance
+    from 1, or on the seam from the base seam link.  Errors from other
+    checks leave these None.
+    """
 
     exit_code = 6
+
+    def __init__(self, message, *, site=None, axis=None, deviation=None):
+        super().__init__(message)
+        self.site = site
+        self.axis = axis
+        self.deviation = deviation
 
 
 class HolonomyMismatchError(SkyrmeError):

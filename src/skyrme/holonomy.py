@@ -1,15 +1,14 @@
 """Developing maps, edge-path holonomy, and gauge reconstruction.
 
-A flat potential is integrated over cubes by an axis-ordered sweep of
-its `lattice.transports` T_i = exp(h_i b_i), g <- g T_i(x) for u' = u a:
-last axis first from the cube corner, then the middle axis per slice,
-then the first axis filling the volume.  b = `lattice.link_form(a)` is
-the identity on a link form and what one-form files hold, so the gate,
-the charts, `path_transport`, the gauge action `log_derivative(u, T)`
-and the connection descent all see the same transports.  All cubes of a
-cover are developed in one batched sweep; the curvature density is
-computed once on the torus from the plaquettes of the transports, and
-each cube's flatness residual is its window sum over the cube interior.
+A flat potential is integrated by an axis-ordered sweep of its
+`lattice.transports` T_i = exp(h_i b_i), g <- g T_i(x) for u' = u a: last
+axis first from the corner, then the middle axis per slice, then the first
+axis filling the volume.  b = `lattice.link_form(a)` is the identity on a
+link form and what one-form files hold, so the gate, the development,
+`path_transport`, the gauge action `log_derivative(u, T)` and the
+connection descent all see the same transports.  The curvature density is
+computed once on the torus from the plaquettes of the transports, and each
+cube's flatness residual is its window sum over the cube interior.
 
 The gate is first certified without a matrix log.  Write a plaquette as
 P = A B^H with A = T_i(x) T_j(x+e_i), B = T_j(x) T_i(x+e_j); B is
@@ -28,14 +27,19 @@ log derivative the chords are rounding noise.  Otherwise the plaquette
 logs are taken and the gate decides on them exactly as without the bound.
 A plaquette with no log in the algebra gives its cube an infinite residual.
 
-The holonomy of the torus is read off a cubical cover.  The atlas holds
-arrays over the coarse grid: a chart per vertex and, per axis, the
-constant label g_[v, v+e] of every edge, estimated in one batched step on
-the star overlaps.  A generator loop multiplies one axis's labels along
-the coarse line through the base.  Two flat potentials with the same
-holonomy are gauge equivalent; the reconstruction aligns the second atlas
-at the base vertex, sweeps corrections down a maximal tree, verifies every
-corrected label, and glues (u^1)^-1 u^2 into a global gauge.
+The holonomy is read off one development of the whole torus in the
+maximal-tree (axial) gauge of Wilson, Phys. Rev. D 10 (1974) 2445.  The
+sweep starts with g = 1 at the anchor, the corner of the cover's base star
+(-spacing mod n_i on each axis), and covers the fundamental domain; the
+links it multiplies form a maximal tree.  In the gauge g each link becomes
+its residual R_i(x) = g(x) T_i(x) g(x+e_i)^-1: 1 off the seam (exactly on
+the tree, up to the curvature elsewhere), and on the seam (the links from
+x_i = anchor_i - 1 back to the anchor plane) the holonomy of the loop
+through x; on the line through the anchor it is the generator holonomy
+rho_i.  The constancy gate asks every off-seam residual to lie within `tol`
+of 1 and every seam residual within `tol` of its axis's base seam link.
+Flat potentials with equal holonomy are gauge equivalent by u = g1^-1 C g2,
+where C rho2_i C^-1 = rho1_i, verified link by link as C^-1 R1 C = R2.
 
 A sector query develops the same form twice in a row, once for its
 holonomy and again for the gauge reconstruction, so `build_atlas` keeps
@@ -45,7 +49,6 @@ the atlas of the last developed non-zero form in one slot (see there).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -84,7 +87,8 @@ class CubicalCover:
 
     Vertices are coarse index triples on the grid `shape`; the star of v
     is the closed cube of 2s+1 fine sites centered on it, so adjacent
-    stars overlap in a slab of s+1 sites.
+    stars overlap in a slab of s+1 sites.  The stars window the curvature
+    gate, and the corner of the base star anchors the development.
     """
 
     lattice: TorusLattice
@@ -136,15 +140,8 @@ class CubicalCover:
 
 
 # ----------------------------------------------------------------------
-# cube development
+# development
 # ----------------------------------------------------------------------
-
-def _grid(windows) -> tuple:
-    """Index tuple picking the (S, n1, n2, n3) sites of S cubes from their
-    wrapped per-axis windows, three arrays of shape (S, n_i)."""
-    w0, w1, w2 = windows
-    return w0[:, :, None, None], w1[:, None, :, None], w2[:, None, None, :]
-
 
 def _plaquette_density(alg: LieAlgebra, plaq: np.ndarray, area: float) -> np.ndarray:
     """|log P / area|^2 for a batch (k, N, N) of plaquettes P.
@@ -163,57 +160,50 @@ def _plaquette_density(alg: LieAlgebra, plaq: np.ndarray, area: float) -> np.nda
                            _plaquette_density(alg, plaq[half:], area)])
 
 
-def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
-             vertices=None) -> np.ndarray:
-    """Integrate u' = u a over S cubes at once, each with u(corner) = 1.
+def _develop(a: AlgebraOneForm, corner, shape, windows=None, flatness_gate: float | None = None,
+             vertices=None) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate u' = u a over the `shape` sites from the wrapped `corner`
+    with u(corner) = 1, once a's curvature passes the gate on every cube of
+    `windows` (three (S, n_i) arrays of wrapped site indices; default the
+    developed cube).  Returns a's `transports` T and the (n1, n2, n3, N, N)
+    development, swept along the last axis from the corner, then the
+    middle axis per slice, then the first axis through the volume.
 
-    `windows` holds the cubes' wrapped site indices, three (S, n_i) arrays;
-    returns the (S, n1, n2, n3, N, N) charts of a's `transports`, taken on
-    the whole torus.  The curvature is their plaquette defect (zero for a
-    log derivative however steep the field), computed once per torus site.
-    A cube's residual is sqrt(cell volume * window sum of |F|^2 over its
-    interior); the first above the gate (default 10 * max spacing) raises
-    FlatnessError.
-    The gate is first certified from the plaquette chords, with no log
-    taken (see the module docstring); failing that, the plaquette logs decide.
+    The curvature is the plaquette defect of T (zero for a log derivative
+    however steep the field), computed once per torus site, from the chords
+    or else the logs (see the module docstring).  A cube's residual is
+    sqrt(cell volume * window sum of |F|^2 over its interior); the first
+    above the gate (default 10 * max spacing) raises FlatnessError, naming
+    its vertex when `vertices` lists the cubes'.
     """
-    alg = a.algebra
-    lattice = a.lattice
-    h = lattice.spacings
-    N = alg.rep_dim
-    w0, w1, w2 = windows
-    if flatness_gate is None:
-        flatness_gate = DEFAULT_FLATNESS_FACTOR * max(h)
-    interior = _grid([w[:, :-1] for w in windows])
-
-    def residuals(density):
-        return np.sqrt(lattice.cell_volume * density[interior].sum(axis=(1, 2, 3)))
-
-    core = np.zeros(lattice.dims, dtype=bool)
-    core[interior] = True
+    alg, lattice = a.algebra, a.lattice
+    h, N = lattice.spacings, alg.rep_dim
+    x, y, z = ((corner[i] + np.arange(int(shape[i]))) % lattice.dims[i] for i in range(3))
+    if windows is None:
+        windows = x[None], y[None], z[None]
+    w0, w1, w2 = (w[:, :-1] for w in windows)
+    interior = w0[:, :, None, None], w1[:, None, :, None], w2[:, None, None, :]
+    flatness_gate = DEFAULT_FLATNESS_FACTOR * max(h) if flatness_gate is None else flatness_gate
     T = transports(a)
 
     def halves(i, j):
-        """A and B of the plaquettes P = A B^H on the interiors, one per
-        path x -> x + e_i + e_j."""
-        return (T[i][core] @ np.roll(T[j], -1, axis=i)[core],
-                T[j][core] @ np.roll(T[i], -1, axis=j)[core])
+        """A and B of the plaquettes P = A B^H, one per path x -> x + e_i + e_j."""
+        return T[i] @ np.roll(T[j], -1, axis=i), T[j] @ np.roll(T[i], -1, axis=j)
 
-    bound = np.zeros(lattice.dims)
+    bound = 0.0
     for i, j in PLANES:
         A, B = halves(i, j)
         chord_sq = (np.abs(A - B) ** 2).sum(axis=(-2, -1))
-        bound[core] += np.where(chord_sq < CHORD_CUTOFF ** 2,
-                                (alg.kappa * _LOG_PER_CHORD ** 2 / (h[i] * h[j]) ** 2)
-                                * chord_sq, np.inf)
-    resid = residuals(bound)
+        per_chord = alg.kappa * _LOG_PER_CHORD ** 2 / (h[i] * h[j]) ** 2
+        bound = bound + np.where(chord_sq < CHORD_CUTOFF ** 2, per_chord * chord_sq, np.inf)
+    resid = np.sqrt(lattice.cell_volume * bound[interior].sum(axis=(1, 2, 3)))
     if not (resid <= flatness_gate).all():
-        density = np.zeros(lattice.dims)
+        density = 0.0
         for i, j in PLANES:
             A, B = halves(i, j)
-            density[core] += _plaquette_density(alg, A @ B.conj().swapaxes(-1, -2),
-                                                h[i] * h[j])
-        resid = residuals(density)
+            P = (A @ B.conj().swapaxes(-1, -2)).reshape(-1, N, N)
+            density = density + _plaquette_density(alg, P, h[i] * h[j]).reshape(lattice.dims)
+        resid = np.sqrt(lattice.cell_volume * density[interior].sum(axis=(1, 2, 3)))
     if (resid > flatness_gate).any():
         s = int(np.argmax(resid > flatness_gate))
         corner = tuple(int(w[s, 0]) for w in windows)
@@ -223,25 +213,18 @@ def _develop(a: AlgebraOneForm, windows, flatness_gate: float | None,
                             f"{resid[s]:.3e} > {flatness_gate:.3e})", vertex=vertex,
                             corner=corner, residual=float(resid[s]), gate=float(flatness_gate))
 
-    def steps(ax, sel):
-        """Transports along axis `ax` for the hops inside the windows `sel`."""
-        sel = list(sel)
-        sel[ax] = sel[ax][:, :-1]
-        return T[ax][_grid(sel)]
-
-    shape = tuple(w.shape[1] for w in windows)
-    u = np.empty((w0.shape[0],) + shape + (N, N), dtype=complex)
-    u[:, 0, 0, 0] = np.eye(N)
-    steps3 = steps(2, (w0[:, :1], w1[:, :1], w2))[:, 0, 0]  # (S, n3-1, N, N)
-    for z in range(1, shape[2]):
-        u[:, 0, 0, z] = u[:, 0, 0, z - 1] @ steps3[:, z - 1]
-    steps2 = steps(1, (w0[:, :1], w1, w2))[:, 0]  # (S, n2-1, n3, N, N)
-    for y in range(1, shape[1]):
-        u[:, 0, y] = u[:, 0, y - 1] @ steps2[:, y - 1]
+    u = np.empty((len(x), len(y), len(z), N, N), dtype=complex)
+    u[0, 0, 0] = np.eye(N)
+    steps = T[2][x[0], y[0], z[:-1]]
+    for k in range(1, len(z)):
+        u[0, 0, k] = u[0, 0, k - 1] @ steps[k - 1]
+    steps = T[1][x[0]][np.ix_(y[:-1], z)]
+    for k in range(1, len(y)):
+        u[0, k] = u[0, k - 1] @ steps[k - 1]
     # transports are gathered one x-slab at a time to bound memory
-    for x in range(1, shape[0]):
-        u[:, x] = u[:, x - 1] @ steps(0, (w0[:, x - 1:x + 1], w1, w2))[:, 0]
-    return u
+    for k in range(1, len(x)):
+        u[k] = u[k - 1] @ T[0][x[k - 1]][np.ix_(y, z)]
+    return T, u
 
 
 def develop_cube(a: AlgebraOneForm, corner, shape,
@@ -249,17 +232,12 @@ def develop_cube(a: AlgebraOneForm, corner, shape,
     """Integrate u' = u a over a cube with u(corner) = 1; returns the
     (n1, n2, n3, N, N) chart on the `shape` sites from the wrapped `corner`.
 
-    The one-cube case of the batched developer: every link of the torus is
-    exponentiated, however small the cube.  The sweep fills the last axis
-    from the corner, then the middle axis on each slice, then the first
-    axis through the volume.  The curvature density, computed per site as
-    for a whole cover, is summed over the cube interior, which must pass
-    the flatness gate (default 10 * max spacing); path dependence would
-    otherwise make the sweep meaningless.
+    Every link of the torus is exponentiated, however small the cube.  The
+    curvature summed over the cube interior must pass the flatness gate
+    (default 10 * max spacing); path dependence would otherwise make the
+    sweep meaningless.
     """
-    dims = a.lattice.dims
-    windows = [(corner[i] + np.arange(int(shape[i])))[None] % dims[i] for i in range(3)]
-    return _develop(a, windows, flatness_gate)[0]
+    return _develop(a, corner, shape, flatness_gate=flatness_gate)[1]
 
 
 def path_transport(T: np.ndarray, path) -> np.ndarray:
@@ -302,54 +280,51 @@ def _project_group(alg: LieAlgebra, M: np.ndarray) -> np.ndarray:
         g = g * np.exp(-1j * np.angle(det) / alg.rep_dim)[..., None, None]
     elif alg.group_kind == "special_orthogonal":
         if (np.linalg.det(g.real) < 0).any():
-            raise AtlasError("overlap mean projected onto the wrong orthogonal component")
+            raise AtlasError("matrix projected onto the wrong orthogonal component")
         g = g.real.astype(complex)
     return g
 
 
-def _edge_labels(alg: LieAlgebra, charts: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """(3, n1, n2, n3, N, N) labels and (3, n1, n2, n3) scores of the edges
-    v -> v + e_axis, from (n1, n2, n3, m, m, m, N, N) charts with m = 2s + 1:
-    the label g is the mean of u_v u_(v+e_axis)^-1 over the overlap (the
-    upper s + 1 sites of v's star along the axis), projected to the group,
-    and the score is the sup deviation of that product from g."""
-    grid, N = charts.shape[:3], charts.shape[-1]
-
-    def along(ax):  # one axis at a time: its temporaries are freed before the next
-        cut = (slice(None),) * (3 + ax)
-        prod = np.einsum("...ij,...kj->...ik", charts[cut + (slice(s, None),)],
-                         np.roll(charts[cut + (slice(None, s + 1),)], -1, axis=ax).conj())
-        g = _project_group(alg, prod.reshape(grid + (-1, N, N)).mean(axis=3))
-        prod -= g[:, :, :, None, None, None]
-        return g, np.abs(prod).max(axis=(3, 4, 5, 6, 7))
-
-    labels, scores = zip(*map(along, range(3)))
-    return np.stack(labels), np.stack(scores)
+def _seam(cover: CubicalCover, ax: int) -> tuple:
+    """Site of the seam link of axis `ax` on the line through the anchor."""
+    anchor = cover.star_corner(cover.base)
+    return tuple((anchor[i] - (i == ax)) % cover.lattice.dims[i] for i in range(3))
 
 
 @dataclass
 class DevelopingAtlas:
-    """Arrays over the coarse grid `cover.shape` = (n1, n2, n3): the chart
-    of every vertex, and per axis the constant label and score of every
-    edge v -> v + e_axis.  All three are read-only."""
+    """One development of a flat potential over the torus in the tree
+    gauge: `g` on every site, indexed by site, with g(anchor) = 1, and the
+    residual links R_i(x) = g(x) T_i(x) g(x+e_i)^-1, 1 off the seam and the
+    holonomy of the loop through x on it.  Both are read-only."""
 
     cover: CubicalCover
     algebra: LieAlgebra
-    charts: np.ndarray  # (n1, n2, n3, m, m, m, N, N), m = 2s + 1: u_v on the star of v
-    labels: np.ndarray  # (3, n1, n2, n3, N, N): g with u_v = g u_(v+e_axis) on the overlap
-    scores: np.ndarray  # (3, n1, n2, n3): sup deviation of u_v u_(v+e_axis)^-1 from g
+    g: np.ndarray  # dims + (N, N)
+    residuals: np.ndarray  # (3,) + dims + (N, N)
 
     def holonomy(self) -> "HolonomyRep":
-        """Holonomy of each torus generator: the ordered product of the
-        labels of its axis along the coarse line through the base vertex."""
-        eye = np.eye(self.algebra.rep_dim, dtype=complex)
-        lines = (np.moveaxis(self.labels[ax], ax, 0)[:, 0, 0] for ax in range(3))
-        return HolonomyRep(np.stack([reduce(np.matmul, line, eye) for line in lines]))
+        """Holonomy of each torus generator: the seam link of its axis on
+        the line through the anchor."""
+        return HolonomyRep(np.stack([self.residuals[(ax,) + _seam(self.cover, ax)]
+                                     for ax in range(3)]))
+
+    @property
+    def labels(self) -> np.ndarray:
+        """(3, n1, n2, n3, N, N) constant labels of the coarse edges
+        v -> v + e_axis in the tree gauge: the identity, except rho_axis on
+        the edges that cross the seam (the last coarse index along the axis)."""
+        N = self.algebra.rep_dim
+        labels = np.broadcast_to(np.eye(N, dtype=complex), (3,) + self.cover.shape + (N, N)).copy()
+        for ax, rho in enumerate(self.holonomy().elements):
+            np.moveaxis(labels[ax], ax, 0)[-1] = rho
+        return labels
 
 
 @dataclass
 class HolonomyRep:
-    """Generator-loop holonomies anchored at the cover's base vertex."""
+    """Generator-loop holonomies based at the anchor, the corner of the
+    cover's base star."""
 
     elements: np.ndarray  # (3, N, N)
 
@@ -365,26 +340,24 @@ class HolonomyRep:
 def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
                 tol: float = DEFAULT_ATLAS_TOL,
                 flatness_gate: float | None = None) -> DevelopingAtlas:
-    """Develop every star of `cover` in one batched sweep and estimate the
-    constant edge labels.  The default cover is `CubicalCover.for_lattice`
-    of a's lattice; this is the one place that chooses it, and a cover of
-    another lattice raises ValueError.
-
-    The charts are the developed stars laid out on the coarse grid, and
-    `_edge_labels` estimates every edge label and score from them in one
-    batched step.  Every score must stay below `tol`; otherwise AtlasError
-    names the first failing edge in (vertex, axis) order.  An identically
-    zero form is not developed: F = 0 passes any gate, every chart and
-    edge label is the identity and every score is zero.
+    """Gate a's curvature over the stars of `cover`, develop it over the
+    torus from the anchor (the corner of the base star) and read its
+    residual links.  The default cover is `CubicalCover.for_lattice` of a's
+    lattice; this is the one place that chooses it, and a cover of another
+    lattice raises ValueError.  The constancy gate (see the module
+    docstring) bounds the entries of each link's deviation by `tol`;
+    otherwise AtlasError names the worst link's site, axis and deviation.
+    An identically zero form is not developed: g and every residual link
+    are the identity.
 
     The atlas of the last non-zero form developed is memoized in one slot.
     It is returned again when the algebra object, sampling, lattice, cover,
     `tol` and `flatness_gate` are the same and the coefficients equal,
     bit for bit, the copy taken when it was built; so a hit is exactly an
     atlas whose gates passed on this input.  Errors are never stored.  On
-    a miss the slot is emptied before developing, so the old charts are
-    freed before the new ones are allocated and peak memory stays that of
-    one atlas.  Charts, labels and scores are read-only, cached or not.
+    a miss the slot is emptied before developing, so the old development
+    is freed before the new one is allocated.  `g` and the residuals are
+    read-only, cached or not.
     """
     global _last_atlas
     if cover is None:
@@ -392,12 +365,11 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
     elif cover.lattice != a.lattice:
         raise ValueError(f"cover of dims {cover.lattice.dims}, lengths {cover.lattice.lengths}, "
                          f"for a form on dims {a.lattice.dims}, lengths {a.lattice.lengths}")
-    grid = cover.shape
+    dims = a.lattice.dims
     if a.is_zero():
-        eye, m = a.algebra.group_identity(), 2 * cover.spacing + 1
-        return DevelopingAtlas(cover, a.algebra, np.broadcast_to(eye, grid + (m,) * 3 + eye.shape),
-                               np.broadcast_to(eye, (3,) + grid + eye.shape),
-                               np.broadcast_to(0.0, (3,) + grid))
+        eye = a.algebra.group_identity()
+        return DevelopingAtlas(cover, a.algebra, np.broadcast_to(eye, dims + eye.shape),
+                               np.broadcast_to(eye, (3,) + dims + eye.shape))
     key = (a.algebra, a.sampling, a.lattice, cover, tol, flatness_gate)
     if (_last_atlas is not None and _last_atlas[0] == key
             and np.array_equal(_last_atlas[1], a.coeffs)):
@@ -405,17 +377,25 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
     _last_atlas = None
     coeffs = a.coeffs.copy()
     coeffs.flags.writeable = False
-    charts = _develop(a, cover.star_indices().transpose(1, 0, 2), flatness_gate, cover.vertices())
-    charts = charts.reshape(grid + charts.shape[1:])
-    labels, scores = _edge_labels(a.algebra, charts, cover.spacing)
-    if not (scores <= tol).all():  # a NaN tol or score fails
-        first = np.argmax(~(np.moveaxis(scores, 0, -1) <= tol))
-        *v, ax = (int(i) for i in np.unravel_index(first, grid + (3,)))
-        raise AtlasError(f"overlap constancy violated on edge {tuple(v)}+e{ax + 1} "
-                         f"(score {scores[(ax, *v)]:.3e} > {tol:.1e})")
-    for arr in (charts, labels, scores):
-        arr.flags.writeable = False
-    atlas = DevelopingAtlas(cover, a.algebra, charts, labels, scores)
+    anchor = cover.star_corner(cover.base)
+    R, g = _develop(a, anchor, dims, cover.star_indices().transpose(1, 0, 2), flatness_gate,
+                    cover.vertices())
+    g = np.roll(g, anchor, axis=(0, 1, 2))  # indexed by site
+    dev = np.empty((3,) + dims)
+    for ax in range(3):  # R_i = g T_i g(x+e_i)^-1 in place of T_i, and its deviation
+        R[ax] = g @ R[ax] @ np.roll(g, -1, axis=ax).conj().swapaxes(-1, -2)
+        dev[ax] = np.abs(R[ax] - np.eye(g.shape[-1])).max(axis=(-2, -1))
+        base = _seam(cover, ax)
+        seam = (slice(None),) * ax + (base[ax],)
+        dev[ax][seam] = np.abs(R[ax][seam] - R[(ax,) + base]).max(axis=(-2, -1))
+    if not (dev <= tol).all():  # a NaN tol or deviation fails; argmax takes the first NaN
+        ax, *site = (int(i) for i in np.unravel_index(np.argmax(dev), dev.shape))
+        site, deviation = tuple(site), float(dev[(ax, *site)])
+        raise AtlasError(f"residual link at site {site} along axis {ax + 1} deviates by "
+                         f"{deviation:.3e} > {tol:.1e} from the tree gauge",
+                         site=site, axis=ax + 1, deviation=deviation)
+    g.flags.writeable = R.flags.writeable = False
+    atlas = DevelopingAtlas(cover, a.algebra, g, R)
     _last_atlas = (key, coeffs, atlas)
     return atlas
 
@@ -445,10 +425,9 @@ def _align_constant(alg: LieAlgebra, rho1: np.ndarray, rho2: np.ndarray,
     null = Vh.conj()[svals < 1e-8 * max(1.0, svals.max())]
     if null.shape[0] == 0:
         null = Vh.conj()[-1:]  # best effort: smallest singular vector
-    candidates = [vec.reshape(N, N) for vec in null]
     # prefer the null-space representative closest to the identity
     proj_id = sum((vec.conj() @ eye.reshape(-1)) * vec for vec in null).reshape(N, N)
-    candidates.insert(0, proj_id)
+    candidates = [proj_id, *null.reshape(-1, N, N)]
     best, best_err = None, np.inf
     for cand in candidates:
         if np.linalg.norm(cand) < 1e-12:
@@ -470,68 +449,29 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
                         tol: float = DEFAULT_ATLAS_TOL) -> GroupField:
     """Reconstruct u with a2 = gauge_transform(a1, u) from equal holonomy.
 
-    Both potentials are developed over the cover (`build_atlas`'s default
-    for None) with `tol` as the edge score bound, so an atlas `holonomy_rep`
-    built with the same `tol` is a memo hit.  The second atlas is aligned
-    at the base vertex by a constant C, and corrections k are swept down a
-    maximal tree so its labels match the first atlas: along the first axis
-    on the base line, then the second over that line, then the third
-    through the volume (the development's axis sweep, axes reversed).  Every
-    corrected label is then compared; a defect beyond `tol` on the closing
-    edges means the holonomies differ (never a field).  The glued gauge is
-    (u^1_v)^-1 k_v u^2_v, chart-assembled.  Forms of different algebras or
-    lattices raise ValueError.
+    Both potentials are developed by `build_atlas` over `cover` with `tol`
+    as the constancy bound, so an atlas `holonomy_rep` built with the same
+    `tol` is a memo hit.  With C rho2 C^-1 = rho1, u = g1^-1 C g2, and
+    gauge_transform(a1, u) = a2 exactly when C^-1 R1 C = R2 on every link;
+    a link defect beyond `tol` raises HolonomyMismatchError.  Forms of
+    different algebras or lattices raise ValueError.
     """
     if a1.algebra.name != a2.algebra.name or a1.lattice != a2.lattice:
         raise ValueError("forms differ in group or lattice: " + " against ".join(
             f"{a.algebra.name} on dims {a.lattice.dims}, lengths {a.lattice.lengths}"
             for a in (a1, a2)))
     A1 = build_atlas(a1, cover, tol=tol)
-    cover = A1.cover
-    A2 = build_atlas(a2, cover, tol=tol)
+    A2 = build_atlas(a2, A1.cover, tol=tol)
     rho1, rho2 = A1.holonomy().elements, A2.holonomy().elements
     tr_gap = np.abs(rho1.trace(axis1=1, axis2=2) - rho2.trace(axis1=1, axis2=2)).max()
     if not tr_gap <= 10 * tol:
         raise HolonomyMismatchError(f"holonomies differ (trace gap {tr_gap:.3e})")
     C = _align_constant(a1.algebra, rho1, rho2, tol=10 * tol)
-
-    # tree correction k_w = g1^-1 k_v g2 along each tree edge v -> w = v + e_axis;
-    # sweeping axis ax fills the axes before it, the ones after stay at 0
-    L1, L2 = A1.labels, A2.labels
-    k = np.empty(cover.shape + C.shape, dtype=complex)
-    k[cover.base] = C
-    for ax in range(3):
-        kk, g1, g2 = (np.moveaxis(x, ax, 0) for x in (k, L1[ax], L2[ax]))
-        part = (slice(None),) * ax + (0,) * (2 - ax)
-        for i in range(1, cover.shape[ax]):
-            v = (i - 1,) + part
-            kk[(i,) + part] = g1[v].conj().swapaxes(-1, -2) @ kk[v] @ g2[v]
-
-    # all corrected labels must now match; the closing edges test the holonomy
-    worst = max(float(np.abs(k @ L2[ax] @ np.roll(k, -1, axis=ax).conj().swapaxes(-1, -2)
-                             - L1[ax]).max()) for ax in range(3))
-    if not worst <= 50 * tol:
-        raise HolonomyMismatchError(f"holonomies differ (circuit defect {worst:.3e})")
-
-    # glue (u^1)^-1 k u^2 = conj((u^1)^T conj(k u^2)), conjugated in place
-    s = cover.spacing
-    stars = cover.star_indices().transpose(1, 0, 2)
-    gauges = k[:, :, :, None, None, None] @ A2.charts
-    gauges = np.einsum("...ji,...jl->...il", A1.charts, np.conjugate(gauges, out=gauges))
-    np.conjugate(gauges, out=gauges)
-    gauges = gauges.reshape((-1,) + gauges.shape[3:])  # (S, m, m, m, N, N), vertices() order
-    out = np.empty(cover.lattice.dims + gauges.shape[-2:], dtype=complex)
-    owner_written = np.zeros(cover.lattice.dims, dtype=bool)
-    # ownership: the central s x s x s block of each star tiles the torus
-    lo, hi = s - s // 2, s - s // 2 + s
-    owned = _grid(stars[:, :, lo:hi])
-    out[owned] = gauges[:, lo:hi, lo:hi, lo:hi]
-    owner_written[owned] = True
-    if not owner_written.all():
-        raise AtlasError("atlas inconsistent: ownership tiling left gaps")
-    # overlap agreement: compare every chart against the assembled field
-    gauges -= out[_grid(stars)]
-    overlap_dev = float(np.abs(gauges).max())
-    if not overlap_dev <= 50 * tol:
-        raise AtlasError(f"atlas inconsistent (overlap deviation {overlap_dev:.3e})")
-    return GroupField(cover.lattice, a1.algebra, out)
+    # C^-1 R1 C as two GEMMs against the stacked links
+    worst = max(float(np.abs(np.einsum("ji,...jk,kl->...il", C.conj(), A1.residuals[ax], C,
+                                       optimize=True) - A2.residuals[ax]).max())
+                for ax in range(3))
+    if not worst <= tol:
+        raise HolonomyMismatchError(f"holonomies differ (link defect {worst:.3e})")
+    return GroupField(a1.lattice, a1.algebra,
+                      np.matmul(A1.g.conj().swapaxes(-1, -2), C @ A2.g))

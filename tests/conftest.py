@@ -290,33 +290,6 @@ def oracle_star_residuals(a, cover):
                      for win in cover.star_indices()])
 
 
-def oracle_pair_label(alg, charts, cover, p, q):
-    """Constant g with u_p = g u_q on st(p) cap st(q), and the sup deviation
-    of u_p u_q^-1 from g, for any two vertices whose stars overlap (not only
-    axis neighbors); `charts` is an atlas's (n1, n2, n3, m, m, m, N, N)
-    array.  The per-edge reference of the batched edge labels."""
-    s = cover.spacing
-    sl_p, sl_q = [], []
-    for i in range(3):
-        d = (q[i] - p[i]) % cover.shape[i]
-        if d == 0:
-            sl_p.append(slice(0, 2 * s + 1))
-            sl_q.append(slice(0, 2 * s + 1))
-        elif d == 1:
-            sl_p.append(slice(s, 2 * s + 1))
-            sl_q.append(slice(0, s + 1))
-        elif d == cover.shape[i] - 1:
-            sl_p.append(slice(0, s + 1))
-            sl_q.append(slice(s, 2 * s + 1))
-        else:
-            raise ValueError(f"stars of {p} and {q} do not overlap")
-    up = charts[tuple(p)][tuple(sl_p)]
-    uq = charts[tuple(q)][tuple(sl_q)]
-    prod = np.einsum("...ij,...kj->...ik", up, uq.conj())
-    g = hol._project_group(alg, prod.reshape(-1, *prod.shape[-2:]).mean(axis=0))
-    return g, float(np.abs(prod - g).max())
-
-
 def coarse_edges(cover):
     """(v, axis, v + e_axis) for every oriented edge of the cover's coarse grid."""
     for v in cover.vertices():
