@@ -72,6 +72,9 @@ DEFAULT_ATLAS_TOL = 1e-6
 CHORD_CUTOFF = 0.5  # c: plaquettes with |P - 1|_F < c are bounded without a log
 # sup |log P|_F / |P - 1|_F over unitary P with every |lambda - 1| < c
 _LOG_PER_CHORD = 2.0 * np.arcsin(CHORD_CUTOFF / 2.0) / CHORD_CUTOFF
+# conjugacy errors closer than this are equal up to the rounding of the
+# developments, so `_align_constant` keeps the earlier, identity-nearest one
+_ALIGN_ROUNDING = 1e-12
 
 # (key, read-only coefficient copy, atlas) of the last developed non-zero form
 _last_atlas: tuple | None = None
@@ -417,6 +420,9 @@ def _align_constant(alg: LieAlgebra, rho1: np.ndarray, rho2: np.ndarray,
 
     Solved as the null space of the stacked Sylvester operators, then
     projected to the group; raises on failure (holonomies not conjugate).
+    The projection of the identity onto the null space is kept unless
+    another candidate's conjugacy error is lower by more than rounding
+    (_ALIGN_ROUNDING), so C = 1 whenever rho1 = rho2.
     """
     N = alg.rep_dim
     eye = np.eye(N)
@@ -437,7 +443,7 @@ def _align_constant(alg: LieAlgebra, rho1: np.ndarray, rho2: np.ndarray,
         except AtlasError:
             continue
         err = max(np.abs(C @ r2 @ C.conj().T - r1).max() for r1, r2 in zip(rho1, rho2))
-        if err < best_err:
+        if err < best_err - _ALIGN_ROUNDING:
             best, best_err = C, err
     if best is None or not best_err <= tol:
         raise HolonomyMismatchError(f"holonomies differ (conjugacy defect {best_err:.3e})")

@@ -15,6 +15,17 @@ symmetrization (the mean of the two adjacent link logs per axis) keeps
 the product consistently centered; without it the staggered midpoints
 cost an order of accuracy on composite fields.
 
+A flat potential a relative to the zero form has the charges of the map u
+with a = Du.  `invariant_of_connection` reads them off a's own link
+coefficients, with no matrix log, when three conditions hold: the
+reference is the zero form; u's holonomy coordinates are all zero, so
+v_alpha = 1; and every link passes the certificate
+|h a|_F < 2 arcsin(LINK_LOG_THRESHOLD / 2), which bounds each eigen-angle,
+so h a is the principal log of its transport and in the link log range.
+Otherwise it calls `sector_of(u)`, which takes the logs of u's links as
+for any map.  Like the chord certificate of the holonomy gate, the bound
+is proven without a log, and the logs are taken only when it fails.
+
 The 1-d invariant lifts each torus generator loop to the covering group:
 U(1) unwinds phases to an integer, SO(3) tracks the +-1 ambiguity of the
 unit-quaternion lift, and simply connected groups contribute zero.
@@ -31,10 +42,13 @@ from .algebra import LieAlgebra, group_exp, group_log, parse_algebra, theta_dens
 from .errors import HolonomyMismatchError, LogRangeError, NoLiftError, SectorError
 from .holonomy import gauge_from_holonomy
 from .lattice import (
+    LINK_LOG_THRESHOLD,
+    AlgebraOneForm,
     GroupField,
     TorusLattice,
     constant_field,
     inverse_field,
+    link_form,
     log_derivative,
     make_winding,
     multiply,
@@ -51,6 +65,10 @@ __all__ = [
 ]
 
 DEFAULT_SECTOR_TOL = 0.25
+# a link coefficient X = h b with |X|_F below this has every eigen-angle
+# below it, so every |lambda - 1| = 2 sin(angle / 2) of exp(X) is below
+# LINK_LOG_THRESHOLD, and every angle is below pi
+_LINK_NORM_CUTOFF = 2.0 * np.arcsin(LINK_LOG_THRESHOLD / 2.0)
 
 @dataclass(frozen=True)
 class SectorInvariants:
@@ -128,9 +146,13 @@ def _alpha_entry(vals):
 # topological charge
 # ----------------------------------------------------------------------
 
-def _symmetrized_log_derivative(u: GroupField) -> np.ndarray:
-    L = log_derivative(u).coeffs
-    return np.stack([0.5 * (L[i] + np.roll(L[i], 1, axis=i)) for i in range(3)])
+def _link_charges(L: AlgebraOneForm) -> np.ndarray:
+    """Per-factor charges of the link coefficients L: the cell volume times
+    the site sum of theta_k of their site symmetrization."""
+    c = L.coeffs
+    Lb = np.stack([0.5 * (c[i] + np.roll(c[i], 1, axis=i)) for i in range(3)])
+    return np.array([L.lattice.cell_volume * theta_density(L.algebra, k, *Lb).sum()
+                     for k in range(len(L.algebra.factors))])
 
 
 def topological_charge(u: GroupField, v_ref: GroupField | None = None) -> np.ndarray:
@@ -143,9 +165,7 @@ def topological_charge(u: GroupField, v_ref: GroupField | None = None) -> np.nda
     Killing form is ad-invariant, B([X, Y], Z) = -B(Y, [X, Z]).
     """
     w = u if v_ref is None else multiply(u, inverse_field(v_ref))
-    Lb = _symmetrized_log_derivative(w)
-    return np.array([u.lattice.cell_volume * theta_density(u.algebra, k, *Lb).sum()
-                     for k in range(len(u.algebra.factors))])
+    return _link_charges(log_derivative(w))
 
 
 # ----------------------------------------------------------------------
@@ -255,22 +275,35 @@ def reference_map(lattice: TorusLattice, algebra: LieAlgebra, alpha) -> GroupFie
 # sector assignment
 # ----------------------------------------------------------------------
 
-def sector_of(u: GroupField, tol: float = DEFAULT_SECTOR_TOL) -> SectorInvariants:
-    """Full invariant tuple of a lattice map; rejects unresolved charges."""
-    alpha = one_dim_invariant(u)
-    v = reference_map(u.lattice, u.algebra, alpha)
-    raw = topological_charge(u, v_ref=v)
+def _sector(alpha: tuple, alg: LieAlgebra, raw: np.ndarray, tol: float) -> SectorInvariants:
+    """The invariants of holonomy coordinates alpha and unrounded charges
+    raw; SectorError when a charge is `tol` or more from every integer."""
     rounded = np.round(raw).astype(int)
     resid = np.abs(raw - rounded)
     if resid.size and resid.max() >= tol:
         raise SectorError(f"lattice too coarse to resolve sector (residual {resid.max():.3f})")
     return SectorInvariants(
         alpha=alpha,
-        alpha_orders=pi1_orders(u.algebra),
+        alpha_orders=pi1_orders(alg),
         charges_raw=tuple(float(v) for v in raw),
         charges=tuple(int(v) for v in rounded),
         residuals=tuple(float(v) for v in resid),
     )
+
+
+def sector_of(u: GroupField, tol: float = DEFAULT_SECTOR_TOL) -> SectorInvariants:
+    """Full invariant tuple of a lattice map; rejects unresolved charges."""
+    alpha = one_dim_invariant(u)
+    v = reference_map(u.lattice, u.algebra, alpha)
+    return _sector(alpha, u.algebra, topological_charge(u, v_ref=v), tol)
+
+
+def _in_log_range(b: AlgebraOneForm) -> bool:
+    """Whether `_LINK_NORM_CUTOFF` certifies every link of the link form b:
+    then each h b is the principal log of its transport exp(h b), and the
+    transport is inside the link log range."""
+    return all((np.abs(b.algebra.to_matrix(h * c)) ** 2).sum(axis=(-2, -1)).max()
+               < _LINK_NORM_CUTOFF ** 2 for h, c in zip(b.lattice.spacings, b.coeffs))
 
 
 def invariant_of_connection(a, b, cover=None) -> SectorInvariants:
@@ -280,9 +313,25 @@ def invariant_of_connection(a, b, cover=None) -> SectorInvariants:
     transports of b's `link_form`, for every form) from equal holonomy, and
     reports the invariants of u; fails when a and b sit in different
     holonomy strata.  `cover` goes to `gauge_from_holonomy`.
+
+    With b = 0 the links u(x)^-1 u(x+e_i) are a's transports, up to the
+    residual links the atlas bounds by its tol.  So when b is the zero
+    form, u's holonomy coordinates are all zero (v_alpha = 1), and every
+    link coefficient X = h_i link_form(a)_i(x) has
+    |X|_F < 2 arcsin(LINK_LOG_THRESHOLD / 2) (the Frobenius norm bounds
+    every eigen-angle, so X is the principal log of its transport and
+    inside the range of `log_derivative`), the charges are read off a's
+    link coefficients with no matrix log: the lattice form of the flat
+    Chern-Simons integral -(1/24 pi^2) int tr a^3.  Otherwise `sector_of(u)`
+    takes the logs of u's links, as for any map, and refuses a link out of
+    range by its axis and site.
     """
     try:
         u = gauge_from_holonomy(b, a, cover)
     except HolonomyMismatchError as exc:
         raise HolonomyMismatchError(f"not in the same holonomy stratum: {exc}") from exc
+    if b.is_zero() and _in_log_range(L := link_form(a)):
+        alpha = one_dim_invariant(u)
+        if not np.any(alpha):
+            return _sector(alpha, a.algebra, _link_charges(L), DEFAULT_SECTOR_TOL)
     return sector_of(u)

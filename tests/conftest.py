@@ -196,12 +196,12 @@ def six_term_charge(u, v_ref=None):
     eps^{ijl} T(Lb_i, Lb_j, Lb_l), one four-operand contraction per term:
     the reference for `topological_charge`'s single contraction."""
     from skyrme.algebra import factor_constant
-    from skyrme.invariants import _symmetrized_log_derivative
-    from skyrme.lattice import inverse_field, multiply
+    from skyrme.lattice import inverse_field, log_derivative, multiply
 
     alg = u.algebra
     w = u if v_ref is None else multiply(u, inverse_field(v_ref))
-    Lb = _symmetrized_log_derivative(w)
+    L = log_derivative(w).coeffs
+    Lb = [0.5 * (L[i] + np.roll(L[i], 1, axis=i)) for i in range(3)]  # site-symmetrized
     f = alg.structure_constants
     B = alg.killing_matrix
     out = []

@@ -789,6 +789,23 @@ def test_gauge_from_holonomy_between_curved_charts(lat16, cover16):
     assert sup_deviation_mod_constant(su3, lat.multiply(w1, u).values, w12.values) <= 1e-6
 
 
+@pytest.mark.parametrize("spec", ["su2", "su3", "so3"])
+def test_gauge_from_holonomy_is_the_identity_at_the_anchor(spec, lat8):
+    # with equal holonomy C = 1, so u is the one gauge with u(anchor) = 1:
+    # w1 u = K w1 w2 with K = w1(p) w2(p)^-1 w1(p)^-1 at the anchor p.  The
+    # conjugacy errors of the candidates for C differ by rounding only, and
+    # the minimum once picked a constant factor up to 1.59 from the identity
+    alg = al.parse_algebra(spec)
+    w1, w2 = (lat.make_random(lat8, alg, seed=s, amplitude=0.5).values for s in (31, 32))
+    a1, a2 = (lat.log_derivative(lat.GroupField(lat8, alg, w)) for w in (w1, w1 @ w2))
+    cover = hol.CubicalCover.for_lattice(lat8)
+    p = cover.star_corner(cover.base)
+    u = hol.gauge_from_holonomy(a1, a2, cover)
+    K = w1[p] @ w2[p].conj().T @ w1[p].conj().T
+    assert np.abs(u.values - w1.conj().swapaxes(-1, -2) @ K @ w1 @ w2).max() < 1e-12
+    assert np.abs(u.values[p] - np.eye(alg.rep_dim)).max() < 1e-12
+
+
 def test_gauge_from_holonomy_mismatch(su2, lat16, cover16):
     a1 = abelian_form(lat16, su2, 0.3)
     z = lat.zero_one_form(lat16, su2)

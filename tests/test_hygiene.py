@@ -3,8 +3,8 @@ no top-level name goes unused, no module imports another's private name,
 only `algebra.py` reads the algebra's tables, only a fixed list of
 functions branches on a form's sampling, chooses a cover or exponentiates
 link coefficients, `algebra.py` nests no two loops over the algebra's
-dimension, and `holonomy.py` loops over cover vertices only in
-`CubicalCover`."""
+dimension, `holonomy.py` loops over cover vertices only in
+`CubicalCover`, and `invariants.py` builds `SectorInvariants` at one site."""
 
 import ast
 from collections import Counter
@@ -230,3 +230,12 @@ def test_link_coefficients_have_one_exponential():
              and any(isinstance(m, ast.Attribute) and m.attr == "coeffs" for m in ast.walk(n))}
     assert calls <= LINK_EXPONENTIALS, \
         f"link coefficients exponentiated outside `transports`: {sorted(calls - LINK_EXPONENTIALS)}"
+
+
+def test_sector_invariants_are_built_at_one_site():
+    # the rounding of the charges and its SectorError gate have one copy,
+    # shared by `sector_of` and the charge read off a connection's links
+    tree = ast.parse((SRC / "invariants.py").read_text())
+    sites = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "SectorInvariants"]
+    assert len(sites) == 1, f"SectorInvariants built at lines {sites}"

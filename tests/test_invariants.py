@@ -2,14 +2,15 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import six_term_charge
 from skyrme import algebra as al
+from skyrme import holonomy as hol
 from skyrme import invariants as inv
 from skyrme import lattice as lat
-from skyrme.errors import HolonomyMismatchError, SectorError
+from skyrme.errors import HolonomyMismatchError, LogRangeError, SectorError
 
 
 def test_charge_constant_zero(su2, lat8):
@@ -98,7 +99,8 @@ def test_charge_is_the_cell_volume_times_the_theta_density_sum(spec):
     alg = _algebra(spec)
     L = lat.TorusLattice((6, 6, 6))
     u = lat.make_random(L, alg, seed=11, amplitude=0.8)
-    Lb = inv._symmetrized_log_derivative(u)
+    Ld = lat.log_derivative(u).coeffs
+    Lb = [0.5 * (Ld[i] + np.roll(Ld[i], 1, axis=i)) for i in range(3)]  # site-symmetrized
     expect = [L.cell_volume * al.theta_density(alg, k, Lb[0], Lb[1], Lb[2]).sum()
               for k in range(len(alg.factors))]
     np.testing.assert_allclose(inv.topological_charge(u), expect, rtol=1e-14, atol=1e-16)
@@ -290,6 +292,130 @@ def test_invariant_of_connection_mismatch(su2, lat16):
     a.coeffs[0, ..., 2] = 0.8
     with pytest.raises(HolonomyMismatchError, match="holonomy stratum"):
         inv.invariant_of_connection(a, b)
+
+
+# ----------------------------------------------------------------------
+# the charge of a flat connection read off its own link coefficients
+# ----------------------------------------------------------------------
+
+def _map_sector(a, b):
+    """The answer read off the map: `sector_of` the reconstructed gauge,
+    or the type, message, axis and site of its refusal."""
+    try:
+        return inv.sector_of(hol.gauge_from_holonomy(b, a))
+    except (LogRangeError, SectorError) as exc:
+        return type(exc), str(exc), getattr(exc, "axis", None), getattr(exc, "site", None)
+
+
+@pytest.fixture
+def sector_of_calls(monkeypatch):
+    """Maps passed to `invariants.sector_of`, one entry per call."""
+    calls = []
+    sector_of = inv.sector_of
+
+    def counted(u, *args, **kwargs):
+        calls.append(u)
+        return sector_of(u, *args, **kwargs)
+
+    monkeypatch.setattr(inv, "sector_of", counted)
+    return calls
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=st.sampled_from(["su2", "su3", "spin7", "g2", "so3"]),
+       kind=st.sampled_from(["random", "hedgehog"]), n=st.sampled_from([8, 12]),
+       seed=st.integers(0, 2 ** 31), amplitude=st.floats(0.1, 0.6))
+def test_charge_off_the_links_equals_the_charge_of_the_map(spec, kind, n, seed, amplitude):
+    alg = _algebra(spec)
+    L = lat.TorusLattice((n, n, n))
+    if kind == "random":
+        u = lat.make_random(L, alg, seed=seed, amplitude=amplitude)
+    else:
+        off = np.random.default_rng(seed).uniform(-1.0, 1.0, 3) / n
+        u = lat.make_hedgehog(L, alg, 0.45, center=tuple(0.5 + off))
+    try:
+        a = lat.log_derivative(u)
+    except LogRangeError:  # a field too rough for its lattice has no log derivative
+        assume(False)
+    zero = lat.zero_one_form(L, alg, sampling="link")
+    want = _map_sector(a, zero)
+    if isinstance(want, inv.SectorInvariants):
+        got = inv.invariant_of_connection(a, zero)
+        assert (got.alpha, got.alpha_orders, got.charges) == \
+            (want.alpha, want.alpha_orders, want.charges)
+        assert np.abs(np.subtract(got.charges_raw, want.charges_raw)).max() <= 1e-12
+    else:
+        with pytest.raises(want[0]) as info:
+            inv.invariant_of_connection(a, zero)
+        assert str(info.value) == want[1]
+
+
+@pytest.mark.parametrize("spec", ["su2", "su3"])
+def test_a_nonzero_reference_takes_the_link_logs(spec, lat12, sector_of_calls):
+    alg = _algebra(spec)
+    w1 = lat.make_random(lat12, alg, seed=5, amplitude=0.5)
+    b = lat.log_derivative(w1)
+    a = lat.log_derivative(lat.multiply(w1, lat.make_hedgehog(lat12, alg, 0.45)))
+    got = inv.invariant_of_connection(a, b)
+    assert len(sector_of_calls) == 1 and got.charges == (1,)
+    assert got == _map_sector(a, b)
+
+
+@pytest.mark.parametrize("spec,alpha", [("so3", (1, 0, 0)), ("su2+u1", (0, 1, -1))])
+def test_a_winding_takes_the_link_logs(spec, alpha, lat12, sector_of_calls):
+    alg = _algebra(spec)
+    u = lat.multiply(inv.reference_map(lat12, alg, alpha),
+                     lat.make_random(lat12, alg, seed=6, amplitude=0.3))
+    a = lat.log_derivative(u)
+    zero = lat.zero_one_form(lat12, alg, sampling="link")
+    got = inv.invariant_of_connection(a, zero)
+    assert len(sector_of_calls) == 1 and got.alpha == alpha
+    assert got == _map_sector(a, zero)
+
+
+@pytest.mark.parametrize("spec", ["su2", "su3"])
+def test_a_link_out_of_the_log_range_is_refused_by_the_link_logs(spec, lat8, sector_of_calls):
+    # one site turned by 2.5 rad: |lambda - 1| = 2 sin(1.25) = 1.90 on its
+    # links, a log the link log range (1.8) refuses; the form keeps the
+    # principal logs, so it is exactly flat
+    alg = _algebra(spec)
+    u = lat.make_random(lat8, alg, seed=7, amplitude=0.2)
+    p = (3, 4, 5)
+    u.values[p] = u.values[p] @ al.group_exp(alg, 2.5 * alg.basis_vector(0))
+    h = lat8.spacings
+    a = lat.AlgebraOneForm(lat8, alg, np.stack([
+        al.group_log(alg, u.values.conj().swapaxes(-1, -2) @ np.roll(u.values, -1, axis=i),
+                     threshold=1.99)[0] / h[i] for i in range(3)]), sampling="link")
+    zero = lat.zero_one_form(lat8, alg, sampling="link")
+    with pytest.raises(LogRangeError) as info:
+        inv.invariant_of_connection(a, zero)
+    assert len(sector_of_calls) == 1
+    err = info.value
+    assert (type(err), str(err), err.axis, err.site) == _map_sector(a, zero)
+    step = np.eye(3, dtype=int)[err.axis - 1]
+    assert p in (err.site, tuple(int(v) for v in (np.array(err.site) + step) % 8))
+
+
+@pytest.mark.parametrize("spec", ["su2", "su3", "spin7", "g2"])
+def test_an_in_range_log_derivative_takes_no_matrix_log(spec, monkeypatch):
+    alg = _algebra(spec)
+    L = lat.TorusLattice((8, 8, 8))
+    a = lat.log_derivative(lat.make_random(L, alg, seed=11, amplitude=0.5))
+    zero = lat.zero_one_form(L, alg, sampling="link")
+    calls = []
+
+    def counted(log):
+        def wrapper(*args, **kwargs):
+            calls.append(args[1].shape)
+            return log(*args, **kwargs)
+        return wrapper
+
+    for module in (al, lat, hol, inv):
+        monkeypatch.setattr(module, "group_log", counted(module.group_log))
+    got = inv.invariant_of_connection(a, zero)
+    assert calls == []
+    monkeypatch.undo()
+    assert got.charges == _map_sector(a, zero).charges == (0,)
 
 
 def test_charge_integrality_refinement(su2):
