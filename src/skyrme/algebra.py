@@ -7,7 +7,9 @@ complex matrices), the 7 x 7 realization of g2, f4 = spin(9) (+) Delta_9
 in its 52 x 52 adjoint representation, u(1), and so(3) in its vector
 representation.  Direct sums of these are supported for the fields that
 need product groups.  Every algebra has a complete bracket and a matrix
-chart, so exp and log are defined for all of them.
+chart, so exp and log are defined for all of them.  Nothing is solved
+for numerically: f4's spinor real structure is a product of gammas, and
+the primitive su(2) is a table of basis vectors in every family.
 
 Algebra elements are real coordinate vectors in the stored basis; the
 norm is |X|^2 = -(1/8) Tr(ad X ad X), computed from structure-constant
@@ -469,36 +471,27 @@ def _u1_basis() -> np.ndarray:
 def _build_f4() -> LieAlgebra:
     """Compact f4 = spin(9) (+) Delta_9, stored as its adjoint matrices.
 
-    The 16-dimensional spinor representation rho of spin(9) is real: the
-    solutions of C conj(rho(X)) = rho(X) C form one line.  With these gammas
-    it holds a real symmetric involution C, and R = (1 + C)/2 - i (1 - C)/2
-    is a unitary basis of the real form {v : C conj(v) = v}, in which every
-    rho(e_a) is a real skew matrix r_a.  Besides spin(9)'s own table, the
-    brackets are [e_a, s_j] = sum_k r_a[k, j] s_k and
-    [s_j, s_k] = sum_a r_a[k, j] e_a.  The constructor's Jacobi, Killing and
-    anti-Hermitian gates certify the table; its Killing form is -72 I.
+    The 16-dimensional spinor representation rho of spin(9) is real
+    (Adams): C = g2 g4 g6 g8, the product of the gammas with no real part,
+    is a real symmetric involution with C conj(rho(X)) = rho(X) C, since
+    it commutes with each real gamma and anticommutes with each imaginary
+    one.  R = (1 + C)/2 - i (1 - C)/2 is a unitary basis of the real form
+    {v : C conj(v) = v}, in which every rho(e_a) is a real skew matrix
+    r_a.  Besides spin(9)'s own table, the brackets are
+    [e_a, s_j] = sum_k r_a[k, j] s_k and [s_j, s_k] = sum_a r_a[k, j] e_a.
+    The constructor's Jacobi, Killing and anti-Hermitian gates certify the
+    table; its Killing form is -72 I.
     """
     spin9 = build_algebra("spin", 9)
     rho, m, n = spin9.basis, spin9.dim, spin9.rep_dim
     eye = np.eye(n)
-    # C conj(rho_a) - rho_a C = 0 for every a, one linear system in vec(C):
-    # row (a, i, k), column (j, l) of kron(1, rho_a^H) - kron(rho_a, 1);
-    # its n^2 x n^2 normal matrix keeps the null-space solve small
-    A = eye[:, None, :, None] * rho.conj().transpose(0, 2, 1)[:, None, :, None, :]
-    A -= rho[:, :, None, :, None] * eye[:, None, :]
-    A = A.reshape(m * n * n, n * n)
-    w, V = np.linalg.eigh(A.conj().T @ A)
-    if w[1] < 1e-6 * w[-1]:
-        raise ConstructionError("f4: spinor real structure is not unique")
-    C = V[:, 0].reshape(n, n)
-    # fix the free phase on the first large entry, and the scale by C conj(C) = 1
-    lead = C.flat[np.flatnonzero(np.abs(C) > 0.5 * np.abs(C).max())[0]]
-    C = C * (abs(lead) / lead)
-    C = C / np.sqrt(np.real(C @ C.conj())[0, 0])
+    g = _gamma_matrices(9)
+    C = g[1] @ g[3] @ g[5] @ g[7]
+    C = C * np.sign(C.real.flat[np.flatnonzero(C)[0]])  # first nonzero entry positive
     if np.abs(C.imag).max() > 1e-10 or np.abs(C.real @ C.real - eye).max() > 1e-10:
         raise ConstructionError("f4: spinor real structure is not a real involution")
-    # closed form, so f4 files do not depend on how an eigensolver would
-    # split the degenerate +1 eigenspace of the involution
+    if np.abs(C @ rho.conj() - rho @ C).max() > 1e-10:
+        raise ConstructionError("f4: spinor real structure does not commute with spin(9)")
     R = (eye + C.real) / 2 - 0.5j * (eye - C.real)
     r = np.real(np.einsum("ji,ajk,kl->ail", R.conj(), rho, R))
     f = np.zeros((m + n, m + n, m + n))
@@ -613,73 +606,34 @@ def _killing_pairing(alg: LieAlgebra, X, Y) -> float:
     return float(np.einsum("...a,ab,...b->...", np.asarray(X), alg.killing_matrix, np.asarray(Y)))
 
 
-def _su2_triple_from_v(alg: LieAlgebra, V: np.ndarray) -> np.ndarray:
-    """Complete V to images (X1, X2, V) of (i s1, i s2, i s3): find the
-    two-dimensional eigenspace of ad(V)^2 with eigenvalue -4 and scale."""
-    adv = alg.ad_matrix(V)
-    M = np.real(adv @ adv) + 4.0 * np.eye(alg.dim)
-    _, s, vh = np.linalg.svd(M)
-    null = vh[s < 1e-8 * max(1.0, s.max())]
-    if null.shape[0] != 2:
-        raise ConstructionError(f"{alg.name}: su(2) completion eigenspace has dim {null.shape[0]}")
-    Y = null[0]
-    X2 = -0.5 * np.real(adv @ Y)
-    num = _killing_pairing(alg, alg.bracket(Y, X2), V)
-    den = _killing_pairing(alg, V, V)
-    c0 = num / den  # [Y, -ad(V)Y/2] = c0 V + orthogonal remainder
-    if abs(c0) < 1e-12:
-        raise ConstructionError(f"{alg.name}: degenerate su(2) completion")
-    lam = np.sqrt(2.0 / abs(c0))
-    X1 = lam * Y
-    X2 = lam * X2
-    if c0 > 0:
-        X1 = -X1
-    return np.stack([X1, -0.5 * np.real(adv @ X1), V])
-
-
 def primitive_su2(alg: LieAlgebra) -> Su2Embedding:
-    """A homomorphic su(2) image generating the primitive 3-sphere class."""
+    """A homomorphic su(2) image generating the primitive 3-sphere class.
+
+    The long-root su(2), which generates pi_3 (Bott), is spanned by basis
+    vectors in every family, so the images of (i s1, i s2, i s3) are read
+    from a table of basis indices: su(n) i s1, i s2, i s3 on the first two
+    coordinates (0, 1, n(n-1)); sp(n) k, j, i of the first quaternion
+    block (2, 1, 0); spin(m) and f4 the gamma pairs (2,3), (1,3), (1,2);
+    g2 the parameters n7, n6, n5 (13, 12, G2_V_INDEX); so(3) -2 E_a.  The
+    homomorphism residual [h(x_a), h(x_b)] = h([x_a, x_b]) certifies the
+    table and is kept as the embedding's residual."""
     if alg._su2_cache is not None:
         return alg._su2_cache
-    d = alg.dim
-
-    def coords_of(M):
-        return alg.to_coords(M, error=lambda res: ConstructionError(
-            f"{alg.name}: embedding image not in basis span"))[0]
-
-    if alg.family == "su":
-        sx, sy, sz = _pauli()
-        n = alg.rep_dim
-        images = []
-        for s in (sx, sy, sz):
-            M = np.zeros((n, n), dtype=complex)
-            M[:2, :2] = 1j * s
-            images.append(coords_of(M))
-        images = np.stack(images)
-    elif alg.family == "sp":
-        n = alg.rep_dim // 2
-        images = []
-        for u in ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)):  # k, j, i
-            M = np.zeros((2 * n, 2 * n), dtype=complex)
-            M[:2, :2] = _quat_block(*u)
-            images.append(coords_of(M))
-        images = np.stack(images)
-    elif alg.family in ("spin", "f4"):
-        pairs = _spin_pairs(9 if alg.family == "f4" else int(alg.name[4:]))
-        images = np.zeros((3, d))
-        images[0, pairs.index((2, 3))] = 1.0
-        images[1, pairs.index((1, 3))] = 1.0
-        images[2, pairs.index((1, 2))] = 1.0
-    elif alg.family == "so3":
-        images = -2.0 * np.eye(3)
-    elif alg.family == "g2":
-        V = np.zeros(14)
-        V[G2_V_INDEX] = 1.0
-        images = _su2_triple_from_v(alg, V)
+    fam, scale = alg.family, 1.0
+    if fam == "su":
+        rows = (0, 1, alg.rep_dim * (alg.rep_dim - 1))
+    elif fam == "sp":
+        rows = (2, 1, 0)
+    elif fam in ("spin", "f4"):
+        pairs = _spin_pairs(9 if fam == "f4" else int(alg.name[4:]))
+        rows = tuple(pairs.index(p) for p in ((2, 3), (1, 3), (1, 2)))
+    elif fam == "g2":
+        rows = (13, 12, G2_V_INDEX)
+    elif fam == "so3":
+        rows, scale = (0, 1, 2), -2.0
     else:
         raise UnsupportedAlgebraError(f"no primitive su(2) for {alg.name}")
-
-    # homomorphism residual: [h(x_a), h(x_b)] = h([x_a, x_b]) with
+    images = scale * np.eye(alg.dim)[list(rows)]
     # [i s_a, i s_b] = -2 eps_abc i s_c
     res = 0.0
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):

@@ -109,6 +109,12 @@ def _scalar(cfg: dict, key: str, cast, default):
                           f"got {cfg[key]!r}") from None
 
 
+def _given(cfg: dict, **casts) -> dict:
+    """The keys of `casts` that cfg sets, each read with its cast, so a
+    library function keeps its own default for every key left out."""
+    return {key: _scalar(cfg, key, cast, None) for key, cast in casts.items() if key in cfg}
+
+
 def _lattice_from(cfg: dict) -> TorusLattice:
     if "dims" not in cfg:
         raise ConfigError("config needs dims = N1,N2,N3")
@@ -155,15 +161,13 @@ def cmd_gen(args) -> int:
     kind = cfg.get("kind", "hedgehog")
     if kind == "hedgehog":
         radius = _scalar(cfg, "radius", float, 0.45 * min(lattice.lengths))
-        charge = _scalar(cfg, "charge", int, 1)
-        u = make_hedgehog(lattice, alg, radius, charge=charge)
+        u = make_hedgehog(lattice, alg, radius, **_given(cfg, charge=int))
     elif kind == "winding":
         m = _as_numbers(cfg.get("winding", "0,0,0"), 3, "winding", int)
         u = make_winding(lattice, alg, m)
     else:  # random, the last kind `_gen_keys` admits
         u = make_random(lattice, alg, seed=_scalar(cfg, "seed", int, 0),
-                        smoothness=_scalar(cfg, "smoothness", float, 2.0),
-                        amplitude=_scalar(cfg, "amplitude", float, 0.5))
+                        **_given(cfg, smoothness=float, amplitude=float))
     fileio.write_field(args.out, u)
     print(f"wrote {args.out} kind={kind} group={alg.name} dims={lattice.dims}")
     return 0

@@ -271,9 +271,12 @@ def path_transport(T: np.ndarray, path) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _project_group(alg: LieAlgebra, M: np.ndarray) -> np.ndarray:
-    """Nearest group elements to a batch (..., N, N) of matrices M: polar
-    factors, det-normalized when needed.  Raises AtlasError if any real M
-    projects onto the wrong orthogonal component."""
+    """Polar factors of a batch (..., N, N) of matrices M in the matrix group
+    of `group_kind`: the nearest elements of U(N), then det-normalized into
+    SU(N) for special unitary and symplectic kinds, or of SO(N) for a real
+    kind.  That group contains G and can be larger (SO(7) for g2, SU(8) for
+    spin7), so the factor of a matrix off G need not lie in G.  Raises
+    AtlasError if any real M projects onto the wrong orthogonal component."""
     if alg.group_kind == "special_orthogonal":
         M = M.real.astype(complex)
     W, _, Vh = np.linalg.svd(M)
@@ -416,10 +419,11 @@ def holonomy_rep(a: AlgebraOneForm, cover: CubicalCover | None = None,
 
 def _align_constant(alg: LieAlgebra, rho1: np.ndarray, rho2: np.ndarray,
                     tol: float) -> np.ndarray:
-    """Group element C with C rho2_l C^-1 = rho1_l for all generators.
+    """Matrix C with C rho2_l C^-1 = rho1_l for all generators.
 
     Solved as the null space of the stacked Sylvester operators, then
-    projected to the group; raises on failure (holonomies not conjugate).
+    projected by `_project_group`, so C lies in U(N), SU(N) or SO(N) but
+    not always in G; raises on failure (holonomies not conjugate).
     The projection of the identity onto the null space is kept unless
     another candidate's conjugacy error is lower by more than rounding
     (_ALIGN_ROUNDING), so C = 1 whenever rho1 = rho2.
@@ -461,6 +465,14 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
     gauge_transform(a1, u) = a2 exactly when C^-1 R1 C = R2 on every link;
     a link defect beyond `tol` raises HolonomyMismatchError.  Forms of
     different algebras or lattices raise ValueError.
+
+    g1 and g2 are G-valued, and C = 1 when rho1 = rho2, so u is G-valued
+    then.  When the holonomies are conjugate but not equal, C is the
+    `_project_group` factor of a Sylvester null vector, which for g2 and
+    spin7 can leave G: on gauge-transformed constant forms at 8^3 the span
+    residual of u e_a u^-1 reached 4e-4.  The links u carries a1 to,
+    C^-1 R1 C = R2 in the tree gauge, are a2's own and checked against it,
+    so the equivalence answer is unaffected.
     """
     if a1.algebra.name != a2.algebra.name or a1.lattice != a2.lattice:
         raise ValueError("forms differ in group or lattice: " + " against ".join(

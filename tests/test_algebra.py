@@ -170,6 +170,43 @@ def test_u1_has_no_primitive_su2(u1):
         al.normalizing_constant(u1)
 
 
+# basis indices of the images of (i s1, i s2, i s3): su(n) i s1, i s2 and
+# i s3 on the first two coordinates; sp(n) k, j, i of the first quaternion
+# block; spin(m) and f4 the gamma pairs (2,3), (1,3), (1,2); g2 n7, n6, n5;
+# so(3) -2 E_a
+SU2_ROWS = {
+    "su2": (0, 1, 2), "su3": (0, 1, 6), "su4": (0, 1, 12), "su5": (0, 1, 20),
+    "spin3": (2, 1, 0), "spin4": (3, 1, 0), "spin5": (4, 1, 0), "spin6": (5, 1, 0),
+    "spin7": (6, 1, 0), "spin8": (7, 1, 0), "spin9": (8, 1, 0),
+    "sp1": (2, 1, 0), "sp2": (2, 1, 0), "sp3": (2, 1, 0),
+    "g2": (13, 12, 11), "f4": (8, 1, 0), "so3": (0, 1, 2),
+}
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_primitive_su2_images_are_basis_vectors(spec):
+    alg = al.parse_algebra(spec)
+    scale = -2.0 if spec == "so3" else 1.0
+    expected = scale * np.eye(alg.dim)[list(SU2_ROWS[spec])]
+    assert np.array_equal(al.primitive_su2(alg).images, expected)
+
+
+def test_f4_is_built_without_an_eigensolver(monkeypatch):
+    # the spinor real structure is the product of the imaginary gammas, so
+    # nothing in f4's construction diagonalizes a matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called while building f4")
+
+    al._build_atomic.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", refuse)
+            f4 = al.build_algebra("f4")
+    finally:
+        al._build_atomic.cache_clear()
+    assert f4.dim == 52 and al.killing_trace_of_v(f4) == -72
+
+
 def test_theta_density_su2(su2):
     x, y, z = np.eye(3)
     assert al.theta_density(su2, 0, x, x, z) == 0.0

@@ -806,6 +806,19 @@ def test_gauge_from_holonomy_is_the_identity_at_the_anchor(spec, lat8):
     assert np.abs(u.values[p] - np.eye(alg.rep_dim)).max() < 1e-12
 
 
+@pytest.mark.parametrize("spec", ["su2", "su3", "sp2", "so3", "g2", "spin7"])
+def test_gauge_from_holonomy_is_group_valued_for_equal_holonomy(spec, lat8):
+    # with equal holonomy C = 1 and u = g1^-1 g2 is a product of developments;
+    # u e_a u^-1 staying in the span is membership in G, not only in U(N)
+    alg = al.parse_algebra(spec)
+    w1, w2 = (lat.make_random(lat8, alg, seed=s, amplitude=0.5).values for s in (41, 42))
+    a1, a2 = (lat.log_derivative(lat.GroupField(lat8, alg, w)) for w in (w1, w1 @ w2))
+    u = hol.gauge_from_holonomy(a1, a2).values
+    assert alg.check_group_elements(u) <= 1e-12
+    conj = u[..., None, :, :] @ alg.basis @ u.conj().swapaxes(-1, -2)[..., None, :, :]
+    assert alg.to_coords(conj)[1] <= 1e-12
+
+
 def test_gauge_from_holonomy_mismatch(su2, lat16, cover16):
     a1 = abelian_form(lat16, su2, 0.3)
     z = lat.zero_one_form(lat16, su2)

@@ -4,7 +4,9 @@ only `algebra.py` reads the algebra's tables, only a fixed list of
 functions branches on a form's sampling, chooses a cover or exponentiates
 link coefficients, `algebra.py` nests no two loops over the algebra's
 dimension, `holonomy.py` loops over cover vertices only in
-`CubicalCover`, and `invariants.py` builds `SectorInvariants` at one site."""
+`CubicalCover`, `invariants.py` builds `SectorInvariants` at one site, and
+every default of a public parameter is overridden by some call in the
+package or its benchmark, or is listed with the consumer that keeps it."""
 
 import ast
 from collections import Counter
@@ -239,3 +241,76 @@ def test_sector_invariants_are_built_at_one_site():
     sites = [n.lineno for n in ast.walk(tree)
              if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "SectorInvariants"]
     assert len(sites) == 1, f"SectorInvariants built at lines {sites}"
+
+
+# (module, function, parameter) whose default no call in src/ or perfbench/
+# overrides, each named with the consumer that keeps it
+UNPASSED_DEFAULTS = {
+    ("holonomy.py", "build_atlas", "flatness_gate"): "the flatness gate tests of test_holonomy",
+    ("holonomy.py", "develop_cube", "flatness_gate"): "test_criterion_6_developing_map",
+    ("lattice.py", "constant_field", "g"): "test_lattice, a constant field off the identity",
+    ("lattice.py", "make_winding", "axis"): "test_invariants and test_lattice, other loops",
+    ("cli.py", "main", "argv"): "test_fileio_cli, which calls main with an argument list",
+}
+
+
+def _defaulted(tree: ast.Module):
+    """(callee, parameter, position) of every parameter with a default in a
+    public function or method; a constructor is called by its class name,
+    and a keyword-only parameter has no position."""
+    for name, node in _functions(tree):
+        cls, _, meth = name.rpartition(".")
+        if cls.startswith("_") or (meth.startswith("_") and meth != "__init__"):
+            continue
+        callee = cls if meth == "__init__" else meth
+        args = node.args
+        bound = bool(cls) and not any(getattr(d, "id", None) == "staticmethod"
+                                      for d in node.decorator_list)
+        positional = args.posonlyargs + args.args
+        for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                len(positional) - len(args.defaults)):
+            yield callee, arg.arg, i - bound
+        yield from ((callee, arg.arg, None)
+                    for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+
+def _call_sites(node, own=frozenset()):
+    """(callee, positional count, keywords, * splat, ** splat) of every call
+    under node.  A splat of the enclosing function's own *args or **kwargs
+    forwards what that function's callers pass, so it passes nothing itself."""
+    if isinstance(node, ast.FunctionDef):
+        own = frozenset(a.arg for a in (node.args.vararg, node.args.kwarg) if a)
+    if isinstance(node, ast.Call):
+        def splat(value):
+            return getattr(value, "id", None) not in own
+        yield (getattr(node.func, "id", None) or getattr(node.func, "attr", None),
+               sum(not isinstance(a, ast.Starred) for a in node.args),
+               {kw.arg for kw in node.keywords if kw.arg},
+               any(isinstance(a, ast.Starred) and splat(a.value) for a in node.args),
+               any(kw.arg is None and splat(kw.value) for kw in node.keywords))
+    for child in ast.iter_child_nodes(node):
+        yield from _call_sites(child, own)
+
+
+def test_every_default_is_overridden_by_some_call():
+    # a parameter whose default no caller changes is an option without a
+    # consumer; the tests do not count, so each such default names its own.
+    # A call may pass a parameter by keyword, by a ** mapping, or by
+    # reaching its position, and a * splat reaches every position
+    sites = {}
+    for d in ("src", "perfbench"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for callee, *site in _call_sites(ast.parse(path.read_text())):
+                sites.setdefault(callee, []).append(site)
+
+    def passed(callee, param, pos):
+        return any(param in kws or dsplat or (pos is not None and (splat or npos > pos))
+                   for npos, kws, splat, dsplat in sites.get(callee, ()))
+
+    unpassed = {(path.name, callee, param)
+                for path in MODULES for callee, param, pos in _defaulted(ast.parse(path.read_text()))
+                if not passed(callee, param, pos)}
+    assert unpassed <= UNPASSED_DEFAULTS.keys(), \
+        f"defaults no call overrides: {sorted(unpassed - UNPASSED_DEFAULTS.keys())}"
+    assert UNPASSED_DEFAULTS.keys() <= unpassed, \
+        f"allowlisted defaults that a call now passes: {sorted(UNPASSED_DEFAULTS.keys() - unpassed)}"
