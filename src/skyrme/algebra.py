@@ -334,17 +334,20 @@ class LieAlgebra:
     def check_group_elements(self, g) -> float:
         """Max deviation from the group's defining constraints (unitarity,
         plus realness for so(3) and unit determinant for determinant-1
-        kinds); raises LogRangeError above _GROUP_TOL."""
+        kinds); raises LogRangeError above _GROUP_TOL, its `site` the batch
+        index of the worst matrix and `value` that matrix's deviation."""
         g = np.asarray(g, dtype=complex)
         eye = np.eye(self.rep_dim)
-        dev = np.abs(np.einsum("...ji,...jk->...ik", g.conj(), g) - eye).max()
+        dev = np.abs(np.einsum("...ji,...jk->...ik", g.conj(), g) - eye).max(axis=(-2, -1))
         if self.group_kind == "special_orthogonal":
-            dev = max(dev, np.abs(g.imag).max())
+            dev = np.maximum(dev, np.abs(g.imag).max(axis=(-2, -1)))
         if self.group_kind in ("special_unitary", "special_orthogonal", "symplectic"):
-            dev = max(dev, np.abs(np.linalg.det(g) - 1.0).max())
-        if not dev <= _GROUP_TOL:  # NaN fails too
-            raise LogRangeError(f"{self.name}: matrices fail group constraints ({dev:.2e})")
-        return float(dev)
+            dev = np.maximum(dev, np.abs(np.linalg.det(g) - 1.0))
+        worst = np.unravel_index(np.argmax(dev), dev.shape)  # NaN is the first maximum
+        if not dev[worst] <= _GROUP_TOL:  # NaN fails too
+            raise LogRangeError(f"{self.name}: matrices fail group constraints "
+                                f"({dev[worst]:.2e})", site=worst, value=float(dev[worst]))
+        return float(dev[worst])
 
 
 # ----------------------------------------------------------------------

@@ -46,11 +46,8 @@ exit codes:
 
 # the keys each config-reading command reads in each mode; any other key
 # is an error, so a misspelt or idle option cannot pass unnoticed
-_OPTION_CASTS = {
-    "max_iters": int, "grad_tol": float, "initial_step": float,
-    "shrink": float, "armijo_c": float, "grow": float,
-    "max_backtracks": int, "sector_interval": int, "sector_tol": float,
-}
+_OPTION_CASTS = {"max_iters": int, "grad_tol": float, "sector_interval": int}
+_GEN_KEYS = {"group", "dims", "lengths", "kind"}
 _GEN_KIND_KEYS = {"hedgehog": {"radius", "charge"}, "winding": {"winding"},
                   "random": {"seed", "smoothness", "amplitude"}}
 _SEED_KEYS = {"group", "dims", "lengths", "alpha", "charges"}
@@ -60,7 +57,13 @@ def _gen_keys(cfg: dict) -> set:
     kind = cfg.get("kind", "hedgehog")
     if kind not in _GEN_KIND_KEYS:
         raise ConfigError(f"unknown kind {kind!r} (hedgehog|winding|random)")
-    return {"group", "dims", "lengths", "kind"} | _GEN_KIND_KEYS[kind]
+    return _GEN_KEYS | _GEN_KIND_KEYS[kind]
+
+
+def _keys_help(rows) -> str:
+    """A --help epilog listing the config keys read in each mode."""
+    return "config keys:\n" + "".join(f"  {mode}: {', '.join(sorted(keys))}\n"
+                                      for mode, keys in rows)
 
 
 def _parse_config(path: str, keys) -> dict:
@@ -251,8 +254,7 @@ def cmd_minimize(args) -> int:
         lattice = _lattice_from(cfg)
         alpha = _as_numbers(cfg.get("alpha", "0,0,0"), 3, "alpha", int)
         nfac = len(alg.factors)
-        charges = _as_numbers(cfg.get("charges", ",".join(["0"] * nfac)), nfac, "charges",
-                              int) if nfac else ()
+        charges = _as_numbers(cfg.get("charges", ",".join(["0"] * nfac)), nfac, "charges", int)
         sector = SectorInvariants(alpha=alpha, alpha_orders=pi1_orders(alg),
                                   charges_raw=tuple(float(c) for c in charges),
                                   charges=charges, residuals=(0.0,) * nfac)
@@ -280,7 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("constants", help="certify normalizing constants against the closed forms")
 
-    p = sub.add_parser("gen", help="generate a field file (hedgehog | winding | random)")
+    p = sub.add_parser("gen", help="generate a field file (hedgehog | winding | random)",
+                       formatter_class=argparse.RawDescriptionHelpFormatter,
+                       epilog=_keys_help([("every kind", _GEN_KEYS)] + [
+                           (f"kind = {kind}", keys) for kind, keys in _GEN_KIND_KEYS.items()]))
     p.add_argument("--config", required=True)
     p.add_argument("--out")
 
@@ -308,7 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("minimize", help="sector-preserving energy descent")
+    p = sub.add_parser("minimize", help="sector-preserving energy descent",
+                       formatter_class=argparse.RawDescriptionHelpFormatter,
+                       epilog=_keys_help([("descent", _OPTION_CASTS),
+                                          ("seeding, without --field", _SEED_KEYS)]))
     p.add_argument("--config", required=True)
     p.add_argument("--field", help="SKYF input; omit to seed from the config's sector")
     p.add_argument("--out")

@@ -35,7 +35,9 @@ class LogRangeError(SkyrmeError):
     worst link x -> x + e_axis, and `mask` has shape (3,) + lattice dims,
     indexed by axis - 1.  From the 1-d invariant's lift, `axis`, `site`
     and `value` name the refused link of the generator line through the
-    base site, with no mask.  Errors from other checks leave these None.
+    base site, with no mask.  From the group check, `site` is the batch
+    index of the worst matrix and `value` its deviation, with no mask.
+    Errors from other checks leave these None.
     """
 
     exit_code = 4

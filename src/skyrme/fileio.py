@@ -21,7 +21,7 @@ import struct
 import numpy as np
 
 from .algebra import LieAlgebra, parse_algebra
-from .errors import FileFormatError
+from .errors import FileFormatError, LogRangeError
 from .lattice import AlgebraOneForm, GroupField, TorusLattice, link_form
 
 __all__ = ["write_field", "read_field", "write_one_form", "read_one_form",
@@ -58,9 +58,9 @@ def group_from_id(gid: int) -> LieAlgebra:
     return parse_algebra(_ID_TO_NAME[gid])
 
 
-def _write_header(fh, magic: bytes, alg: LieAlgebra, lattice: TorusLattice) -> None:
-    fh.write(magic)
-    fh.write(_HEADER.pack(group_id(alg), alg.rep_dim, *lattice.dims, *lattice.lengths))
+def _header(magic: bytes, alg: LieAlgebra, lattice: TorusLattice) -> bytes:
+    """The file header, built before the file opens: a group with no id leaves no file."""
+    return magic + _HEADER.pack(group_id(alg), alg.rep_dim, *lattice.dims, *lattice.lengths)
 
 
 def _read_header(fh, magic: bytes):
@@ -94,8 +94,9 @@ def _check_finite(block: np.ndarray, what: str) -> None:
 
 
 def write_field(path, u: GroupField) -> None:
+    header = _header(_MAGIC_FIELD, u.algebra, u.lattice)
     with open(path, "wb") as fh:
-        _write_header(fh, _MAGIC_FIELD, u.algebra, u.lattice)
+        fh.write(header)
         fh.write(np.ascontiguousarray(u.values, dtype=_CPLX).tobytes())
 
 
@@ -107,15 +108,21 @@ def read_field(path) -> GroupField:
             raise FileFormatError("trailing bytes after field data")
     _check_finite(values, "matrix entry")
     u = GroupField(lattice, alg, values)
-    u.validate()
+    try:
+        u.validate()
+    except LogRangeError as exc:
+        raise FileFormatError(f"matrix off the group {alg.name} at site "
+                              f"{tuple(int(i) for i in exc.site)} "
+                              f"(deviation {exc.value:.2e})") from exc
     return u
 
 
 def write_one_form(path, a: AlgebraOneForm) -> None:
     """Write the lattice connection `link_form(a)` of a as SKYA."""
     a = link_form(a)
+    header = _header(_MAGIC_FORM, a.algebra, a.lattice)
     with open(path, "wb") as fh:
-        _write_header(fh, _MAGIC_FORM, a.algebra, a.lattice)
+        fh.write(header)
         for i in range(3):
             M = a.algebra.to_matrix(a.coeffs[i])
             fh.write(np.ascontiguousarray(M, dtype=_CPLX).tobytes())

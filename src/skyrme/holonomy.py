@@ -407,10 +407,10 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
 
 
 def holonomy_rep(a: AlgebraOneForm, cover: CubicalCover | None = None,
-                 **kwargs) -> HolonomyRep:
+                 tol: float = DEFAULT_ATLAS_TOL) -> HolonomyRep:
     """Holonomy of each torus generator of a, read off its atlas over
-    `cover`; `cover` and `kwargs` go to `build_atlas`."""
-    return build_atlas(a, cover, **kwargs).holonomy()
+    `cover`; `cover` and `tol` go to `build_atlas`."""
+    return build_atlas(a, cover, tol).holonomy()
 
 
 # ----------------------------------------------------------------------

@@ -275,12 +275,12 @@ def reference_map(lattice: TorusLattice, algebra: LieAlgebra, alpha) -> GroupFie
 # sector assignment
 # ----------------------------------------------------------------------
 
-def _sector(alpha: tuple, alg: LieAlgebra, raw: np.ndarray, tol: float) -> SectorInvariants:
+def _sector(alpha: tuple, alg: LieAlgebra, raw: np.ndarray) -> SectorInvariants:
     """The invariants of holonomy coordinates alpha and unrounded charges
-    raw; SectorError when a charge is `tol` or more from every integer."""
+    raw; SectorError when a charge is DEFAULT_SECTOR_TOL or more from all integers."""
     rounded = np.round(raw).astype(int)
     resid = np.abs(raw - rounded)
-    if resid.size and resid.max() >= tol:
+    if resid.size and resid.max() >= DEFAULT_SECTOR_TOL:
         raise SectorError(f"lattice too coarse to resolve sector (residual {resid.max():.3f})")
     return SectorInvariants(
         alpha=alpha,
@@ -291,11 +291,11 @@ def _sector(alpha: tuple, alg: LieAlgebra, raw: np.ndarray, tol: float) -> Secto
     )
 
 
-def sector_of(u: GroupField, tol: float = DEFAULT_SECTOR_TOL) -> SectorInvariants:
+def sector_of(u: GroupField) -> SectorInvariants:
     """Full invariant tuple of a lattice map; rejects unresolved charges."""
     alpha = one_dim_invariant(u)
     v = reference_map(u.lattice, u.algebra, alpha)
-    return _sector(alpha, u.algebra, topological_charge(u, v_ref=v), tol)
+    return _sector(alpha, u.algebra, topological_charge(u, v_ref=v))
 
 
 def _in_log_range(b: AlgebraOneForm) -> bool:
@@ -333,5 +333,5 @@ def invariant_of_connection(a, b, cover=None) -> SectorInvariants:
     if b.is_zero() and _in_log_range(L := link_form(a)):
         alpha = one_dim_invariant(u)
         if not np.any(alpha):
-            return _sector(alpha, a.algebra, _link_charges(L), DEFAULT_SECTOR_TOL)
+            return _sector(alpha, a.algebra, _link_charges(L))
     return sector_of(u)

@@ -255,10 +255,8 @@ def gauge_transform(b: AlgebraOneForm, u: GroupField) -> AlgebraOneForm:
 # field generators
 # ----------------------------------------------------------------------
 
-def constant_field(lattice: TorusLattice, alg: LieAlgebra, g=None) -> GroupField:
-    if g is None:
-        g = alg.group_identity()
-    vals = np.broadcast_to(np.asarray(g, dtype=complex),
+def constant_field(lattice: TorusLattice, alg: LieAlgebra) -> GroupField:
+    vals = np.broadcast_to(alg.group_identity(),
                            lattice.dims + (alg.rep_dim, alg.rep_dim)).copy()
     return GroupField(lattice, alg, vals)
 

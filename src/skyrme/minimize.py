@@ -39,7 +39,7 @@ import numpy as np
 from .algebra import LieAlgebra, group_exp
 from .errors import FlatnessError, LineSearchError, LogRangeError, SectorError
 from .holonomy import build_atlas
-from .invariants import DEFAULT_SECTOR_TOL, SectorInvariants, reference_map, sector_of
+from .invariants import SectorInvariants, reference_map, sector_of
 from .lattice import (
     PLANES,
     AlgebraOneForm,
@@ -65,33 +65,28 @@ __all__ = [
 # seed lumps have radius this fraction of the shortest period
 SEED_RADIUS_FRACTION = 0.46
 
+# Armijo backtracking (Nocedal & Wright, Numerical Optimization, ch. 3);
+# MAX_ROTATION caps |tau G| per site, which keeps trials in log range
+INITIAL_STEP = 0.5
+SHRINK = 0.5
+GROW = 1.5
+ARMIJO_C = 1e-4
+MAX_BACKTRACKS = 40
+MAX_ROTATION = 0.4
+
 
 @dataclass
 class MinimizeOptions:
     max_iters: int = 1000
     grad_tol: float = 1e-6
-    initial_step: float = 0.5
-    shrink: float = 0.5
-    armijo_c: float = 1e-4
-    grow: float = 1.5
-    max_backtracks: int = 40
     sector_interval: int = 25
-    sector_tol: float = DEFAULT_SECTOR_TOL
-    max_rotation: float = 0.4  # cap on |tau G| per site, keeps trials in log range
 
     def __post_init__(self):
         # each value outside its range would run silently wrong: no step,
-        # no growth, or a sector gate that can never trip
-        for ok, what in ((0.0 < self.shrink < 1.0, "shrink must lie in (0, 1)"),
-                         (0.0 < self.armijo_c <= 0.5,
-                          "sufficient-decrease constant must lie in (0, 0.5]"),
-                         (self.sector_interval >= 1, "sector_interval must be at least 1"),
-                         (self.max_iters >= 1, "max_iters must be at least 1"),
-                         (self.initial_step > 0.0, "initial_step must be positive"),
-                         (self.max_rotation > 0.0, "max_rotation must be positive"),
-                         (self.grow >= 1.0, "grow must be at least 1"),
-                         (self.grad_tol >= 0.0, "grad_tol must not be negative"),
-                         (0.0 < self.sector_tol <= 0.5, "sector_tol must lie in (0, 0.5]")):
+        # a sector gate that never runs, or convergence declared at once
+        for ok, what in ((self.max_iters >= 1, "max_iters must be at least 1"),
+                         (0.0 <= self.grad_tol < np.inf, "grad_tol must be finite and >= 0"),
+                         (self.sector_interval >= 1, "sector_interval must be at least 1")):
             if not ok:
                 raise ValueError(what)
 
@@ -113,13 +108,13 @@ class MinimizeTrace:
     sites.  A stalled line search or a sector drift raises instead.
     """
 
-    energies: list = field(default_factory=list)
-    grad_norms: list = field(default_factory=list)
-    steps: list = field(default_factory=list)
-    sectors: list = field(default_factory=list)  # (iteration, SectorInvariants)
-    termination: str = ""
-    projected_steps: int = 0
-    barrier: tuple | None = None
+    energies: list = field(default_factory=list, init=False)
+    grad_norms: list = field(default_factory=list, init=False)
+    steps: list = field(default_factory=list, init=False)
+    sectors: list = field(default_factory=list, init=False)  # (iteration, SectorInvariants)
+    termination: str = field(default="", init=False)
+    projected_steps: int = field(default=0, init=False)
+    barrier: tuple | None = field(default=None, init=False)
 
     def append(self, energy, grad_norm, step):
         self.energies.append(float(energy))
@@ -192,9 +187,9 @@ def _link_distance(u: GroupField, T: np.ndarray | None, site: tuple, axis: int) 
     return float(np.abs(np.linalg.eigvals(link) - 1.0).max())
 
 
-def _check_sector(trace: MinimizeTrace, it: int, u: GroupField, opts: MinimizeOptions, where):
+def _check_sector(trace: MinimizeTrace, it: int, u: GroupField, where):
     """Record the sector of u at iteration `it`; raise if it left the first."""
-    snap = sector_of(u, tol=opts.sector_tol)
+    snap = sector_of(u)
     trace.sectors.append((it, snap))
     sector0 = trace.sectors[0][1]
     if not snap.same_sector(sector0):
@@ -208,9 +203,9 @@ def _descend(u: GroupField, energy_fn, grad_fn, opts: MinimizeOptions | None = N
     sector_interval steps and at the end; energy_fn logs u's links through T (None: u's own)."""
     opts = opts or MinimizeOptions()
     trace = MinimizeTrace()
-    _check_sector(trace, 0, u, opts, "")
+    _check_sector(trace, 0, u, "")
     E = energy_fn(u)
-    step = opts.initial_step
+    step = INITIAL_STEP
     alg = u.algebra
     for it in range(opts.max_iters):
         G = grad_fn(u)
@@ -220,14 +215,14 @@ def _descend(u: GroupField, energy_fn, grad_fn, opts: MinimizeOptions | None = N
             trace.append(E, gnorm, step)
             trace.termination = "converged"
             break
-        tau = min(step, opts.max_rotation / max(np.sqrt(site_sq.max()), 1e-300))
+        tau = min(step, MAX_ROTATION / max(np.sqrt(site_sq.max()), 1e-300))
         # sites whose step would push a link out of the log range stay put;
         # the Armijo decrease is that of the projected direction
         frozen = np.zeros(u.lattice.dims, dtype=bool)
         proj_sq = site_sq.sum()
         armijo = ranged = 0
         moved = None  # u exp(-tau G), kept while tau is
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             if moved is None:
                 moved = np.einsum("...ij,...jk->...ik", u.values, group_exp(alg, -tau * G))
             trial = GroupField(u.lattice, alg,
@@ -244,14 +239,14 @@ def _descend(u: GroupField, energy_fn, grad_fn, opts: MinimizeOptions | None = N
                                      _link_distance(u, T, exc.site, exc.axis))
                     break
                 continue
-            if E_t <= E - opts.armijo_c * tau * proj_sq:
+            if E_t <= E - ARMIJO_C * tau * proj_sq:
                 break
             armijo += 1
-            tau *= opts.shrink
+            tau *= SHRINK
             moved = None
         else:
             raise LineSearchError(
-                f"stalled: no step accepted after {opts.max_backtracks} backtracks "
+                f"stalled: no step accepted after {MAX_BACKTRACKS} backtracks "
                 f"({armijo} Armijo rejections, {ranged} range rejections) at iteration {it}, "
                 f"projected gradient norm {np.sqrt(proj_sq):.3e}")
         if trace.barrier is not None:
@@ -261,12 +256,12 @@ def _descend(u: GroupField, energy_fn, grad_fn, opts: MinimizeOptions | None = N
         trace.append(E_t, gnorm, step)
         trace.projected_steps += bool(frozen.any())
         u, E = trial, E_t
-        step = min(tau * opts.grow, opts.initial_step * 8)
+        step = min(tau * GROW, INITIAL_STEP * 8)
         if (it + 1) % opts.sector_interval == 0:
-            _check_sector(trace, it + 1, u, opts, f"at iteration {it + 1}")
+            _check_sector(trace, it + 1, u, f"at iteration {it + 1}")
     else:
         trace.termination = "max_iters"
-    _check_sector(trace, len(trace.energies), u, opts, "at termination")
+    _check_sector(trace, len(trace.energies), u, "at termination")
     return u, trace
 
 

@@ -80,10 +80,21 @@ def test_bad_files(tmp_path, su2, lat8):
         fileio.read_field(tmp_path / "trunc.skyf")
 
 
-def test_direct_sum_has_no_file_id(su2):
+def test_direct_sum_has_no_file_id(tmp_path, capsys, su2, lat8):
     s = al.direct_sum(su2, su2)
     with pytest.raises(FileFormatError):
         fileio.group_id(s)
+    # the header, group id included, is built before the file is opened
+    path = tmp_path / "a.skya"
+    with pytest.raises(FileFormatError, match="no file id"):
+        fileio.write_one_form(path, lat.zero_one_form(lat8, al.parse_algebra("su2+u1")))
+    assert not path.exists()
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("group = su2+u1\ndims = 4,4,4\nkind = random\n")
+    out = tmp_path / "g.skyf"
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 12
+    assert "has no file id" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------
@@ -422,13 +433,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("line, key, value", [
     ("dims = 6,6,x", "dims", "6,6,x"),
     ("dims = 2,6,6", "dims", "2,6,6"),
-    ("shrink = 2", "shrink", "2"),
     ("sector_interval = 0", "sector_interval", "0"),
-    ("initial_step = 0", "initial_step", "0"),
-    ("initial_step = -0.5", "initial_step", "-0.5"),
-    ("sector_tol = 0.6", "sector_tol", "0.6"),
-    ("grow = 0.5", "grow", "0.5"),
     ("grad_tol = -1", "grad_tol", "-1"),
+    ("grad_tol = inf", "grad_tol", "inf"),
+    ("group = u1", "charges", "1"),  # u1 has no simple factor to charge
 ])
 def test_cli_minimize_bad_config_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                    line, key, value):
@@ -457,6 +465,14 @@ def test_cli_minimize_bad_config_is_a_config_error(tmp_path, capsys, monkeypatch
     ("gen", "group = su2\ndims = 4,4,4\nwinding = 1,0,0\n"),
     ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\nmax_iter = 5\n"),
     ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\nkind = random\n"),
+    # the line search's constants are not options
+    ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\nshrink = 2\n"),
+    ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\ninitial_step = 0\n"),
+    ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\ninitial_step = -0.5\n"),
+    ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\nsector_tol = 0.6\n"),
+    ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\ngrow = 0.5\n"),
+    ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\narmijo_c = 1e-4\n"),
+    ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\nmax_backtracks = 40\n"),
 ])
 def test_cli_rejects_a_key_it_does_not_read(tmp_path, capsys, monkeypatch, command, body):
     # a misspelt key is an error naming it, not a silent default
@@ -471,6 +487,18 @@ def test_cli_rejects_a_key_it_does_not_read(tmp_path, capsys, monkeypatch, comma
     key = body.splitlines()[-1].split("=")[0].strip()
     assert f"unknown key {key!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("minimize", set(cli._OPTION_CASTS) | cli._SEED_KEYS),
+    ("gen", cli._GEN_KEYS.union(*cli._GEN_KIND_KEYS.values())),
+])
+def test_cli_help_names_every_config_key(capsys, command, keys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert not {key for key in keys if key not in out}
 
 
 @pytest.mark.parametrize("key", ["group = su2", "dims = 6,6,6", "lengths = 1,1,1",
@@ -516,6 +544,17 @@ def test_cli_rejects_a_non_finite_file_entry(tmp_path, capsys, su2, lat8, comman
     assert main(args) == 12
     err = capsys.readouterr().err
     assert "non-finite" in err and where in err
+
+
+@pytest.mark.parametrize("command", ["energy", "invariants"])
+def test_cli_refuses_a_matrix_off_the_group_by_its_site(tmp_path, capsys, su2, command):
+    u = lat.make_random(lat.TorusLattice((4, 4, 4)), su2, seed=2, amplitude=0.3)
+    u.values[1, 2, 3] *= 1.01
+    path = tmp_path / "u.skyf"
+    fileio.write_field(path, u)
+    assert main([command, str(path)]) == 12
+    err = capsys.readouterr().err
+    assert "site (1, 2, 3)" in err and "2.01e-02" in err
 
 
 def test_cli_invariants_names_the_so3_link_the_lift_refuses(tmp_path, capsys, so3, lat8):

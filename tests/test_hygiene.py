@@ -248,16 +248,34 @@ def test_sector_invariants_are_built_at_one_site():
 UNPASSED_DEFAULTS = {
     ("holonomy.py", "build_atlas", "flatness_gate"): "the flatness gate tests of test_holonomy",
     ("holonomy.py", "develop_cube", "flatness_gate"): "test_criterion_6_developing_map",
-    ("lattice.py", "constant_field", "g"): "test_lattice, a constant field off the identity",
     ("lattice.py", "make_winding", "axis"): "test_invariants and test_lattice, other loops",
     ("cli.py", "main", "argv"): "test_fileio_cli, which calls main with an argument list",
 }
 
 
+def _init_fields(cls: ast.ClassDef) -> list:
+    """The fields of a @dataclass class that are parameters of its
+    constructor, in order: every annotated name not declared
+    `field(..., init=False)`.  Any other class has none."""
+    if not any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in cls.decorator_list):
+        return []
+    return [n for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+            and not (isinstance(n.value, ast.Call) and getattr(n.value.func, "id", None) == "field"
+                     and any(kw.arg == "init" and getattr(kw.value, "value", True) is False
+                             for kw in n.value.keywords))]
+
+
 def _defaulted(tree: ast.Module):
     """(callee, parameter, position) of every parameter with a default in a
-    public function or method; a constructor is called by its class name,
-    and a keyword-only parameter has no position."""
+    public function or method, or in a public dataclass's constructor, a
+    field with a default counting at its place among the init fields; a
+    constructor is called by its class name, and a keyword-only parameter
+    has no position."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            yield from ((cls.name, n.target.id, i) for i, n in enumerate(_init_fields(cls))
+                        if n.value is not None)
     for name, node in _functions(tree):
         cls, _, meth = name.rpartition(".")
         if cls.startswith("_") or (meth.startswith("_") and meth != "__init__"):

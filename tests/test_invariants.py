@@ -245,10 +245,10 @@ def test_sector_right_translation_invariance(su2, lat16):
     assert inv.sector_of(lat.right_translate(u, g)).same_sector(inv.sector_of(u))
 
 
-def test_sector_rejects_unresolved(su2, lat16):
-    u = lat.make_hedgehog(lat16, su2, 0.45)  # residual ~0.087 at N=16
+def test_sector_rejects_unresolved(su2, lat8):
+    u = lat.make_hedgehog(lat8, su2, 0.3)  # raw charge ~0.535 at N=8
     with pytest.raises(SectorError):
-        inv.sector_of(u, tol=0.05)
+        inv.sector_of(u)
 
 
 def test_invariant_of_connection_trivial(su2, lat16):

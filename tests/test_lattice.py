@@ -146,7 +146,7 @@ def test_flatness_examples(su2, lat8):
 
 def test_gauge_transform_basics(su2, lat8):
     b = lat.zero_one_form(lat8, su2)
-    const = lat.constant_field(lat8, su2, al.group_exp(su2, [0.1, 0.2, 0.3]))
+    const = lat.right_translate(lat.constant_field(lat8, su2), al.group_exp(su2, [0.1, 0.2, 0.3]))
     assert np.abs(lat.gauge_transform(b, const).coeffs).max() < 1e-14
     u = lat.make_random(lat8, su2, seed=4, amplitude=0.5)
     D = lat.log_derivative(u)

@@ -9,27 +9,19 @@ from skyrme import minimize as mz
 from skyrme.errors import FlatnessError, LineSearchError, SectorError
 
 
-def test_options_validation():
-    with pytest.raises(ValueError):
-        mz.MinimizeOptions(shrink=1.0)
-    with pytest.raises(ValueError):
-        mz.MinimizeOptions(armijo_c=0.7)
-
-
 @pytest.mark.parametrize("options", [
-    {"initial_step": 0.0}, {"initial_step": -0.5}, {"max_rotation": 0.0},
-    {"max_rotation": -1.0}, {"sector_tol": 0.0}, {"sector_tol": 0.6}, {"grow": 0.9},
-    {"grad_tol": -1e-6},
+    {"grad_tol": -1e-6}, {"grad_tol": np.inf}, {"grad_tol": np.nan}, {"grad_tol": -np.inf},
+    {"max_iters": 0}, {"max_iters": -1}, {"sector_interval": 0}, {"sector_interval": -1},
 ])
 def test_options_reject_values_that_run_silently_wrong(options):
-    # a non-positive step or rotation cap never moves the field, and a
-    # sector_tol above 0.5 can never trip the unresolved-sector gate
+    # an infinite grad_tol declares convergence before any step, and no
+    # iteration or no sector check leaves the descent unchecked
     with pytest.raises(ValueError, match=next(iter(options))):
         mz.MinimizeOptions(**options)
 
 
 def test_options_keep_their_edge_values():
-    mz.MinimizeOptions(max_backtracks=0, sector_tol=0.5, grow=1.0, grad_tol=0.0)
+    mz.MinimizeOptions(max_iters=1, grad_tol=0.0, sector_interval=1)
 
 
 def test_gradient_constant_zero(su2, lat8):
@@ -126,20 +118,24 @@ def test_minimize_hedgehog_monotone_with_sector(su2, lat16):
         assert abs(s.charges_raw[0] - 1.0) < 0.1
 
 
-def test_line_search_stall_raises(su2, lat8):
+def test_line_search_stall_raises(su2, lat8, monkeypatch):
     u0 = lat.make_random(lat8, su2, seed=6, amplitude=0.3)
+    monkeypatch.setattr(mz, "MAX_BACKTRACKS", 0)
     with pytest.raises(LineSearchError, match="stalled"):
-        mz.minimize_map(u0, mz.MinimizeOptions(max_backtracks=0))
+        mz.minimize_map(u0)
 
 
 @pytest.mark.parametrize("options, counts", [
-    (dict(max_backtracks=2, armijo_c=0.5, initial_step=100.0), "(2 Armijo rejections, 0 range"),
-    (dict(max_backtracks=1, max_rotation=3.0, initial_step=100.0), "(0 Armijo rejections, 1 range"),
+    (dict(MAX_BACKTRACKS=2, ARMIJO_C=0.5, INITIAL_STEP=100.0), "(2 Armijo rejections, 0 range"),
+    (dict(MAX_BACKTRACKS=1, MAX_ROTATION=3.0, INITIAL_STEP=100.0), "(0 Armijo rejections, 1 range"),
 ])
-def test_line_search_stall_counts_rejections(su2, lat8, options, counts):
+def test_line_search_stall_counts_rejections(su2, lat8, monkeypatch, options, counts):
+    # the line-search constants set as stated, so one step stalls
     u0 = lat.make_random(lat8, su2, seed=0, smoothness=0.7, amplitude=2.2)
+    for name, value in options.items():
+        monkeypatch.setattr(mz, name, value)
     with pytest.raises(LineSearchError, match="stalled") as info:
-        mz.minimize_map(u0, mz.MinimizeOptions(**options))
+        mz.minimize_map(u0)
     assert counts in str(info.value)
 
 
