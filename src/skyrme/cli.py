@@ -83,9 +83,9 @@ def _parse_config(path: str, keys) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     cfg = {key: val for _, key, val in entries}
     known = keys(cfg)
-    for lineno, key, _ in entries:
+    for lineno, key, val in entries:
         if key not in known:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} = {val!r} "
                               f"(known: {', '.join(sorted(known))})")
     return cfg
 

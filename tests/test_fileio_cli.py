@@ -433,7 +433,14 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("line, key, value", [
     ("dims = 6,6,x", "dims", "6,6,x"),
     ("dims = 2,6,6", "dims", "2,6,6"),
+    # the line search's constants and the sector tolerance are no longer
+    # options: each is an unknown key
+    ("shrink = 2", "shrink", "2"),
     ("sector_interval = 0", "sector_interval", "0"),
+    ("initial_step = 0", "initial_step", "0"),
+    ("initial_step = -0.5", "initial_step", "-0.5"),
+    ("sector_tol = 0.6", "sector_tol", "0.6"),
+    ("grow = 0.5", "grow", "0.5"),
     ("grad_tol = -1", "grad_tol", "-1"),
     ("grad_tol = inf", "grad_tol", "inf"),
     ("group = u1", "charges", "1"),  # u1 has no simple factor to charge
@@ -466,11 +473,6 @@ def test_cli_minimize_bad_config_is_a_config_error(tmp_path, capsys, monkeypatch
     ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\nmax_iter = 5\n"),
     ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\nkind = random\n"),
     # the line search's constants are not options
-    ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\nshrink = 2\n"),
-    ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\ninitial_step = 0\n"),
-    ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\ninitial_step = -0.5\n"),
-    ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\nsector_tol = 0.6\n"),
-    ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\ngrow = 0.5\n"),
     ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\narmijo_c = 1e-4\n"),
     ("minimize", "group = su2\ndims = 6,6,6\ncharges = 0\nmax_backtracks = 40\n"),
 ])
