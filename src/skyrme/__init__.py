@@ -3,7 +3,6 @@
 from .algebra import (
     LieAlgebra,
     Su2Embedding,
-    build_algebra,
     certification_report,
     direct_sum,
     group_exp,

@@ -37,7 +37,6 @@ __all__ = [
     "LieAlgebra",
     "Factor",
     "Su2Embedding",
-    "build_algebra",
     "parse_algebra",
     "direct_sum",
     "primitive_su2",
@@ -47,6 +46,7 @@ __all__ = [
     "group_log",
     "certification_report",
     "table_constant",
+    "ATOMIC_SPECS",
     "SUPPORTED_SPECS",
 ]
 
@@ -57,13 +57,16 @@ _GROUP_TOL = 1e-10  # deviation from the group's defining constraints
 _SU2_TOL = 1e-10    # homomorphism residual of the primitive su(2)
 SPAN_TOL = 1e-9     # residual of a matrix projected onto the basis span
 
-# atomic specs certified by `constants`; u1/so3 join for field-level work
-SUPPORTED_SPECS = (
-    "su2", "su3", "su4", "su5",
-    "spin3", "spin4", "spin5", "spin6", "spin7", "spin8", "spin9",
-    "sp1", "sp2", "sp3",
-    "g2", "f4",
-)
+# the one table of the atomic algebras: spec -> (family, size), None for a
+# family of one algebra; a spec is a key, so each algebra has one spelling
+ATOMIC_SPECS = {
+    **{f"su{n}": ("su", n) for n in range(2, 6)},
+    **{f"spin{m}": ("spin", m) for m in range(3, 10)},
+    **{f"sp{n}": ("sp", n) for n in range(1, 4)},
+    **{fam: (fam, None) for fam in ("g2", "f4", "u1", "so3")},
+}
+# the specs certified by `constants`; u1 and so3 serve field-level work
+SUPPORTED_SPECS = tuple(s for s in ATOMIC_SPECS if s not in ("u1", "so3"))
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,8 @@ class LieAlgebra:
     structure_constants : f[a, b, c] with [e_a, e_b] = sum_c f[a,b,c] e_c
     killing_matrix : B[a, b] = Tr(ad e_a ad e_b)
     factors : simple-factor blocks (empty for u1)
+    pi1 : order of the fundamental group of an atomic block's group, 0
+        for Z and 2 for Z/2, or None when it is simply connected
 
     The kernels `bracket`, `norm_sq`, `ad_matrix` and `bernoulli_pair`, and
     the charge kernel `theta_density`, are the only code that contracts
@@ -135,7 +140,7 @@ class LieAlgebra:
     - an anti-Hermitian basis, to 1e-12.
     """
 
-    def __init__(self, name, family, basis, *, factors, pi1="trivial",
+    def __init__(self, name, family, basis, *, factors, pi1=None,
                  group_kind="special_unitary", blocks=(), f_table=None):
         self.name = name
         self.family = family
@@ -143,7 +148,7 @@ class LieAlgebra:
         self.dim = self.basis.shape[0]
         self.rep_dim = self.basis.shape[1]
         self.factors = tuple(factors)
-        self.pi1 = pi1  # "trivial" | "integers" | "order2" (atomic algebras)
+        self.pi1 = pi1
         self.group_kind = group_kind
         self.blocks = tuple(blocks)
 
@@ -485,7 +490,7 @@ def _build_f4() -> LieAlgebra:
     The constructor's Jacobi, Killing and anti-Hermitian gates certify the
     table; its Killing form is -72 I.
     """
-    spin9 = build_algebra("spin", 9)
+    spin9 = _build_atomic("spin9")
     rho, m, n = spin9.basis, spin9.dim, spin9.rep_dim
     eye = np.eye(n)
     g = _gamma_matrices(9)
@@ -507,70 +512,31 @@ def _build_f4() -> LieAlgebra:
 
 
 @lru_cache(maxsize=None)
-def _build_atomic(family: str, param: int | None) -> LieAlgebra:
-    if family == "su":
-        if not 2 <= param <= 5:
-            raise UnsupportedAlgebraError(f"unsupported algebra: su({param})")
-        name = f"su{param}"
-        return LieAlgebra(name, "su", _su_basis(param), factors=[Factor(name, 0, param * param - 1)])
-    if family == "spin":
-        if not 3 <= param <= 9:
-            raise UnsupportedAlgebraError(f"unsupported algebra: spin({param})")
-        name = f"spin{param}"
-        d = param * (param - 1) // 2
-        return LieAlgebra(name, "spin", _spin_basis(param), factors=[Factor(name, 0, d)])
-    if family == "sp":
-        if not 1 <= param <= 3:
-            raise UnsupportedAlgebraError(f"unsupported algebra: sp({param})")
-        name = f"sp{param}"
-        return LieAlgebra(name, "sp", _sp_basis(param),
-                          factors=[Factor(name, 0, param * (2 * param + 1))],
-                          group_kind="symplectic")
-    if family == "g2":
-        return LieAlgebra("g2", "g2", _g2_basis(), factors=[Factor("g2", 0, 14)],
-                          group_kind="special_orthogonal")
+def _build_atomic(spec: str) -> LieAlgebra:
+    """The algebra of a key of ATOMIC_SPECS, built once per process."""
+    family, n = ATOMIC_SPECS[spec]
     if family == "f4":
         return _build_f4()
     if family == "u1":
-        return LieAlgebra("u1", "u1", _u1_basis(), factors=[], pi1="integers",
-                          group_kind="unitary")
-    if family == "so3":
-        return LieAlgebra("so3", "so3", _so3_basis(), factors=[Factor("so3", 0, 3)],
-                          pi1="order2", group_kind="special_orthogonal")
-    raise UnsupportedAlgebraError(f"unsupported algebra: {family}")
-
-
-def build_algebra(family: str, param: int | None = None) -> LieAlgebra:
-    """Construct one of the supported compact algebras.
-
-    family in {"su", "spin", "sp", "g2", "f4", "u1", "so3"}; su/spin/sp
-    take their size as `param`.
-    """
-    if family in ("g2", "f4", "u1", "so3"):
-        if param is not None:
-            raise UnsupportedAlgebraError(f"unsupported algebra: {family}({param})")
-        return _build_atomic(family, None)
+        return LieAlgebra(spec, family, _u1_basis(), factors=[], pi1=0, group_kind="unitary")
     if family in ("su", "spin", "sp"):
-        if param is None:
-            raise UnsupportedAlgebraError(f"unsupported algebra: {family} needs a size")
-        return _build_atomic(family, int(param))
-    raise UnsupportedAlgebraError(f"unsupported algebra: {family}")
+        basis = {"su": _su_basis, "spin": _spin_basis, "sp": _sp_basis}[family](n)
+        kind = "symplectic" if family == "sp" else "special_unitary"
+    else:
+        basis = _g2_basis() if family == "g2" else _so3_basis()
+        kind = "special_orthogonal"
+    return LieAlgebra(spec, family, basis, factors=[Factor(spec, 0, len(basis))],
+                      pi1=2 if family == "so3" else None, group_kind=kind)
 
 
 def parse_algebra(spec: str) -> LieAlgebra:
-    """Parse "su3", "spin7+u1", ... into an algebra (sums are direct sums)."""
-    parts = [p.strip() for p in spec.split("+")]
+    """Parse "su3", "spin7+u1", ... into an algebra: each part a key of
+    ATOMIC_SPECS, a sum their direct sum."""
     algs = []
-    for p in parts:
-        if p in ("g2", "f4", "u1", "so3"):
-            algs.append(build_algebra(p))
-            continue
-        fam = p.rstrip("0123456789")
-        tail = p[len(fam):]
-        if fam in ("su", "spin", "sp") and tail:
-            algs.append(build_algebra(fam, int(tail)))
-        else:
+    for p in (p.strip() for p in spec.split("+")):
+        if p not in ATOMIC_SPECS:
             raise UnsupportedAlgebraError(f"unsupported algebra: {p!r}")
+        algs.append(_build_atomic(p))
     return algs[0] if len(algs) == 1 else direct_sum(*algs)
 
 
@@ -604,11 +570,6 @@ def direct_sum(*algs: LieAlgebra) -> LieAlgebra:
 # Killing data, embeddings, constants
 # ----------------------------------------------------------------------
 
-def _killing_pairing(alg: LieAlgebra, X, Y) -> float:
-    """Tr(ad X ad Y) of two elements from the Killing table; symmetric bilinear."""
-    return float(np.einsum("...a,ab,...b->...", np.asarray(X), alg.killing_matrix, np.asarray(Y)))
-
-
 def primitive_su2(alg: LieAlgebra) -> Su2Embedding:
     """A homomorphic su(2) image generating the primitive 3-sphere class.
 
@@ -628,7 +589,7 @@ def primitive_su2(alg: LieAlgebra) -> Su2Embedding:
     elif fam == "sp":
         rows = (2, 1, 0)
     elif fam in ("spin", "f4"):
-        pairs = _spin_pairs(9 if fam == "f4" else int(alg.name[4:]))
+        pairs = _spin_pairs(9 if fam == "f4" else ATOMIC_SPECS[alg.name][1])
         rows = tuple(pairs.index(p) for p in ((2, 3), (1, 3), (1, 2)))
     elif fam == "g2":
         rows = (13, 12, G2_V_INDEX)
@@ -665,27 +626,25 @@ def factor_constant(alg: LieAlgebra, k: int) -> Fraction:
 
 def killing_trace_of_v(alg: LieAlgebra) -> int:
     """Integer-certified Tr(ad(h(v))^2), the trace behind every constant K."""
-    emb = primitive_su2(alg)
-    tr = _killing_pairing(alg, emb.image_of_v, emb.image_of_v)
+    tr = -8.0 * float(alg.norm_sq(primitive_su2(alg).image_of_v))
     if abs(tr - round(tr)) > _TRACE_INT_TOL:
         raise CertificationError(f"{alg.name}: non-integral Killing trace {tr!r}")
     return round(tr)
 
 
 def table_constant(spec: str) -> Fraction:
-    """Closed-form normalizing constant for a supported atomic spec."""
+    """Closed-form normalizing constant for a simple atomic spec."""
+    family, n = ATOMIC_SPECS.get(spec, (None, None))
+    if family == "su":
+        return Fraction(2, n)
+    if family == "spin":
+        return Fraction(1, n - 2)
+    if family == "sp":
+        return Fraction(2, n + 1)
     fixed = {"g2": Fraction(1, 2), "f4": Fraction(1, 9), "so3": Fraction(1, 1)}
-    if spec in fixed:
-        return fixed[spec]
-    fam = spec.rstrip("0123456789")
-    tail = spec[len(fam):]
-    if fam == "su":
-        return Fraction(2, int(tail))
-    if fam == "spin":
-        return Fraction(1, int(tail) - 2)
-    if fam == "sp":
-        return Fraction(2, int(tail) + 1)
-    raise UnsupportedAlgebraError(f"no table constant for {spec!r}")
+    if family not in fixed:
+        raise UnsupportedAlgebraError(f"no table constant for {spec!r}")
+    return fixed[family]
 
 
 def theta_density(alg: LieAlgebra, k: int, X, Y, Z) -> np.ndarray:

@@ -36,7 +36,7 @@ exit codes:
   0 success                8 certification mismatch
   1 unexpected error       9 sector unresolved or drift
   2 usage or config       10 (retired)
-  3 unsupported algebra   11 no covering-group lift
+  3 unsupported algebra   11 (retired)
   4 log range / roughness 12 bad field file
   5 connection not flat   13 line search stalled
   6 atlas inconsistent    14 generator precondition
@@ -68,7 +68,8 @@ def _keys_help(rows) -> str:
 
 def _parse_config(path: str, keys) -> dict:
     """The ``key = value`` pairs of a config file; `keys(cfg)` is the set
-    of keys the command reads for them, and any other key is an error."""
+    of keys the command reads for them, and any other key, or a key set
+    twice, is an error."""
     entries = []
     try:
         with open(path) as fh:
@@ -81,7 +82,12 @@ def _parse_config(path: str, keys) -> dict:
                 entries.append((lineno, *(s.strip() for s in line.split("=", 1))))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    cfg = {key: val for _, key, val in entries}
+    cfg, first = {}, {}
+    for lineno, key, val in entries:
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} = {val!r} set again "
+                              f"(first set on line {first[key]})")
+        cfg[key], first[key] = val, lineno
     known = keys(cfg)
     for lineno, key, val in entries:
         if key not in known:

@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
 Every error class carries a distinct process exit code so the CLI can map
-failures to grep-stable one-line diagnostics.  Code 10 is retired (it was
-the partial-bracket domain of an earlier f4) and is not reused.
+failures to grep-stable one-line diagnostics.  Codes 10 and 11 are retired
+and are not reused: 10 was the partial-bracket domain of an earlier f4,
+11 a group with no covering-group lift, which every supported group has.
 """
 
 
@@ -104,12 +105,6 @@ class SectorError(SkyrmeError):
     """Sector cannot be resolved or drifted during a run."""
 
     exit_code = 9
-
-
-class NoLiftError(SkyrmeError):
-    """No covering-group lift table for this group."""
-
-    exit_code = 11
 
 
 class FileFormatError(SkyrmeError):

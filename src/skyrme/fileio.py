@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .algebra import LieAlgebra, parse_algebra
+from .algebra import ATOMIC_SPECS, LieAlgebra, parse_algebra
 from .errors import FileFormatError, LogRangeError
 from .lattice import AlgebraOneForm, GroupField, TorusLattice, link_form
 
@@ -32,17 +32,10 @@ _MAGIC_FORM = b"SKYA0001"
 _HEADER = struct.Struct("<IIIIIddd")
 _CPLX = np.dtype("<c16")
 
-GROUP_IDS = {}
-for _n in range(2, 6):
-    GROUP_IDS[f"su{_n}"] = 0x0100 + _n
-for _m in range(3, 10):
-    GROUP_IDS[f"spin{_m}"] = 0x0200 + _m
-for _n in range(1, 4):
-    GROUP_IDS[f"sp{_n}"] = 0x0300 + _n
-GROUP_IDS["g2"] = 0x0400
-GROUP_IDS["f4"] = 0x0500
-GROUP_IDS["u1"] = 0x0600
-GROUP_IDS["so3"] = 0x0700
+# the family codes of the format; a group's id is its family code plus its size
+_FAMILY_IDS = {"su": 0x0100, "spin": 0x0200, "sp": 0x0300, "g2": 0x0400, "f4": 0x0500,
+               "u1": 0x0600, "so3": 0x0700}
+GROUP_IDS = {spec: _FAMILY_IDS[family] + (n or 0) for spec, (family, n) in ATOMIC_SPECS.items()}
 _ID_TO_NAME = {v: k for k, v in GROUP_IDS.items()}
 
 

@@ -338,10 +338,6 @@ class HolonomyRep:
     def traces(self) -> np.ndarray:
         return np.einsum("lii->l", self.elements)
 
-    def commutator_defect(self) -> float:
-        e = self.elements
-        return float(max(np.abs(e[i] @ e[j] - e[j] @ e[i]).max() for i, j in PLANES))
-
 
 def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
                 tol: float = DEFAULT_ATLAS_TOL,

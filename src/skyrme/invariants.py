@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import LieAlgebra, group_exp, group_log, parse_algebra, theta_density
-from .errors import HolonomyMismatchError, LogRangeError, NoLiftError, SectorError
+from .errors import HolonomyMismatchError, LogRangeError, SectorError
 from .holonomy import gauge_from_holonomy
 from .lattice import (
     LINK_LOG_THRESHOLD,
@@ -94,15 +94,7 @@ class SectorInvariants:
 def _lift_channels(alg: LieAlgebra):
     """(rep_offset, block, order) for every block with nontrivial
     fundamental group; order 0 means pi_1 = Z, order 2 means Z/2."""
-    out = []
-    for off, blk in alg.block_layout:
-        if blk.pi1 == "integers":
-            out.append((off, blk, 0))
-        elif blk.pi1 == "order2":
-            out.append((off, blk, 2))
-        elif blk.pi1 != "trivial":
-            raise NoLiftError(f"no lift table for group {blk.name}")
-    return out
+    return [(off, blk, blk.pi1) for off, blk in alg.block_layout if blk.pi1 is not None]
 
 
 def pi1_orders(alg: LieAlgebra) -> tuple:

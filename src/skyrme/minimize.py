@@ -188,8 +188,15 @@ def _link_distance(u: GroupField, T: np.ndarray | None, site: tuple, axis: int) 
 
 
 def _check_sector(trace: MinimizeTrace, it: int, u: GroupField, where):
-    """Record the sector of u at iteration `it`; raise if it left the first."""
-    snap = sector_of(u)
+    """Record the sector of u at iteration `it`; raise if it left the first
+    or, after the input's, cannot be resolved."""
+    try:
+        snap = sector_of(u)
+    except SectorError as exc:
+        if not trace.sectors:  # the input's own sector
+            raise
+        raise SectorError(f"sector unresolved at iteration {it} ({exc}); the input resolved to "
+                          f"{trace.sectors[0][1].report_line()}") from exc
     trace.sectors.append((it, snap))
     sector0 = trace.sectors[0][1]
     if not snap.same_sector(sector0):

@@ -3,7 +3,7 @@ import pytest
 
 from skyrme import algebra as alg_mod
 from skyrme import holonomy as hol
-from skyrme.lattice import TorusLattice, zero_one_form
+from skyrme.lattice import GroupField, TorusLattice, zero_one_form
 
 
 @pytest.fixture(autouse=True)
@@ -29,17 +29,17 @@ def develop_calls(monkeypatch):
 
 @pytest.fixture(scope="session")
 def su2():
-    return alg_mod.build_algebra("su", 2)
+    return alg_mod.parse_algebra("su2")
 
 
 @pytest.fixture(scope="session")
 def so3():
-    return alg_mod.build_algebra("so3")
+    return alg_mod.parse_algebra("so3")
 
 
 @pytest.fixture(scope="session")
 def u1():
-    return alg_mod.build_algebra("u1")
+    return alg_mod.parse_algebra("u1")
 
 
 @pytest.fixture
@@ -176,6 +176,14 @@ def span_failure_field():
     u = constant_field(TorusLattice((4, 4, 4)), parse_algebra("su3"))
     u.values[1::2] = np.diag(np.exp(1j * np.array([2.2, 2.2, 2 * np.pi - 4.4])))
     return u
+
+
+def u1_half_turn_field():
+    """u1 field on 4^3 with phase pi on odd x: every link along the first
+    axis turns by pi, where the lift cannot tell a winding from its reverse."""
+    phase = np.exp(1j * np.pi * (np.arange(4) % 2))
+    vals = np.broadcast_to(phase[:, None, None, None, None], (4, 4, 4, 1, 1)).copy()
+    return GroupField(TorusLattice((4, 4, 4)), alg_mod.parse_algebra("u1"), vals)
 
 
 def link_distances(u):

@@ -46,7 +46,7 @@ def test_criterion_1_table_certification():
 
 
 def test_criterion_2_theta_normalization():
-    su2 = al.build_algebra("su", 2)
+    su2 = al.parse_algebra("su2")
     t0 = time.time()
     errs = {}
     for n in (16, 24, 32):
@@ -61,7 +61,7 @@ def test_criterion_2_theta_normalization():
 
 
 def test_criterion_3_charge_additivity():
-    su2 = al.build_algebra("su", 2)
+    su2 = al.parse_algebra("su2")
     L = lat.TorusLattice((24, 24, 24))
     u = lat.make_hedgehog(L, su2, 0.45)
     cu = inv.topological_charge(u)[0]
@@ -76,7 +76,7 @@ def test_criterion_3_charge_additivity():
 
 
 def test_criterion_4_energy_identity():
-    su2 = al.build_algebra("su", 2)
+    su2 = al.parse_algebra("su2")
     L = lat.TorusLattice((12, 12, 12))
     worst = 0.0
     for seed in range(20):
@@ -95,9 +95,9 @@ def test_criterion_4_energy_identity():
 
 
 def test_criterion_5_one_dimensional_invariant():
-    u1 = al.build_algebra("u1")
-    so3 = al.build_algebra("so3")
-    su2 = al.build_algebra("su", 2)
+    u1 = al.parse_algebra("u1")
+    so3 = al.parse_algebra("so3")
+    su2 = al.parse_algebra("su2")
     L = lat.TorusLattice((12, 12, 12))
     a_u1 = inv.one_dim_invariant(lat.make_winding(L, u1, (1, 2, 0)))
     a_so3 = inv.one_dim_invariant(lat.make_winding(L, so3, (1, 0, 0)))
@@ -109,7 +109,7 @@ def test_criterion_5_one_dimensional_invariant():
 
 
 def test_criterion_6_developing_map():
-    su2 = al.build_algebra("su", 2)
+    su2 = al.parse_algebra("su2")
     devs = {}
     for n in (16, 32):
         L = lat.TorusLattice((n, n, n))
@@ -123,7 +123,7 @@ def test_criterion_6_developing_map():
 
 
 def test_criterion_7_holonomy():
-    su2 = al.build_algebra("su", 2)
+    su2 = al.parse_algebra("su2")
     L = lat.TorusLattice((16, 16, 16))
     theta = 0.7
     a = lat.zero_one_form(L, su2, sampling="site")
@@ -160,7 +160,7 @@ def test_criterion_7_holonomy():
 
 
 def test_criterion_8_gauge_reconstruction():
-    su2 = al.build_algebra("su", 2)
+    su2 = al.parse_algebra("su2")
     L = lat.TorusLattice((16, 16, 16))
     cover = hol.CubicalCover(L, 4)
     z = lat.zero_one_form(L, su2)
@@ -199,7 +199,7 @@ def test_criterion_9_gradient_correctness():
     # densities at the site and its three backward neighbors, so the
     # difference is taken over those four sites (identical in exact
     # arithmetic, free of global-sum cancellation)
-    su2 = al.build_algebra("su", 2)
+    su2 = al.parse_algebra("su2")
     L = lat.TorusLattice((8, 8, 8))
     rng = np.random.default_rng(4)
     worst = 0.0
@@ -226,7 +226,7 @@ def test_criterion_9_gradient_correctness():
 
 
 def test_criterion_10_minimization_properties():
-    su2 = al.build_algebra("su", 2)
+    su2 = al.parse_algebra("su2")
 
     # trivial sector: perturbed constant relaxes to the vacuum floor
     t0 = time.time()

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from conftest import analytic_exp_field, flat_site_form, span_failure_field
+from conftest import analytic_exp_field, flat_site_form, span_failure_field, u1_half_turn_field
 from skyrme import algebra as al
-from skyrme import cli, fileio
+from skyrme import cli, errors, fileio
 from skyrme import holonomy as hol
 from skyrme import lattice as lat
 from skyrme.cli import main
@@ -430,6 +432,24 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_help_exit_codes_match_the_error_classes():
+    # the exit-code table of `skyrme --help` lists each error class's code
+    # under a name, and each listed code but 0 has a class unless retired
+    help_text = cli.build_parser().format_help()
+    table = help_text[help_text.index("exit codes:"):].splitlines()[1:]
+    listed = [m for row in table for m in re.findall(r"(\d+) (\D+?)\s*(?=\s\d+ |$)", row)]
+    names = {int(code): name for code, name in listed}
+    assert len(names) == len(listed), f"a code is listed twice: {listed}"
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.SkyrmeError)]
+    codes = {c.exit_code: c.__name__ for c in classes}
+    assert len(codes) == len(classes), f"two classes share a code: {classes}"
+    assert names[10] == names[11] == "(retired)"
+    retired = {code for code, name in names.items() if name == "(retired)"}
+    assert codes.keys() <= names.keys() - retired, sorted(codes.keys() - (names.keys() - retired))
+    assert names.keys() - retired - {0} <= codes.keys(), sorted(names.keys() - codes.keys())
+
+
 @pytest.mark.parametrize("line, key, value", [
     ("dims = 6,6,x", "dims", "6,6,x"),
     ("dims = 2,6,6", "dims", "2,6,6"),
@@ -444,6 +464,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     ("grad_tol = -1", "grad_tol", "-1"),
     ("grad_tol = inf", "grad_tol", "inf"),
     ("group = u1", "charges", "1"),  # u1 has no simple factor to charge
+    ("max_iters = 5\nmax_iters = 6", "max_iters", "6"),  # a key set twice
 ])
 def test_cli_minimize_bad_config_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                    line, key, value):
@@ -452,11 +473,13 @@ def test_cli_minimize_bad_config_is_a_config_error(tmp_path, capsys, monkeypatch
         raise AssertionError("no field may be seeded from a bad config")
 
     monkeypatch.setattr(cli, "minimize_connection", no_seed)
+    # the row's lines replace the base config's lines for their keys
     cfg = {"group": "su2", "dims": "12,12,12", "charges": "1", "max_iters": "5"}
-    k, v = (s.strip() for s in line.split("="))
-    cfg[k] = v
+    rows = line.splitlines()
+    for row in rows:
+        cfg.pop(row.split("=")[0].strip(), None)
     mcfg = tmp_path / "min.cfg"
-    mcfg.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    mcfg.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()) + "\n".join(rows) + "\n")
     out = tmp_path / "m.skya"
     assert main(["minimize", "--config", str(mcfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -571,6 +594,14 @@ def test_cli_invariants_names_the_so3_link_the_lift_refuses(tmp_path, capsys, so
     assert main(["invariants", str(path)]) == 4
     err = capsys.readouterr().err
     assert "site (3, 0, 0) on axis 1" in err and "SO(3)" in err
+
+
+def test_cli_invariants_refuses_a_u1_half_turn(tmp_path, capsys):
+    path = tmp_path / "u.skyf"
+    fileio.write_field(path, u1_half_turn_field())
+    assert main(["invariants", str(path)]) == 4
+    assert "half-turn link defeats the U(1) lift at site (0, 0, 0) on axis 1" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, key, value", [

@@ -197,8 +197,7 @@ def _smooth_form(alg, n, sampling, seed=4):
     return lat.AlgebraOneForm(a.lattice, alg, a.coeffs, sampling=sampling)
 
 
-@pytest.mark.parametrize("spec", [("su", 2), ("su", 3), ("spin", 7), ("g2", None)],
-                         ids=["su2", "su3", "spin7", "g2"])
+@pytest.mark.parametrize("spec", ["su2", "su3", "spin7", "g2"])
 @pytest.mark.parametrize("sampling", ["link", "site"])
 @pytest.mark.parametrize("n,spacing", [(6, 2), (8, 4)])
 def test_batched_atlas_matches_per_star_development(spec, sampling, n, spacing):
@@ -206,7 +205,7 @@ def test_batched_atlas_matches_per_star_development(spec, sampling, n, spacing):
     # the base star, so it wraps the torus; the base star's own development
     # is the same products on their common sites (at 8^3 a star of 9 sites
     # crosses the seam in its last plane, where the two part)
-    alg = al.build_algebra(*spec)
+    alg = al.parse_algebra(spec)
     if sampling == "link":
         a = _smooth_form(alg, n, sampling)
     else:
@@ -663,7 +662,6 @@ def test_holonomy_abelian_closed_form(su2, lat16, cover16):
     assert np.abs(rep.elements[0] - expect).max() < 1e-8
     assert np.abs(rep.elements[1] - np.eye(2)).max() < 1e-8
     assert np.abs(rep.elements[2] - np.eye(2)).max() < 1e-8
-    assert rep.commutator_defect() < 1e-10
 
 
 def test_holonomy_of_log_derivative_trivial(su2, lat16, cover16):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import six_term_charge
+from conftest import six_term_charge, u1_half_turn_field
 from skyrme import algebra as al
 from skyrme import holonomy as hol
 from skyrme import invariants as inv
@@ -116,6 +116,13 @@ def test_u1_winding_invariant(u1, lat12):
 def test_u1_negative_winding(u1, lat12):
     f = lat.make_winding(lat12, u1, (-2, 0, 3))
     assert inv.one_dim_invariant(f) == (-2, 0, 3)
+
+
+def test_u1_half_turn_link_is_refused():
+    with pytest.raises(LogRangeError, match="half-turn") as info:
+        inv.one_dim_invariant(u1_half_turn_field())
+    exc = info.value
+    assert exc.site == (0, 0, 0) and exc.axis == 1 and exc.value == 2.0
 
 
 def test_nested_sum_keeps_its_lift_channel(su2, u1, lat8):

@@ -125,6 +125,50 @@ def test_line_search_stall_raises(su2, lat8, monkeypatch):
         mz.minimize_map(u0)
 
 
+def _second_sector_call(monkeypatch, replace):
+    """Patch the descent's sector_of so that its second call returns
+    replace(real sector) instead, the first staying the real one."""
+    calls = []
+
+    def patched(u):
+        calls.append(u)
+        got = inv.sector_of(u)
+        return got if len(calls) == 1 else replace(got)
+
+    monkeypatch.setattr(mz, "sector_of", patched)
+    return calls
+
+
+def test_unresolved_sector_mid_run_names_its_iteration(su2, lat8, monkeypatch):
+    # a charge that stops resolving after the input did is a SectorError that
+    # names the iteration and the input's sector, chained to the original
+    cause = SectorError("lattice too coarse to resolve sector (residual 0.251)")
+
+    def unresolved(got):
+        raise cause
+
+    _second_sector_call(monkeypatch, unresolved)
+    u0 = lat.make_random(lat8, su2, seed=5, smoothness=2.0, amplitude=0.1)
+    with pytest.raises(SectorError, match="unresolved at iteration 2") as info:
+        mz.minimize_map(u0, mz.MinimizeOptions(max_iters=5, sector_interval=2))
+    msg = str(info.value)
+    assert str(cause) in msg and inv.sector_of(u0).report_line() in msg
+    assert info.value.__cause__ is cause
+
+
+def test_sector_drift_mid_run_names_both_sectors(su2, lat8, monkeypatch):
+    def drifted(got):
+        return inv.SectorInvariants(alpha=got.alpha, alpha_orders=got.alpha_orders,
+                                    charges_raw=(1.0,), charges=(1,), residuals=(0.0,))
+
+    calls = _second_sector_call(monkeypatch, drifted)
+    u0 = lat.make_random(lat8, su2, seed=5, smoothness=2.0, amplitude=0.1)
+    with pytest.raises(SectorError, match="sector drift at iteration 2: ") as info:
+        mz.minimize_map(u0, mz.MinimizeOptions(max_iters=5, sector_interval=2))
+    assert "c=(1)" in str(info.value) and inv.sector_of(u0).report_line() in str(info.value)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("options, counts", [
     (dict(MAX_BACKTRACKS=2, ARMIJO_C=0.5, INITIAL_STEP=100.0), "(2 Armijo rejections, 0 range"),
     (dict(MAX_BACKTRACKS=1, MAX_ROTATION=3.0, INITIAL_STEP=100.0), "(0 Armijo rejections, 1 range"),
