@@ -163,8 +163,6 @@ def cmd_constants(args) -> int:
 
 def cmd_gen(args) -> int:
     cfg = _parse_config(args.config, _gen_keys)
-    if args.out is None:
-        raise ConfigError("gen needs --out PATH")
     alg = parse_algebra(cfg.get("group", "su2"))
     lattice = _lattice_from(cfg)
     kind = cfg.get("kind", "hedgehog")
@@ -225,8 +223,6 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_develop(args) -> int:
-    if args.out is None:
-        raise ConfigError("develop needs --out PATH")
     corner = _as_numbers(args.corner, 3, "corner", int)
     shape = _as_numbers(args.shape, 3, "shape", int)
     if min(shape) < 3:
@@ -247,8 +243,6 @@ def cmd_minimize(args) -> int:
     # the sector keys seed the field, so a --field run reads only the options
     read = set(_OPTION_CASTS) | (_SEED_KEYS if args.field is None else set())
     cfg = _parse_config(args.config, lambda cfg: read)
-    if args.out is None:
-        raise ConfigError("minimize needs --out PATH")
     opts = _options_from(cfg)
     if args.field is not None:
         u0 = fileio.read_field(args.field)
@@ -293,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_keys_help([("every kind", _GEN_KEYS)] + [
                            (f"kind = {kind}", keys) for kind, keys in _GEN_KIND_KEYS.items()]))
     p.add_argument("--config", required=True)
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
 
     p = sub.add_parser("energy", help="Skyrme energy of a field file")
     p.add_argument("field")
@@ -317,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("form")
     p.add_argument("--corner", default="0,0,0")
     p.add_argument("--shape", required=True)
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
 
     p = sub.add_parser("minimize", help="sector-preserving energy descent",
                        formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -325,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                                           ("seeding, without --field", _SEED_KEYS)]))
     p.add_argument("--config", required=True)
     p.add_argument("--field", help="SKYF input; omit to seed from the config's sector")
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
     p.add_argument("--trace", help="CSV trace path (default: OUT.trace.csv)")
 
     return ap

@@ -5,9 +5,8 @@ id, rep_dim N, N1, N2, N3; three binary64 periods; then site-major data
 (x^3 fastest) of row-major N x N matrices as (re, im) binary64 pairs.
 SKYA (algebra-valued 1-forms): magic ``SKYA0001``, same header, then the
 three component blocks in axis order, each laid out like a field block.
-An SKYA file holds a lattice connection: link values b_i(x), the link
-x -> x + e_i carrying exp(h_i b_i(x)).  A site form is stored as its
-`lattice.link_form`; a link form is stored as it is.
+An SKYA file holds a lattice connection, the link coefficients b_i(x) of
+an `AlgebraOneForm`: the link x -> x + e_i carries exp(h_i b_i(x)).
 
 C-ordered complex128 is exactly the (re, im) pair layout, so blocks are
 written and read with tobytes/frombuffer plus an explicit little-endian
@@ -16,13 +15,14 @@ dtype.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
 from .algebra import ATOMIC_SPECS, LieAlgebra, parse_algebra
 from .errors import FileFormatError, LogRangeError
-from .lattice import AlgebraOneForm, GroupField, TorusLattice, link_form
+from .lattice import AlgebraOneForm, GroupField, TorusLattice
 
 __all__ = ["write_field", "read_field", "write_one_form", "read_one_form",
            "GROUP_IDS", "group_id", "group_from_id"]
@@ -67,14 +67,23 @@ def _read_header(fh, magic: bytes):
     alg = group_from_id(gid)
     if alg.rep_dim != rep:
         raise FileFormatError(f"rep_dim {rep} does not match group {alg.name}")
-    return alg, TorusLattice((n1, n2, n3), (l1, l2, l3))
+    try:
+        return alg, TorusLattice((n1, n2, n3), (l1, l2, l3))
+    except ValueError as exc:
+        raise FileFormatError(f"header dims {(n1, n2, n3)}, lengths {(l1, l2, l3)}: "
+                              f"{exc}") from exc
 
 
 def _read_block(fh, lattice: TorusLattice, rep: int) -> np.ndarray:
-    count = lattice.dims[0] * lattice.dims[1] * lattice.dims[2] * rep * rep
-    raw = fh.read(count * 16)
-    if len(raw) != count * 16:
-        raise FileFormatError("truncated data block")
+    size = lattice.dims[0] * lattice.dims[1] * lattice.dims[2] * rep * rep * _CPLX.itemsize
+    # a file's size is checked before the read asks for that much memory, a
+    # pipe's only after it
+    if fh.seekable() and size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raw = b""
+    else:
+        raw = fh.read(size)
+    if len(raw) != size:
+        raise FileFormatError(f"truncated data block: the header asks {size} bytes")
     arr = np.frombuffer(raw, dtype=_CPLX).astype(complex)
     return arr.reshape(lattice.dims + (rep, rep))
 
@@ -111,8 +120,7 @@ def read_field(path) -> GroupField:
 
 
 def write_one_form(path, a: AlgebraOneForm) -> None:
-    """Write the lattice connection `link_form(a)` of a as SKYA."""
-    a = link_form(a)
+    """Write the link coefficients of a as SKYA."""
     header = _header(_MAGIC_FORM, a.algebra, a.lattice)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -123,7 +131,8 @@ def write_one_form(path, a: AlgebraOneForm) -> None:
 
 def read_one_form(path, sampling: str = "link") -> AlgebraOneForm:
     """Read an SKYA file.  Files this package writes hold link values, the
-    default `sampling`; another value relabels the data as it is."""
+    default `sampling`; "site" reads the data as site values and builds
+    their links, as `AlgebraOneForm` does."""
     with open(path, "rb") as fh:
         alg, lattice = _read_header(fh, _MAGIC_FORM)
         comps = []
@@ -134,4 +143,4 @@ def read_one_form(path, sampling: str = "link") -> AlgebraOneForm:
                 f"component outside algebra span (residual {res:.2e})"))[0])
         if fh.read(1):
             raise FileFormatError("trailing bytes after form data")
-    return AlgebraOneForm(lattice, alg, np.stack(comps), sampling=sampling)
+    return AlgebraOneForm(lattice, alg, np.stack(comps), sampling)

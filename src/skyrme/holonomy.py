@@ -3,12 +3,12 @@
 A flat potential is integrated by an axis-ordered sweep of its
 `lattice.transports` T_i = exp(h_i b_i), g <- g T_i(x) for u' = u a: last
 axis first from the corner, then the middle axis per slice, then the first
-axis filling the volume.  b = `lattice.link_form(a)` is the identity on a
-link form and what one-form files hold, so the gate, the development,
-`path_transport`, the gauge action `log_derivative(u, T)` and the
-connection descent all see the same transports.  The curvature density is
-computed once on the torus from the plaquettes of the transports, and each
-cube's flatness residual is its window sum over the cube interior.
+axis filling the volume.  A form holds link coefficients b, as one-form
+files do, so the gate, the development, `path_transport`, the gauge
+action `log_derivative(u, T)` and the connection descent all see the
+same transports.  The curvature density is computed once on the torus
+from the plaquettes of the transports, and each cube's flatness residual
+is its window sum over the cube interior.
 
 The gate is first certified without a matrix log.  Write a plaquette as
 P = A B^H with A = T_i(x) T_j(x+e_i), B = T_j(x) T_i(x+e_j); B is
@@ -353,7 +353,7 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
     are the identity.
 
     The atlas of the last non-zero form developed is memoized in one slot.
-    It is returned again when the algebra object, sampling, lattice, cover,
+    It is returned again when the algebra object, lattice, cover,
     `tol` and `flatness_gate` are the same and the coefficients equal,
     bit for bit, the copy taken when it was built; so a hit is exactly an
     atlas whose gates passed on this input.  Errors are never stored.  On
@@ -372,7 +372,7 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
         eye = a.algebra.group_identity()
         return DevelopingAtlas(cover, a.algebra, np.broadcast_to(eye, dims + eye.shape),
                                np.broadcast_to(eye, (3,) + dims + eye.shape))
-    key = (a.algebra, a.sampling, a.lattice, cover, tol, flatness_gate)
+    key = (a.algebra, a.lattice, cover, tol, flatness_gate)
     if (_last_atlas is not None and _last_atlas[0] == key
             and np.array_equal(_last_atlas[1], a.coeffs)):
         return _last_atlas[2]

@@ -48,7 +48,6 @@ from .lattice import (
     TorusLattice,
     constant_field,
     inverse_field,
-    link_form,
     log_derivative,
     make_winding,
     multiply,
@@ -302,14 +301,14 @@ def invariant_of_connection(a, b, cover=None) -> SectorInvariants:
     """Invariants of a flat potential a relative to the reference b.
 
     Reconstructs u with a = gauge_transform(b, u) (the exact action on the
-    transports of b's `link_form`, for every form) from equal holonomy, and
-    reports the invariants of u; fails when a and b sit in different
-    holonomy strata.  `cover` goes to `gauge_from_holonomy`.
+    transports of b) from equal holonomy, and reports the invariants of u;
+    fails when a and b sit in different holonomy strata.  `cover` goes to
+    `gauge_from_holonomy`.
 
     With b = 0 the links u(x)^-1 u(x+e_i) are a's transports, up to the
     residual links the atlas bounds by its tol.  So when b is the zero
     form, u's holonomy coordinates are all zero (v_alpha = 1), and every
-    link coefficient X = h_i link_form(a)_i(x) has
+    link coefficient X = h_i a_i(x) has
     |X|_F < 2 arcsin(LINK_LOG_THRESHOLD / 2) (the Frobenius norm bounds
     every eigen-angle, so X is the principal log of its transport and
     inside the range of `log_derivative`), the charges are read off a's
@@ -322,8 +321,8 @@ def invariant_of_connection(a, b, cover=None) -> SectorInvariants:
         u = gauge_from_holonomy(b, a, cover)
     except HolonomyMismatchError as exc:
         raise HolonomyMismatchError(f"not in the same holonomy stratum: {exc}") from exc
-    if b.is_zero() and _in_log_range(L := link_form(a)):
+    if b.is_zero() and _in_log_range(a):
         alpha = one_dim_invariant(u)
         if not np.any(alpha):
-            return _sector(alpha, a.algebra, _link_charges(L))
+            return _sector(alpha, a.algebra, _link_charges(a))
     return sector_of(u)

@@ -1,13 +1,13 @@
 """Discretized flat 3-torus, group-valued fields, and the two energies.
 
 A `GroupField` stores one representation matrix per lattice site.  Its
-logarithmic derivative is the link form L_i(x) = (1/h_i) log(u(x)^-1 u(x+e_i)),
-an algebra-valued 1-form sampled on links (midpoints).  A link form b is a
-lattice connection with transports T_i = exp(h_i b_i); a site form acts
-through its `link_form`, the one site-to-link step, and `transports`
-is the one exponential of link coefficients.  The gauge action of u on
-any form is `log_derivative(u, T)`, the one link-log kernel.  The two
-energies
+logarithmic derivative L_i(x) = (1/h_i) log(u(x)^-1 u(x+e_i)) is an
+`AlgebraOneForm`, an algebra-valued 1-form on links: every form is a
+lattice connection with transports T_i = exp(h_i b_i), and `transports`
+is the one exponential of link coefficients.  Values sampled at sites
+are turned into link coefficients once, when the form is built.  The
+gauge action of u on any form is `log_derivative(u, T)`, the one link-log
+kernel.  The two energies
 
     E(u)  = sum_x vol ( 1/2 |L|^2 + 1/4 |L ^ L|^2 )
     E[a]  = sum_x vol ( 1/2 |a|^2 + 1/16 |[a, a]|^2 )
@@ -36,7 +36,6 @@ __all__ = [
     "wedge_bracket",
     "skyrme_energy_map",
     "skyrme_energy_connection",
-    "link_form",
     "transports",
     "gauge_transform",
     "make_hedgehog",
@@ -109,28 +108,30 @@ class GroupField:
         return GroupField(self.lattice, self.algebra, self.values.copy())
 
 
-@dataclass
+@dataclass(init=False)
 class AlgebraOneForm:
-    """Three grids of algebra coordinates, units 1/length.
+    """A lattice connection: three grids of link coefficients b_i(x), units
+    1/length, the link x -> x + e_i carrying exp(h_i b_i(x)).
 
-    `sampling` records where the components live: "site" for values at
-    lattice sites, "link" for link-midpoint data such as log derivatives.
-    A link form is a lattice connection with transports exp(h_i a_i(x));
-    a site form acts everywhere through its `link_form`, which is also
-    what `fileio.write_one_form` stores.
+    `sampling` says where the passed `coeffs` live and is not stored:
+    "link" keeps them, "site" replaces them once by their fourth-order
+    Magnus links (`_site_links`).
     """
 
     lattice: TorusLattice
     algebra: LieAlgebra
     coeffs: np.ndarray  # (3, N1, N2, N3, dim)
-    sampling: str = "site"
 
-    def __post_init__(self):
-        expect = (3,) + self.lattice.dims + (self.algebra.dim,)
-        if self.coeffs.shape != expect:
-            raise ValueError(f"one-form shape {self.coeffs.shape} != {expect}")
-        if self.sampling not in ("site", "link"):
-            raise ValueError(f"unknown sampling {self.sampling!r}")
+    def __init__(self, lattice: TorusLattice, algebra: LieAlgebra, coeffs: np.ndarray,
+                 sampling: str = "link"):
+        expect = (3,) + lattice.dims + (algebra.dim,)
+        if coeffs.shape != expect:
+            raise ValueError(f"one-form shape {coeffs.shape} != {expect}")
+        if sampling == "site":
+            coeffs = _site_links(lattice, algebra, coeffs)
+        elif sampling != "link":
+            raise ValueError(f"unknown sampling {sampling!r}")
+        self.lattice, self.algebra, self.coeffs = lattice, algebra, coeffs
 
     def copy(self) -> "AlgebraOneForm":
         return replace(self, coeffs=self.coeffs.copy())
@@ -181,7 +182,7 @@ def log_derivative(u: GroupField, T: np.ndarray | None = None) -> AlgebraOneForm
             f"field too rough for this lattice: link at site {site} on axis {axis} "
             f"{what} ({int(mask.sum())} links out of range)",
             axis=axis, site=site, value=value, mask=mask)
-    return AlgebraOneForm(u.lattice, alg, np.stack(comps), sampling="link")
+    return AlgebraOneForm(u.lattice, alg, np.stack(comps))
 
 
 def wedge_bracket(L: AlgebraOneForm) -> np.ndarray:
@@ -206,10 +207,9 @@ def skyrme_energy_connection(a: AlgebraOneForm) -> float:
     return float(a.lattice.cell_volume * (quad + quart))
 
 
-def link_form(a: AlgebraOneForm) -> AlgebraOneForm:
-    """The lattice connection of a, the one owner of site transports: a
-    link form is returned as it is; for a site form the link
-    x -> x + e_i carries exp(h b_i(x)) with
+def _site_links(lattice: TorusLattice, alg: LieAlgebra, a: np.ndarray) -> np.ndarray:
+    """Link coefficients of the site values a: the link x -> x + e_i
+    carries exp(h b_i(x)) with
 
         h b_i(x) = (h/24)(-a(x-e_i) + 13 a(x) + 13 a(x+e_i) - a(x+2e_i))
                    + (h^2/12) [a(x), a(x+e_i)],
@@ -218,29 +218,26 @@ def link_form(a: AlgebraOneForm) -> AlgebraOneForm:
     (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 9 (2000)).  Every
     link of the torus is interior; the step is exact on constant forms.
     """
-    if a.sampling == "link":
-        return a
-    alg, h = a.algebra, a.lattice.spacings
+    h = lattice.spacings
     coeffs = []
     for i in range(3):
-        before, a0, a1, after = (np.roll(a.coeffs[i], k, axis=i) for k in (1, 0, -1, -2))
+        before, a0, a1, after = (np.roll(a[i], k, axis=i) for k in (1, 0, -1, -2))
         pair = a0 + a1
         # the cubic correction (pair - before - after)/24 vanishes on constants
         coeffs.append(pair / 2.0 + (pair - (before + after)) / 24.0
                       + (h[i] / 12.0) * alg.bracket(a0, a1))
-    return AlgebraOneForm(a.lattice, alg, np.stack(coeffs), sampling="link")
+    return np.stack(coeffs)
 
 
 def transports(a: AlgebraOneForm) -> np.ndarray:
-    """The link transports T_i(x) = exp(h_i b_i(x)) of the lattice
-    connection b = `link_form(a)`, as a (3,) + dims + (N, N) array: the one
-    exponential of link coefficients."""
-    b = link_form(a)
-    return group_exp(b.algebra, np.reshape(b.lattice.spacings, (3, 1, 1, 1, 1)) * b.coeffs)
+    """The link transports T_i(x) = exp(h_i a_i(x)) of the connection a,
+    as a (3,) + dims + (N, N) array: the one exponential of link
+    coefficients."""
+    return group_exp(a.algebra, np.reshape(a.lattice.spacings, (3, 1, 1, 1, 1)) * a.coeffs)
 
 
 def gauge_transform(b: AlgebraOneForm, u: GroupField) -> AlgebraOneForm:
-    """Gauge action of the map u on the potential b, always link-sampled.
+    """Gauge action of the map u on the potential b.
 
     u acts exactly on the `transports` T_i of b,
     b_i -> (1/h_i) log(u(x)^-1 T_i u(x+e_i)) (Wilson, Phys. Rev. D 10
@@ -261,7 +258,7 @@ def constant_field(lattice: TorusLattice, alg: LieAlgebra) -> GroupField:
     return GroupField(lattice, alg, vals)
 
 
-def zero_one_form(lattice: TorusLattice, alg: LieAlgebra, sampling: str = "site") -> AlgebraOneForm:
+def zero_one_form(lattice: TorusLattice, alg: LieAlgebra, sampling: str = "link") -> AlgebraOneForm:
     return AlgebraOneForm(lattice, alg, np.zeros((3,) + lattice.dims + (alg.dim,)), sampling)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from skyrme import algebra as alg_mod
 from skyrme import holonomy as hol
-from skyrme.lattice import GroupField, TorusLattice, zero_one_form
+from skyrme.lattice import AlgebraOneForm, GroupField, TorusLattice, zero_one_form
 
 
 @pytest.fixture(autouse=True)
@@ -73,9 +73,10 @@ def sup_deviation_mod_constant(alg, u_vals, w_vals):
     return float(np.abs(u_vals - np.einsum("ij,...jk->...ik", g, w_vals)).max())
 
 
-def analytic_exp_field(alg, lattice, amp, seed, n_modes=6):
+def analytic_exp_values(alg, lattice, amp, seed, n_modes=6):
     """w = exp(X) for a low-frequency coordinate field X, together with the
-    exact Maurer-Cartan components w^-1 d_i w sampled at sites.
+    exact Maurer-Cartan components w^-1 d_i w sampled at sites, as a
+    (3,) + dims + (dim,) array.
 
     The derivative uses d/dt exp(X) = exp(X) D(ad_X) dX with
     D(z) = (1 - e^-z)/z summed far past machine precision.
@@ -106,17 +107,22 @@ def analytic_exp_field(alg, lattice, amp, seed, n_modes=6):
             out += cur / fact
         A[ax] = out
     from skyrme.algebra import group_exp
-    from skyrme.lattice import AlgebraOneForm, GroupField
 
-    w = GroupField(lattice, alg, group_exp(alg, X))
-    form = AlgebraOneForm(lattice, alg, A, sampling="site")
-    return w, form
+    return GroupField(lattice, alg, group_exp(alg, X)), A
+
+
+def analytic_exp_field(alg, lattice, amp, seed):
+    """w and the connection built from its site Maurer-Cartan components
+    (see `analytic_exp_values`)."""
+    w, A = analytic_exp_values(alg, lattice, amp, seed)
+    return w, AlgebraOneForm(lattice, alg, A, sampling="site")
 
 
 def flat_site_form(spec, n):
-    """A flat site form on the n^3 torus: for su2 the constant commuting
-    form theta = 0.7 on the first axis, for su3 the exact Maurer-Cartan
-    form of `analytic_exp_field` seed 4 read at sites."""
+    """A flat connection from site values on the n^3 torus: for su2 the
+    constant commuting form theta = 0.7 on the first axis, which the Magnus
+    step keeps, for su3 the exact Maurer-Cartan form of
+    `analytic_exp_field` seed 4 read at sites."""
     alg = alg_mod.parse_algebra(spec)
     L = TorusLattice((n, n, n))
     if spec == "su3":

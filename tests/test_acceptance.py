@@ -126,7 +126,7 @@ def test_criterion_7_holonomy():
     su2 = al.parse_algebra("su2")
     L = lat.TorusLattice((16, 16, 16))
     theta = 0.7
-    a = lat.zero_one_form(L, su2, sampling="site")
+    a = lat.zero_one_form(L, su2)
     a.coeffs[0, ..., 2] = theta
     cover = hol.CubicalCover(L, 4)
     rep = hol.holonomy_rep(a, cover)
@@ -169,7 +169,7 @@ def test_criterion_8_gauge_reconstruction():
     u = hol.gauge_from_holonomy(z, a2, cover)
     resid = sup_deviation_mod_constant(su2, u.values, w.values)
 
-    a1 = lat.zero_one_form(L, su2, sampling="site")
+    a1 = lat.zero_one_form(L, su2)
     a1.coeffs[0, ..., 2] = 0.3
     refused = False
     try:

@@ -1,9 +1,17 @@
+import os
 import re
+import struct
 
 import numpy as np
 import pytest
 
-from conftest import analytic_exp_field, flat_site_form, span_failure_field, u1_half_turn_field
+from conftest import (
+    analytic_exp_field,
+    analytic_exp_values,
+    flat_site_form,
+    span_failure_field,
+    u1_half_turn_field,
+)
 from skyrme import algebra as al
 from skyrme import cli, errors, fileio
 from skyrme import holonomy as hol
@@ -36,18 +44,22 @@ def test_one_form_round_trip(tmp_path, su2, lat8):
     p = tmp_path / "a.skya"
     fileio.write_one_form(p, a)
     back = fileio.read_one_form(p)
-    assert back.sampling == "link"
     assert np.abs(back.coeffs - a.coeffs).max() < 1e-12
 
 
 def test_a_site_form_is_stored_as_its_lattice_connection(tmp_path):
-    a = flat_site_form("su3", 8)
-    assert a.sampling == "site"
+    # the site values are turned into links when the form is built, and the
+    # file holds those links; read back as site values they are turned again
+    su3 = al.parse_algebra("su3")
+    L = lat.TorusLattice((8, 8, 8))
+    _, site_values = analytic_exp_values(su3, L, amp=0.5, seed=4)
+    a = lat.AlgebraOneForm(L, su3, site_values, sampling="site")
+    assert np.abs(a.coeffs - site_values).max() > 1e-3
     p = tmp_path / "a.skya"
     fileio.write_one_form(p, a)
-    back = fileio.read_one_form(p)
-    assert back.sampling == "link"
-    assert np.abs(back.coeffs - lat.link_form(a).coeffs).max() <= 1e-12
+    assert np.abs(fileio.read_one_form(p).coeffs - a.coeffs).max() <= 1e-12
+    again = lat.AlgebraOneForm(L, su3, a.coeffs, sampling="site").coeffs
+    assert np.abs(fileio.read_one_form(p, "site").coeffs - again).max() <= 1e-12
 
 
 def test_header_layout(tmp_path, u1, lat8):
@@ -56,7 +68,6 @@ def test_header_layout(tmp_path, u1, lat8):
     fileio.write_field(p, f)
     raw = p.read_bytes()
     assert raw[:8] == b"SKYF0001"
-    import struct
     gid, rep, n1, n2, n3 = struct.unpack_from("<IIIII", raw, 8)
     assert gid == fileio.GROUP_IDS["u1"] and rep == 1 and (n1, n2, n3) == (8, 8, 8)
     l1, l2, l3 = struct.unpack_from("<ddd", raw, 28)
@@ -185,7 +196,7 @@ def test_cli_gen_deterministic_bytes(tmp_path):
 def test_cli_holonomy_and_compare(tmp_path, capsys, su2):
     L = lat.TorusLattice((16, 16, 16))
     theta = 0.7
-    a = lat.zero_one_form(L, su2, sampling="site")
+    a = lat.zero_one_form(L, su2)
     a.coeffs[0, ..., 2] = theta
     pa = tmp_path / "a.skya"
     fileio.write_one_form(pa, a)
@@ -230,8 +241,8 @@ def test_cli_holonomy_of_a_flat_site_form(tmp_path, capsys):
 ])
 def test_cli_holonomy_compares_a_site_form_with_its_gauge_transform(tmp_path, capsys, spec, n,
                                                                      amplitude, tol):
-    # the transform is a link form; the file of the site form holds its
-    # link_form, so both files are read as the same kind of connection
+    # a form built from site values holds their links, so both files hold
+    # the same kind of connection
     a = flat_site_form(spec, n)
     w = lat.make_random(a.lattice, a.algebra, seed=3, amplitude=amplitude)
     pa, pb = tmp_path / "a.skya", tmp_path / "b.skya"
@@ -257,7 +268,7 @@ def test_cli_holonomy_rejects_a_tol_that_is_not_finite_and_positive(tmp_path, ca
     # holonomies equal; a non-positive one would fail every gate
     pz, pc = tmp_path / "z.skya", tmp_path / "c.skya"
     fileio.write_one_form(pz, lat.zero_one_form(lat8, su2))
-    c = lat.zero_one_form(lat8, su2, sampling="link")
+    c = lat.zero_one_form(lat8, su2)
     c.coeffs[0, ..., 2] = 0.7
     fileio.write_one_form(pc, c)
     assert main(["holonomy", str(pz), "--compare", str(pc), "--tol", tol]) == 2
@@ -304,7 +315,7 @@ holonomy=equal
 
 def test_cli_holonomy_compare_develops_each_form_once(tmp_path, capsys, su2, lat8,
                                                       develop_calls):
-    a = lat.zero_one_form(lat8, su2, sampling="site")
+    a = lat.zero_one_form(lat8, su2)
     a.coeffs[0, ..., 2] = 0.7
     w = lat.make_random(lat8, su2, seed=2, smoothness=2.5, amplitude=1e-3)
     pa, pb = tmp_path / "a.skya", tmp_path / "b.skya"
@@ -430,6 +441,83 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     cfg.write_text("group = e8\ndims = 8,8,8\n")
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.skyf")]) == 3
     capsys.readouterr()
+    for body, message in [("dims = 4,4,4\nkind = blob\n",
+                           "unknown kind 'blob' (hedgehog|winding|random)"),
+                          (None, "cannot read config: "),
+                          ("group = su2\n", "config needs dims = N1,N2,N3")]:
+        cfg.unlink(missing_ok=True)
+        if body is not None:
+            cfg.write_text(body)
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.skyf")]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.skyf").exists()
+
+
+@pytest.mark.parametrize("args", [["gen", "--config", "g.cfg"],
+                                  ["develop", "a.skya", "--shape", "4,4,4"],
+                                  ["minimize", "--config", "m.cfg"]])
+def test_cli_out_is_required(capsys, args):
+    with pytest.raises(SystemExit) as info:
+        main(args)
+    assert info.value.code == 2
+    assert "--out" in capsys.readouterr().err
+
+
+def _pack(fmt, offset, *values):
+    """A patch writing `values` into a file's bytes at `offset`."""
+    def patch(raw):
+        struct.pack_into(fmt, raw, offset, *values)
+        return raw
+    return patch
+
+
+BIG = 2 ** 30
+
+
+@pytest.mark.parametrize("patch, message", [
+    pytest.param(_pack("<I", 16, 2), "header dims (2, 4, 4), lengths (1.0, 1.0, 1.0): need "
+                                     "three axes with at least 3 sites each", id="n1=2"),
+    pytest.param(_pack("<d", 28, np.nan), "lengths (nan, 1.0, 1.0): lengths must be finite",
+                 id="l1=nan"),
+    pytest.param(_pack("<d", 36, -1.0), "lengths (1.0, -1.0, 1.0): lengths must be finite",
+                 id="l2=-1"),
+    pytest.param(_pack("<III", 16, BIG, BIG, BIG),
+                 f"truncated data block: the header asks {BIG ** 3 * 4 * 16} bytes", id="n=2^30"),
+    pytest.param(_pack("<I", 8, 0x0999), "unknown group id 0x0999", id="group-id"),
+    pytest.param(_pack("<I", 12, 3), "rep_dim 3 does not match group su2", id="rep_dim"),
+    pytest.param(lambda raw: raw[:20], "truncated header", id="cut-to-20-bytes"),
+    pytest.param(lambda raw: raw + b"x", "trailing bytes after", id="trailing-byte"),
+])
+@pytest.mark.parametrize("command", ["energy", "holonomy"])
+def test_cli_refuses_a_corrupt_file_by_its_field(tmp_path, capsys, su2, command, patch, message):
+    # energy reads an SKYF file, holonomy an SKYA file; both share the header
+    u = lat.make_random(lat.TorusLattice((4, 4, 4)), su2, seed=1, amplitude=0.3)
+    path = tmp_path / "f"
+    if command == "energy":
+        fileio.write_field(path, u)
+    else:
+        fileio.write_one_form(path, lat.log_derivative(u))
+    path.write_bytes(bytes(patch(bytearray(path.read_bytes()))))
+    assert main([command, str(path)]) == 12
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut, code", [(0, 0), (8, 12)])
+def test_cli_reads_a_field_from_a_pipe(tmp_path, capsys, su2, cut, code):
+    # a pipe has no size to check before reading; a short one is refused after
+    path = tmp_path / "u.skyf"
+    fileio.write_field(path, lat.make_random(lat.TorusLattice((4, 4, 4)), su2, seed=1,
+                                             amplitude=0.3))
+    raw = path.read_bytes()
+    r, w = os.pipe()
+    with os.fdopen(w, "wb") as fh:  # 4 KiB fits in the pipe's buffer
+        fh.write(raw[:len(raw) - cut])
+    try:
+        assert main(["energy", f"/dev/fd/{r}"]) == code
+    finally:
+        os.close(r)
+    out, err = capsys.readouterr()
+    assert ("E=" in out) if code == 0 else ("truncated data block" in err)
 
 
 def test_help_exit_codes_match_the_error_classes():
@@ -559,7 +647,7 @@ def test_cli_rejects_a_non_finite_file_entry(tmp_path, capsys, su2, lat8, comman
         fileio.write_field(path, u)
         args = [command, str(path)]
     else:
-        a = lat.zero_one_form(lat8, su2, sampling="link")
+        a = lat.zero_one_form(lat8, su2)
         a.coeffs[1, 2, 3, 4, 0] = bad
         path, where = tmp_path / "a.skya", "component 2 at site (2, 3, 4)"
         with np.errstate(invalid="ignore"):  # inf times a zero basis entry

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from conftest import (
     analytic_exp_field,
+    analytic_exp_values,
     coarse_edges,
     flat_site_form,
     oracle_star_residuals,
@@ -28,7 +29,7 @@ def cover16(lat16):
 
 
 def abelian_form(lattice, su2, theta, axis=0):
-    a = lat.zero_one_form(lattice, su2, sampling="site")
+    a = lat.zero_one_form(lattice, su2)
     a.coeffs[axis, ..., 2] = theta
     return a
 
@@ -117,7 +118,7 @@ def test_develop_site_sampled_convergence(su2):
 
 @pytest.mark.parametrize("spec", ["su2", "su3"])
 def test_develop_site_form_converges_at_fourth_order(spec):
-    # the Magnus step of `link_form` with its cubic cell average is fourth
+    # the Magnus step of a site form with its cubic cell average is fourth
     # order, and the default gate passes the flat site form at both sizes
     alg = al.parse_algebra(spec)
     devs = []
@@ -131,7 +132,7 @@ def test_develop_site_form_converges_at_fourth_order(spec):
 
 def test_develop_flatness_gate(su2, lat8):
     rng = np.random.default_rng(0)
-    a = lat.zero_one_form(lat8, su2, sampling="site")
+    a = lat.zero_one_form(lat8, su2)
     a.coeffs[:] = rng.standard_normal(a.coeffs.shape) * 3.0
     with pytest.raises(FlatnessError, match="not flat"):
         hol.develop_cube(a, (0, 0, 0), (5, 5, 5))
@@ -157,7 +158,8 @@ def test_path_transport_site_step_on_nonabelian_data():
     # zero; the oracle is expm of the step formula on matrices
     su3 = al.parse_algebra("su3")
     L = lat.TorusLattice((8, 8, 8))
-    _, a = analytic_exp_field(su3, L, amp=0.5, seed=3)
+    _, site_values = analytic_exp_values(su3, L, amp=0.5, seed=3)
+    a = lat.AlgebraOneForm(L, su3, site_values, sampling="site")
     path = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (2, 0, 0), (2, 7, 0), (2, 7, 1),
             (2, 7, 0), (1, 7, 0), (0, 7, 0), (7, 7, 0), (7, 7, 7)]
     h = L.spacings
@@ -171,7 +173,7 @@ def test_path_transport_site_step_on_nonabelian_data():
         def A(k):
             site = list(tail)
             site[ax] = (site[ax] + k) % L.dims[ax]
-            return su3.to_matrix(a.coeffs[(ax,) + tuple(site)])
+            return su3.to_matrix(site_values[(ax,) + tuple(site)])
 
         mean = (h[ax] / 24.0) * (-A(-1) + 13.0 * A(0) + 13.0 * A(1) - A(2))
         step = expm(mean + (h[ax] ** 2 / 12.0) * (A(0) @ A(1) - A(1) @ A(0)))
@@ -236,7 +238,7 @@ def test_flat_site_form_passes_the_default_gate(spec, n):
     _, a = analytic_exp_field(alg, lat.TorusLattice((n, n, n)), amp=0.5, seed=3)
     cover = hol.CubicalCover.for_lattice(a.lattice)
     atlas = hol.build_atlas(a, cover, tol=np.inf)
-    T = lat.transports(lat.link_form(a))
+    T = lat.transports(a)
     anchor = cover.star_corner(cover.base)
     for v in cover.vertices():
         site = tuple(v[i] * cover.spacing for i in range(3))
@@ -252,13 +254,13 @@ def test_site_gate_residual_is_windowed_flatness_density(su2, lat8):
         hol.build_atlas(a, cover, flatness_gate=0.0)
     exc = info.value
     assert exc.vertex == cover.base and exc.corner == cover.star_corner(cover.base)
-    expect = oracle_star_residuals(lat.link_form(a), cover)[0]
+    expect = oracle_star_residuals(a, cover)[0]
     assert abs(exc.residual - expect) <= 1e-12 * expect
 
 
 def test_flatness_error_names_the_star_of_a_bump(su2, lat16, cover16):
     bump = (9, 5, 13)
-    a = lat.zero_one_form(lat16, su2, sampling="site")
+    a = lat.zero_one_form(lat16, su2)
     a.coeffs[0][bump] = 5.0
     with pytest.raises(FlatnessError, match="not flat") as info:
         hol.build_atlas(a, cover16)
@@ -279,8 +281,7 @@ def test_flatness_error_names_the_star_of_a_bump(su2, lat16, cover16):
 def test_out_of_range_plaquette_fails_the_gate(su2, lat8):
     # plaquettes past the log's range give their cubes an infinite residual:
     # any finite gate names the cube, an infinite gate lets development go on
-    a = lat.AlgebraOneForm(lat8, su2, np.random.default_rng(0).normal(size=(3, 8, 8, 8, 3)) * 30,
-                           sampling="link")
+    a = lat.AlgebraOneForm(lat8, su2, np.random.default_rng(0).normal(size=(3, 8, 8, 8, 3)) * 30)
     cover = hol.CubicalCover(lat8, 2)
     with pytest.raises(FlatnessError, match="not flat") as info:
         hol.develop_cube(a, (2, 3, 4), (5, 5, 5), flatness_gate=1e300)
@@ -307,8 +308,8 @@ def test_plaquette_log_outside_the_algebra_fails_the_gate(spec):
     alg = al.parse_algebra(spec)
     L = lat.TorusLattice((6, 6, 6))
     cover = hol.CubicalCover(L, 2)
-    a = lat.AlgebraOneForm(L, alg, np.random.default_rng(5).standard_normal((3, 6, 6, 6, alg.dim))
-                           * 8, sampling="link")
+    a = lat.AlgebraOneForm(L, alg,
+                           np.random.default_rng(5).standard_normal((3, 6, 6, 6, alg.dim)) * 8)
     resid = oracle_star_residuals(a, cover)
     with pytest.raises(FlatnessError) as info:
         hol.build_atlas(a, cover, flatness_gate=1e300)
@@ -414,7 +415,7 @@ def test_zero_form_atlas_skips_development(spec, sampling, monkeypatch):
 def test_atlas_gates_refuse_a_nan_tol(su2, lat8):
     # NaN compares false, so each gate reads `not x <= tol` and fails;
     # an infinite tol stays legal and passes every edge
-    c = lat.zero_one_form(lat8, su2, sampling="link")
+    c = lat.zero_one_form(lat8, su2)
     c.coeffs[0, ..., 2] = 0.7
     with pytest.raises(AtlasError):
         hol.build_atlas(c, tol=np.nan)
@@ -515,7 +516,7 @@ def test_batched_labels_match_the_per_edge_oracle(spec, spacing):
     alg = al.parse_algebra(spec)
     L = lat.TorusLattice((8, 8, 8))
     X = np.random.default_rng(2).standard_normal(alg.dim)
-    b = lat.zero_one_form(L, alg, sampling="link")
+    b = lat.zero_one_form(L, alg)
     for i in range(3):
         b.coeffs[i] = (0.4 + 0.3 * i) / np.sqrt(alg.norm_sq(X)) * X
     a = lat.gauge_transform(b, lat.make_random(L, alg, seed=5, smoothness=2.5, amplitude=0.5))
@@ -546,9 +547,9 @@ def test_batched_projection_refuses_the_wrong_orthogonal_component(so3):
 def test_a_cover_of_another_lattice_is_refused(su2, lat8, dims, spacing):
     # smaller covers read the 8^3 form at the wrong sites and answered a
     # wrong holonomy; a larger one indexed past its transports
-    a = lat.zero_one_form(lat8, su2, sampling="link")
+    a = lat.zero_one_form(lat8, su2)
     a.coeffs[0, ..., 2] = 0.7
-    zero = lat.zero_one_form(lat8, su2, sampling="link")
+    zero = lat.zero_one_form(lat8, su2)
     cover = hol.CubicalCover(lat.TorusLattice(dims), spacing)
     for query in (lambda: hol.holonomy_rep(a, cover),
                   lambda: inv.invariant_of_connection(a, zero, cover)):
@@ -569,7 +570,7 @@ def test_sector_query_develops_its_form_once(spec, develop_calls):
     a = lat.log_derivative(lat.make_random(L, alg, seed=3, smoothness=2.5, amplitude=0.5))
     cover = hol.CubicalCover(L, 2)
     rep = hol.holonomy_rep(a, cover)
-    sector = inv.invariant_of_connection(a, lat.zero_one_form(L, alg, sampling="link"), cover)
+    sector = inv.invariant_of_connection(a, lat.zero_one_form(L, alg), cover)
     assert develop_calls == [a]
     assert np.abs(rep.elements - np.eye(alg.rep_dim)).max() < 1e-12
     assert sector.alpha == (0, 0, 0) and sector.charges == (0,)
@@ -591,8 +592,7 @@ def test_in_place_edit_develops_again(su2, lat8, develop_calls):
     assert np.array_equal(edited.residuals, fresh.residuals)
 
 
-@pytest.mark.parametrize("change", ["tol", "flatness_gate", "spacing", "sampling",
-                                    "algebra", "lattice"])
+@pytest.mark.parametrize("change", ["tol", "flatness_gate", "spacing", "algebra", "lattice"])
 def test_atlas_memo_misses_on_any_other_input(change, su2, lat8, develop_calls):
     a = abelian_form(lat8, su2, 0.7)
     cover = hol.CubicalCover(lat8, 2)
@@ -605,8 +605,6 @@ def test_atlas_memo_misses_on_any_other_input(change, su2, lat8, develop_calls):
         kwargs["flatness_gate"] = 1.0
     elif change == "spacing":
         cover = hol.CubicalCover(lat8, 4)
-    elif change == "sampling":
-        a = replace(a, sampling="link")
     elif change == "algebra":
         a = replace(a, algebra=al.parse_algebra("sp1"))  # same shapes, another group
     else:
@@ -689,7 +687,7 @@ def test_holonomy_gauge_invariance(su2, lat16, cover16):
 @pytest.mark.parametrize("spec,n", [("su2", 8), ("su2", 16), ("su3", 16)])
 @pytest.mark.parametrize("amplitude", [1e-3, 0.1, 0.5])
 def test_site_form_holonomy_is_gauge_invariant(spec, n, amplitude):
-    # a site form acts through its link form, so its gauge transform
+    # a form built from site values is a connection, so its gauge transform
     # conjugates every holonomy by w(base) exactly; the su3 form is flat to
     # the order of the link stencil, so its residual links reach about 1e-4
     a = flat_site_form(spec, n)
@@ -728,7 +726,7 @@ def test_tree_gauge_reads_holonomy_and_gauge_of_a_transformed_constant_form(spec
     rng = np.random.default_rng(seed)
     X = rng.standard_normal(alg.dim)
     X /= np.abs(np.linalg.eigvals(alg.to_matrix(X))).max()
-    b = lat.zero_one_form(L, alg, sampling="link")
+    b = lat.zero_one_form(L, alg)
     for i in range(3):
         b.coeffs[i] = turns[i] / L.lengths[i] * X
     w = lat.make_random(L, alg, seed=seed, smoothness=2.5, amplitude=amplitude)
@@ -824,13 +822,42 @@ def test_gauge_from_holonomy_mismatch(su2, lat16, cover16):
         hol.gauge_from_holonomy(a1, z, cover16)
 
 
+def _turned_link(b, eps):
+    """b with the transport of the axis-3 link at site (3, 5, 7)
+    right-multiplied by exp(eps X), X a fixed random direction of unit norm."""
+    X = np.random.default_rng(1).standard_normal(b.algebra.dim)
+    X /= np.sqrt(b.algebra.norm_sq(X))
+    h = b.lattice.spacings[2]
+    a = b.copy()
+    link = (2, 3, 5, 7)
+    T = al.group_exp(b.algebra, h * a.coeffs[link]) @ al.group_exp(b.algebra, eps * X)
+    a.coeffs[link] = al.group_log(b.algebra, T)[0] / h
+    return a
+
+
+def test_gauge_from_holonomy_refuses_a_link_defect_within_each_atlas_tol():
+    # each form turns one link by half the defect: each atlas passes its
+    # constancy gate, but the two forms differ there by more than tol
+    su3 = al.parse_algebra("su3")
+    b = lat.log_derivative(lat.make_random(lat.TorusLattice((8, 8, 8)), su3, seed=3,
+                                           smoothness=2.5, amplitude=0.5))
+    a1, a2 = _turned_link(b, 1.5e-6), _turned_link(b, -1.5e-6)
+    for a in (a1, a2):
+        hol.build_atlas(a)
+    with pytest.raises(HolonomyMismatchError, match=r"link defect 1\.437e-06"):
+        hol.gauge_from_holonomy(a1, a2)
+    with pytest.raises(AtlasError) as info:
+        hol.build_atlas(_turned_link(b, 2.5e-6))
+    assert info.value.site == (3, 5, 7) and info.value.axis == 3
+
+
 def test_sector_query_memory_peak():
     # the development, its residual links and u each hold one matrix per
     # torus site or link, so no array grows with the overlap of the stars
     su3 = al.parse_algebra("su3")
     L = lat.TorusLattice((12, 12, 12))
     a = lat.log_derivative(lat.make_hedgehog(L, su3, 0.45))
-    zero = lat.zero_one_form(L, su3, sampling="link")
+    zero = lat.zero_one_form(L, su3)
     cover = hol.CubicalCover(L, 4)
     tracemalloc.start()
     try:
@@ -862,7 +889,7 @@ def cut_form(lattice, alg, logs, slab=1):
     """Link form a_i = X_i / h_i on the links x_i = slab of axis i, zero
     elsewhere.  It is flat when the exp X_i commute, with generator
     holonomies (exp X_1, exp X_2, exp X_3)."""
-    a = lat.zero_one_form(lattice, alg, sampling="link")
+    a = lat.zero_one_form(lattice, alg)
     for i, X in enumerate(logs):
         idx = [slice(None)] * 3
         idx[i] = slab

@@ -1,11 +1,11 @@
 """Source hygiene of the package: no module keeps an import it does not use,
 no top-level name goes unused, no module imports another's private name,
-only `algebra.py` reads the algebra's tables, only a fixed list of
-functions branches on a form's sampling, chooses a cover or exponentiates
-link coefficients, `algebra.py` nests no two loops over the algebra's
-dimension, `holonomy.py` loops over cover vertices only in
-`CubicalCover`, `invariants.py` builds `SectorInvariants` at one site, and
-every default of a public parameter is overridden by some call in the
+only `algebra.py` reads the algebra's tables, no module reads a form's
+sampling and only its constructor compares one, a fixed list of functions
+chooses a cover or exponentiates link coefficients, `algebra.py` nests no
+two loops over the algebra's dimension, `holonomy.py` loops over cover
+vertices only in `CubicalCover`, `invariants.py` builds `SectorInvariants`
+at one site, and every default of a public parameter is overridden by some call in the
 package or its benchmark, or is listed with the consumer that keeps it."""
 
 import ast
@@ -71,11 +71,9 @@ def test_only_algebra_reads_the_tables(path):
     assert not reads, f"{path.name} reads algebra tables at {reads}"
 
 
-# (module, function) allowed to compare a `.sampling` against "site" or
-# "link", once each: every form acts through `lattice.link_form`, the one
-# site stencil, and the constructor checks the label; a second stencil
-# means editing this list
-SAMPLING_READERS = {("lattice.py", "link_form"), ("lattice.py", "AlgebraOneForm.__post_init__")}
+# the one (module, function) that compares a sampling value: every form
+# holds link coefficients, and the constructor turns site values into links
+SAMPLING_OWNER = ("lattice.py", "AlgebraOneForm.__init__")
 
 
 def _functions(tree: ast.Module):
@@ -91,17 +89,17 @@ def _functions(tree: ast.Module):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_sampling_branches_have_one_owner_each(path):
-    counts = Counter()
-    for name, node in _functions(ast.parse(path.read_text())):
-        for n in ast.walk(node):
-            if (isinstance(n, ast.Compare)
-                    and any(isinstance(m, ast.Attribute) and m.attr == "sampling"
-                            for m in ast.walk(n))
-                    and any(isinstance(m, ast.Constant) and m.value in ("site", "link")
-                            for m in ast.walk(n))):
-                counts[(path.name, name)] += 1
-    extra = {k: c for k, c in counts.items() if k not in SAMPLING_READERS or c > 1}
-    assert not extra, f"sampling compared outside its owners, or more than once: {extra}"
+    # no form carries a sampling to read, and only its constructor decides
+    # what the passed coefficients are
+    tree = ast.parse(path.read_text())
+    reads = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr == "sampling"]
+    assert not reads, f"{path.name} reads `.sampling` at lines {reads}"
+    compares = [(path.name, name, n.lineno) for name, node in _functions(tree)
+                for n in ast.walk(node) if isinstance(n, ast.Compare)
+                and any(isinstance(m, ast.Name) and m.id == "sampling" for m in ast.walk(n))]
+    assert all(c[:2] == SAMPLING_OWNER for c in compares), \
+        f"sampling compared outside {SAMPLING_OWNER}: {compares}"
 
 
 def _top_level(tree: ast.Module):

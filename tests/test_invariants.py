@@ -344,7 +344,7 @@ def test_charge_off_the_links_equals_the_charge_of_the_map(spec, kind, n, seed, 
         a = lat.log_derivative(u)
     except LogRangeError:  # a field too rough for its lattice has no log derivative
         assume(False)
-    zero = lat.zero_one_form(L, alg, sampling="link")
+    zero = lat.zero_one_form(L, alg)
     want = _map_sector(a, zero)
     if isinstance(want, inv.SectorInvariants):
         got = inv.invariant_of_connection(a, zero)
@@ -374,7 +374,7 @@ def test_a_winding_takes_the_link_logs(spec, alpha, lat12, sector_of_calls):
     u = lat.multiply(inv.reference_map(lat12, alg, alpha),
                      lat.make_random(lat12, alg, seed=6, amplitude=0.3))
     a = lat.log_derivative(u)
-    zero = lat.zero_one_form(lat12, alg, sampling="link")
+    zero = lat.zero_one_form(lat12, alg)
     got = inv.invariant_of_connection(a, zero)
     assert len(sector_of_calls) == 1 and got.alpha == alpha
     assert got == _map_sector(a, zero)
@@ -392,8 +392,8 @@ def test_a_link_out_of_the_log_range_is_refused_by_the_link_logs(spec, lat8, sec
     h = lat8.spacings
     a = lat.AlgebraOneForm(lat8, alg, np.stack([
         al.group_log(alg, u.values.conj().swapaxes(-1, -2) @ np.roll(u.values, -1, axis=i),
-                     threshold=1.99)[0] / h[i] for i in range(3)]), sampling="link")
-    zero = lat.zero_one_form(lat8, alg, sampling="link")
+                     threshold=1.99)[0] / h[i] for i in range(3)]))
+    zero = lat.zero_one_form(lat8, alg)
     with pytest.raises(LogRangeError) as info:
         inv.invariant_of_connection(a, zero)
     assert len(sector_of_calls) == 1
@@ -408,7 +408,7 @@ def test_an_in_range_log_derivative_takes_no_matrix_log(spec, monkeypatch):
     alg = _algebra(spec)
     L = lat.TorusLattice((8, 8, 8))
     a = lat.log_derivative(lat.make_random(L, alg, seed=11, amplitude=0.5))
-    zero = lat.zero_one_form(L, alg, sampling="link")
+    zero = lat.zero_one_form(L, alg)
     calls = []
 
     def counted(log):

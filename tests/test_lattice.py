@@ -28,7 +28,6 @@ def test_log_derivative_constant_and_winding(su2, lat8):
         expect = np.zeros_like(D.coeffs)
         expect[0, ..., 2] = 2 * np.pi
         assert np.abs(D.coeffs - expect).max() < 1e-12
-        assert D.sampling == "link"
 
 
 def test_log_derivative_rough_field_raises(su2, lat8):
@@ -214,7 +213,6 @@ def test_gauge_transform_is_the_exact_link_action(spec, n):
     v, u, w = (lat.make_random(L, alg, seed=s, amplitude=0.6) for s in (1, 2, 3))
     b = lat.log_derivative(v)
     got = lat.gauge_transform(b, w)
-    assert got.sampling == "link"
     assert np.abs(got.coeffs - lat.log_derivative(lat.multiply(v, w)).coeffs).max() <= 1e-12
     lhs = lat.gauge_transform(lat.gauge_transform(b, u), w)
     rhs = lat.gauge_transform(b, lat.multiply(u, w))
@@ -232,13 +230,17 @@ def test_site_form_gauge_transform_is_an_exact_cocycle(spec):
 
 @pytest.mark.parametrize("spec", ["su2", "su3"])
 def test_site_form_acts_through_its_link_form(spec):
+    # site values are turned into links once, when the form is built: the
+    # form holds only the links and answers no sampling, and neither a copy
+    # nor a form built from its links turns them again
     a = flat_site_form(spec, 8)
-    b = lat.link_form(a)
-    assert lat.link_form(b) is b
-    w = lat.make_random(a.lattice, a.algebra, seed=3, amplitude=0.5)
-    got = lat.gauge_transform(a, w)
-    assert got.sampling == "link"
-    assert np.array_equal(got.coeffs, lat.gauge_transform(b, w).coeffs)
+    with pytest.raises(AttributeError):
+        a.sampling
+    b = lat.AlgebraOneForm(a.lattice, a.algebra, a.coeffs)
+    assert b.coeffs is a.coeffs
+    assert np.array_equal(a.copy().coeffs, a.coeffs)
+    with pytest.raises(ValueError, match="unknown sampling 'mid'"):
+        lat.AlgebraOneForm(a.lattice, a.algebra, a.coeffs, sampling="mid")
 
 
 def test_log_derivative_names_a_link_whose_log_left_the_algebra():

@@ -318,7 +318,6 @@ def test_minimize_connection_on_a_log_derivative_reference(su2, lat16):
     assert len(trace.energies) <= 20
     assert (np.diff(trace.energies) <= 1e-12).all()
     assert trace.energies[-1] < 0.5 * trace.energies[0]
-    assert a_final.sampling == "link"
     assert lat.skyrme_energy_connection(a_final) <= trace.energies[-1]
     rep = hol.holonomy_rep(a_final)
     assert np.abs(rep.elements - np.eye(2)).max() <= 1e-8
@@ -379,7 +378,7 @@ def test_minimize_connection_exponentiates_the_reference_once(su2, lat8, monkeyp
 
 def test_minimize_connection_gates_the_reference(su2, lat8):
     sector = inv.sector_of(lat.constant_field(lat8, su2))
-    curved = lat.zero_one_form(lat8, su2, sampling="link")
+    curved = lat.zero_one_form(lat8, su2)
     curved.coeffs[0, ..., 0] = 3.0 * np.arange(8)[None, :, None]
     with pytest.raises(FlatnessError):
         mz.minimize_connection(curved, sector)
