@@ -38,7 +38,7 @@ x_i = anchor_i - 1 back to the anchor plane) the holonomy of the loop
 through x; on the line through the anchor it is the generator holonomy
 rho_i.  The constancy gate asks every off-seam residual to lie within `tol`
 of 1 and every seam residual within `tol` of its axis's base seam link.
-Flat potentials with equal holonomy are gauge equivalent by u = g1^-1 C g2,
+Flat forms with conjugate holonomy are gauge equivalent by u = g1^-1 C g2,
 where C rho2_i C^-1 = rho1_i, verified link by link as C^-1 R1 C = R2.
 
 A sector query develops the same form twice in a row, once for its
@@ -72,9 +72,6 @@ DEFAULT_ATLAS_TOL = 1e-6
 CHORD_CUTOFF = 0.5  # c: plaquettes with |P - 1|_F < c are bounded without a log
 # sup |log P|_F / |P - 1|_F over unitary P with every |lambda - 1| < c
 _LOG_PER_CHORD = 2.0 * np.arcsin(CHORD_CUTOFF / 2.0) / CHORD_CUTOFF
-# conjugacy errors closer than this are equal up to the rounding of the
-# developments, so `_align_constant` keeps the earlier, identity-nearest one
-_ALIGN_ROUNDING = 1e-12
 
 # (key, read-only coefficient copy, atlas) of the last developed non-zero form
 _last_atlas: tuple | None = None
@@ -410,50 +407,51 @@ def holonomy_rep(a: AlgebraOneForm, cover: CubicalCover | None = None,
 
 
 # ----------------------------------------------------------------------
-# gauge reconstruction from equal holonomy
+# gauge reconstruction from conjugate holonomy
 # ----------------------------------------------------------------------
 
 def _align_constant(alg: LieAlgebra, rho1: np.ndarray, rho2: np.ndarray,
                     tol: float) -> np.ndarray:
-    """Matrix C with C rho2_l C^-1 = rho1_l for all generators.
-
-    Solved as the null space of the stacked Sylvester operators, then
-    projected by `_project_group`, so C lies in U(N), SU(N) or SO(N) but
-    not always in G; raises on failure (holonomies not conjugate).
-    The projection of the identity onto the null space is kept unless
-    another candidate's conjugacy error is lower by more than rounding
-    (_ALIGN_ROUNDING), so C = 1 whenever rho1 = rho2.
-    """
+    """Matrix C with C rho2_l C^-1 = rho1_l for all generators, built, not
+    searched for.  The solutions X of X rho2_l = rho1_l X, the null space of
+    the stacked Sylvester operators, are C0 A for any conjugator C0 and the
+    commutant A of rho2, a *-algebra, so the polar factor of any invertible
+    solution conjugates.  C is the `_project_group` factor of the identity's
+    projection onto the null space (1 when rho1 = rho2) or, if that does not
+    conjugate within `tol`, of the generic solution sum_k (1 + k/(pi n)) v_k
+    of the n null vectors v_k, singular only for a measure-zero set of bases.
+    A real kind of odd N takes the sign of that solution with det > 0 (-X
+    solves too); for even N a factor of det -1 is refused.  C lies in U(N),
+    SU(N) or SO(N), not always in G.  No solution (no conjugator exists) or
+    no factor that conjugates raises HolonomyMismatchError."""
     N = alg.rep_dim
     eye = np.eye(N)
     M = np.concatenate([np.kron(eye, r2.T) - np.kron(r1, eye) for r1, r2 in zip(rho1, rho2)])
     _, svals, Vh = np.linalg.svd(M)
     null = Vh.conj()[svals < 1e-8 * max(1.0, svals.max())]
     if null.shape[0] == 0:
-        null = Vh.conj()[-1:]  # best effort: smallest singular vector
-    # prefer the null-space representative closest to the identity
+        raise HolonomyMismatchError(f"holonomies differ (no conjugator exists: smallest "
+                                    f"Sylvester singular value {svals.min():.3e})")
     proj_id = sum((vec.conj() @ eye.reshape(-1)) * vec for vec in null).reshape(N, N)
-    candidates = [proj_id, *null.reshape(-1, N, N)]
-    best, best_err = None, np.inf
-    for cand in candidates:
-        if np.linalg.norm(cand) < 1e-12:
-            continue
+    generic = ((1.0 + np.arange(len(null)) / (np.pi * len(null))) @ null).reshape(N, N)
+    if alg.group_kind == "special_orthogonal" and N % 2:
+        generic = generic.real * np.sign(np.linalg.det(generic.real))
+    err = np.inf
+    for cand in (proj_id, generic):
         try:
             C = _project_group(alg, cand)
         except AtlasError:
             continue
-        err = max(np.abs(C @ r2 @ C.conj().T - r1).max() for r1, r2 in zip(rho1, rho2))
-        if err < best_err - _ALIGN_ROUNDING:
-            best, best_err = C, err
-    if best is None or not best_err <= tol:
-        raise HolonomyMismatchError(f"holonomies differ (conjugacy defect {best_err:.3e})")
-    return best
+        err = min(err, max(np.abs(C @ r2 @ C.conj().T - r1).max() for r1, r2 in zip(rho1, rho2)))
+        if err <= tol:
+            return C
+    raise HolonomyMismatchError(f"holonomies differ (conjugacy defect {err:.3e})")
 
 
 def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
                         cover: CubicalCover | None = None,
                         tol: float = DEFAULT_ATLAS_TOL) -> GroupField:
-    """Reconstruct u with a2 = gauge_transform(a1, u) from equal holonomy.
+    """Reconstruct u with a2 = gauge_transform(a1, u) from conjugate holonomy.
 
     Both potentials are developed by `build_atlas` over `cover` with `tol`
     as the constancy bound, so an atlas `holonomy_rep` built with the same
@@ -463,8 +461,8 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
     different algebras or lattices raise ValueError.
 
     g1 and g2 are G-valued, and C = 1 when rho1 = rho2, so u is G-valued
-    then.  When the holonomies are conjugate but not equal, C is the
-    `_project_group` factor of a Sylvester null vector, which for g2 and
+    then.  When the holonomies are conjugate but not equal, C is the polar
+    factor `_align_constant` builds in U(N), SU(N) or SO(N), which for g2 and
     spin7 can leave G: on gauge-transformed constant forms at 8^3 the span
     residual of u e_a u^-1 reached 4e-4.  The links u carries a1 to,
     C^-1 R1 C = R2 in the tree gauge, are a2's own and checked against it,

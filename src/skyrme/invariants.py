@@ -179,11 +179,8 @@ def _winding_u1(line: np.ndarray, axis: int) -> int:
     steps = (steps + np.pi) % (2 * np.pi) - np.pi
     if np.abs(np.abs(steps) - np.pi).min() < 1e-9:
         raise _refused_link("half-turn link defeats the U(1) lift", axis, np.abs(steps))
-    total = steps.sum() / (2 * np.pi)
-    n = int(round(total))
-    if abs(total - n) > 1e-6:
-        raise LogRangeError(f"U(1) winding not integral ({total})")
-    return n
+    # the wrapped steps of a closed loop sum to 2 pi n up to rounding
+    return int(round(steps.sum() / (2 * np.pi)))
 
 
 def _lift_sign_so3(line: np.ndarray, block: LieAlgebra, axis: int) -> int:
@@ -193,7 +190,8 @@ def _lift_sign_so3(line: np.ndarray, block: LieAlgebra, axis: int) -> int:
     so(3) -> su(2), E_a -> -(1/2) i sigma_a: so(3) has [E_0, E_1] = E_2 and
     [i sigma_0, i sigma_1] = -2 i sigma_2, so the minus sign makes the map
     preserve brackets, and the lifted links multiply as the links do.  The
-    lifted loop closes on +1 (parity 0) or -1 (parity 1).
+    links telescope to 1, so the lifted loop closes on +1 (parity 0) or -1
+    (parity 1) up to rounding.
     """
     links = np.einsum("xji,xjk->xik", np.conj(line), np.roll(line, -1, axis=0))
     # rotation angles from the traces 1 + 2 cos(theta), before any log
@@ -206,10 +204,7 @@ def _lift_sign_so3(line: np.ndarray, block: LieAlgebra, axis: int) -> int:
     total = np.eye(2, dtype=complex)
     for qk in q:
         total = total @ qk
-    tr = total[0, 0] + total[1, 1]
-    if abs(abs(tr.real) - 2.0) > 1e-6 or abs(tr.imag) > 1e-6:
-        raise LogRangeError("SO(3) lift did not close on a deck element")
-    return 0 if tr.real > 0 else 1
+    return 0 if (total[0, 0] + total[1, 1]).real > 0 else 1
 
 
 def one_dim_invariant(u: GroupField) -> tuple:

@@ -296,7 +296,12 @@ def seed_field(lattice: TorusLattice, alg: LieAlgebra, sector: SectorInvariants)
         sl = slice(off, off + blk.rep_dim)
         vals[..., sl, sl] = np.einsum("...ij,...jk->...ik", vals[..., sl, sl], lump.values)
         u = GroupField(lattice, alg, vals)
-    got = sector_of(u)
+    try:
+        got = sector_of(u)
+    except SectorError as exc:
+        raise SectorError(f"no seed field for sector {sector.alpha};{sector.charges} on dims "
+                          f"{lattice.dims}: with one lump of radius {radius:.3f} per charge, "
+                          f"{exc}") from exc
     if not (got.alpha == sector.alpha and got.charges == tuple(sector.charges)):
         raise SectorError(f"no seed field for sector {sector.alpha};{sector.charges} "
                           f"(got {got.alpha};{got.charges})")

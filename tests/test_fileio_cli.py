@@ -1,6 +1,7 @@
 import os
 import re
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -137,6 +138,19 @@ CONSTANTS_OUTPUT = (
 def test_cli_constants(capsys):
     assert main(["constants"]) == 0
     assert capsys.readouterr().out == CONSTANTS_OUTPUT
+
+
+def test_cli_constants_reports_a_mismatch(capsys, monkeypatch):
+    # a closed form that disagrees with the computed K marks its line and
+    # fails the command; every other line is printed as it is
+    closed_form = al.table_constant
+    monkeypatch.setattr(al, "table_constant",
+                        lambda spec: Fraction(1, 3) if spec == "g2" else closed_form(spec))
+    assert main(["constants"]) == 8
+    out, err = capsys.readouterr()
+    assert out == CONSTANTS_OUTPUT.replace("algebra=g2 dim=14 trace=-16 K=1/2\n",
+                                           "algebra=g2 dim=14 trace=-16 K=1/2 MISMATCH\n")
+    assert "normalizing constants disagree with the closed forms" in err
 
 
 def test_cli_gen_energy_f4(tmp_path, capsys):
@@ -418,6 +432,19 @@ def test_cli_minimize_sector_mode(tmp_path, capsys):
     assert main(["minimize", "--config", str(mcfg), "--out", str(out)]) == 0
     a = fileio.read_one_form(out)
     assert a.lattice.dims == (6, 6, 6)
+
+
+def test_cli_minimize_names_a_seed_too_coarse_for_its_sector(tmp_path, capsys):
+    # the seeding lump does not resolve its charge at 8^3; the refusal says
+    # that the seed of the requested sector failed, before any descent
+    mcfg = tmp_path / "min.cfg"
+    mcfg.write_text("group = su2\ndims = 8,8,8\ncharges = 1\n")
+    out = tmp_path / "a.skya"
+    assert main(["minimize", "--config", str(mcfg), "--out", str(out)]) == 9
+    err = capsys.readouterr().err
+    assert ("no seed field for sector (0, 0, 0);(1,) on dims (8, 8, 8): with one lump of radius "
+            "0.460 per charge, lattice too coarse to resolve sector (residual 0.290)") in err
+    assert not out.exists()
 
 
 def test_cli_minimize_rejects_unwritable_group_before_descent(tmp_path, capsys, monkeypatch):

@@ -17,9 +17,11 @@ from conftest import (
     sup_deviation_mod_constant,
 )
 from skyrme import algebra as al
+from skyrme import fileio
 from skyrme import holonomy as hol
 from skyrme import invariants as inv
 from skyrme import lattice as lat
+from skyrme.cli import main
 from skyrme.errors import AtlasError, FlatnessError, HolonomyMismatchError
 
 
@@ -867,6 +869,83 @@ def test_sector_query_memory_peak():
         tracemalloc.stop()
     assert sector.charges == (1,)
     assert peak <= 7.0e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def constant_form(lattice, alg, logs):
+    """Constant form b_i = X_i / L_i from matrices X_i in the algebra: flat
+    when the X_i commute, with generator holonomies exp(X_i)."""
+    b = lat.zero_one_form(lattice, alg)
+    for i, X in enumerate(logs):
+        b.coeffs[i] = alg.to_coords(X)[0] / lattice.lengths[i]
+    return b
+
+
+def _rotation_z(t):
+    X = np.zeros((3, 3))
+    X[0, 1], X[1, 0] = -t, t
+    return X
+
+
+def weyl_pair(spec, lattice):
+    """Constant forms whose holonomies are conjugate by a Weyl element only:
+    an su3 Cartan triple against its 3-cycle permutation, or so3 rotations
+    about z against the reverse rotations (conjugate by a half turn)."""
+    alg = al.parse_algebra(spec)
+    if spec == "su3":
+        cycle = np.roll(np.eye(3), 1, axis=0)
+        logs = [1j * np.diag(t) for t in ((0.3, -0.7, 0.4), (0.9, 0.2, -1.1), (-0.5, 0.8, -0.3))]
+        turned = [cycle @ X @ cycle.T for X in logs]
+    else:
+        logs, turned = ([_rotation_z(s * t) for t in (0.4, 0.9, -1.3)] for s in (1, -1))
+    return constant_form(lattice, alg, logs), constant_form(lattice, alg, turned)
+
+
+@pytest.fixture
+def polar_projections(monkeypatch):
+    calls, project = [], hol._project_group
+
+    def counted(alg, M):
+        calls.append(M)
+        return project(alg, M)
+
+    monkeypatch.setattr(hol, "_project_group", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["su3", "so3"])
+def test_gauge_from_holonomy_answers_a_weyl_pair(spec, lat8, polar_projections):
+    # the identity's projection onto the Sylvester null space is singular
+    # here, so C is built from the second candidate, the generic null-space
+    # element, after exactly two polar projections
+    a1, a2 = weyl_pair(spec, lat8)
+    u = hol.gauge_from_holonomy(a1, a2)
+    assert len(polar_projections) == 2
+    assert a1.algebra.check_group_elements(u.values) <= 1e-12
+    assert np.abs(lat.gauge_transform(a1, u).coeffs - a2.coeffs).max() <= 1e-12
+    assert inv.invariant_of_connection(a2, a1).charges == (0,)
+
+
+@pytest.mark.parametrize("spec", ["su3", "so3"])
+def test_cli_compares_a_weyl_pair_as_equal(spec, lat8, tmp_path, capsys):
+    paths = [tmp_path / f"a{k}.skya" for k in (1, 2)]
+    for path, a in zip(paths, weyl_pair(spec, lat8)):
+        fileio.write_one_form(path, a)
+    assert main(["holonomy", str(paths[0]), "--compare", str(paths[1])]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "holonomy=equal"
+
+
+def test_gauge_from_holonomy_refuses_at_once_when_no_conjugator_exists(su2, lat8,
+                                                                        polar_projections):
+    # (D(t), D(p), 1) and (D(t), D(-p), 1), D(t) = diag(e^it, e^-it), have
+    # equal traces, but only diagonal matrices conjugate the first pair and
+    # only antidiagonal ones the second: the Sylvester null space is empty
+    def D(t):
+        return 1j * np.diag([t, -t])
+
+    a1, a2 = (constant_form(lat8, su2, [D(0.5), D(s * 0.8), D(0.0)]) for s in (1, -1))
+    with pytest.raises(HolonomyMismatchError, match="no conjugator exists"):
+        hol.gauge_from_holonomy(a1, a2)
+    assert not polar_projections
 
 
 @pytest.mark.parametrize("other", [(12, "su2"), (8, "su3")])

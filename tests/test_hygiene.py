@@ -248,7 +248,20 @@ UNPASSED_DEFAULTS = {
     ("holonomy.py", "develop_cube", "flatness_gate"): "test_criterion_6_developing_map",
     ("lattice.py", "make_winding", "axis"): "test_invariants and test_lattice, other loops",
     ("cli.py", "main", "argv"): "test_fileio_cli, which calls main with an argument list",
+    ("lattice.py", "zero_one_form", "sampling"):
+        "the tests that pass \"site\", and perfbench, which passes \"link\" until revised",
+    ("fileio.py", "read_one_form", "sampling"):
+        "the tests that pass \"site\", and perfbench, which passes \"link\" until revised",
 }
+_NOT_LITERAL = object()
+
+
+def _literal(node):
+    """The value of a literal expression node, else `_NOT_LITERAL`."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError, RecursionError):
+        return _NOT_LITERAL
 
 
 def _init_fields(cls: ast.ClassDef) -> list:
@@ -265,15 +278,15 @@ def _init_fields(cls: ast.ClassDef) -> list:
 
 
 def _defaulted(tree: ast.Module):
-    """(callee, parameter, position) of every parameter with a default in a
-    public function or method, or in a public dataclass's constructor, a
-    field with a default counting at its place among the init fields; a
-    constructor is called by its class name, and a keyword-only parameter
-    has no position."""
+    """(callee, parameter, position, default) of every parameter with a
+    default in a public function or method, or in a public dataclass's
+    constructor, a field with a default counting at its place among the
+    init fields; a constructor is called by its class name, a keyword-only
+    parameter has no position, and the default is its expression node."""
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
-            yield from ((cls.name, n.target.id, i) for i, n in enumerate(_init_fields(cls))
-                        if n.value is not None)
+            yield from ((cls.name, n.target.id, i, n.value)
+                        for i, n in enumerate(_init_fields(cls)) if n.value is not None)
     for name, node in _functions(tree):
         cls, _, meth = name.rpartition(".")
         if cls.startswith("_") or (meth.startswith("_") and meth != "__init__"):
@@ -283,25 +296,26 @@ def _defaulted(tree: ast.Module):
         bound = bool(cls) and not any(getattr(d, "id", None) == "staticmethod"
                                       for d in node.decorator_list)
         positional = args.posonlyargs + args.args
-        for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
-                                len(positional) - len(args.defaults)):
-            yield callee, arg.arg, i - bound
-        yield from ((callee, arg.arg, None)
+        first = len(positional) - len(args.defaults)
+        for i, (arg, d) in enumerate(zip(positional[first:], args.defaults), first):
+            yield callee, arg.arg, i - bound, d
+        yield from ((callee, arg.arg, None, d)
                     for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
 
 
 def _call_sites(node, own=frozenset()):
-    """(callee, positional count, keywords, * splat, ** splat) of every call
-    under node.  A splat of the enclosing function's own *args or **kwargs
-    forwards what that function's callers pass, so it passes nothing itself."""
+    """(callee, positional arguments, {keyword: argument}, * splat, ** splat)
+    of every call under node, each argument an expression node.  A splat of
+    the enclosing function's own *args or **kwargs forwards what that
+    function's callers pass, so it passes nothing itself."""
     if isinstance(node, ast.FunctionDef):
         own = frozenset(a.arg for a in (node.args.vararg, node.args.kwarg) if a)
     if isinstance(node, ast.Call):
         def splat(value):
             return getattr(value, "id", None) not in own
         yield (getattr(node.func, "id", None) or getattr(node.func, "attr", None),
-               sum(not isinstance(a, ast.Starred) for a in node.args),
-               {kw.arg for kw in node.keywords if kw.arg},
+               [a for a in node.args if not isinstance(a, ast.Starred)],
+               {kw.arg: kw.value for kw in node.keywords if kw.arg},
                any(isinstance(a, ast.Starred) and splat(a.value) for a in node.args),
                any(kw.arg is None and splat(kw.value) for kw in node.keywords))
     for child in ast.iter_child_nodes(node):
@@ -312,20 +326,27 @@ def test_every_default_is_overridden_by_some_call():
     # a parameter whose default no caller changes is an option without a
     # consumer; the tests do not count, so each such default names its own.
     # A call may pass a parameter by keyword, by a ** mapping, or by
-    # reaching its position, and a * splat reaches every position
+    # reaching its position, and a * splat reaches every position.  A literal
+    # equal to the default passes the default back, which overrides nothing
     sites = {}
     for d in ("src", "perfbench"):
         for path in sorted((ROOT / d).rglob("*.py")):
             for callee, *site in _call_sites(ast.parse(path.read_text())):
                 sites.setdefault(callee, []).append(site)
 
-    def passed(callee, param, pos):
-        return any(param in kws or dsplat or (pos is not None and (splat or npos > pos))
-                   for npos, kws, splat, dsplat in sites.get(callee, ()))
+    def passed(callee, param, pos, default):
+        def overrides(arg):
+            value = _literal(arg)
+            return value is _NOT_LITERAL or value != _literal(default)
+
+        return any((param in kws and overrides(kws[param])) or dsplat
+                   or (pos is not None and (splat or (pos < len(args) and overrides(args[pos]))))
+                   for args, kws, splat, dsplat in sites.get(callee, ()))
 
     unpassed = {(path.name, callee, param)
-                for path in MODULES for callee, param, pos in _defaulted(ast.parse(path.read_text()))
-                if not passed(callee, param, pos)}
+                for path in MODULES
+                for callee, param, pos, default in _defaulted(ast.parse(path.read_text()))
+                if not passed(callee, param, pos, default)}
     assert unpassed <= UNPASSED_DEFAULTS.keys(), \
         f"defaults no call overrides: {sorted(unpassed - UNPASSED_DEFAULTS.keys())}"
     assert UNPASSED_DEFAULTS.keys() <= unpassed, \

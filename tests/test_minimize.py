@@ -262,6 +262,15 @@ def test_seed_field_rejects_unrepresentable(u1, lat8):
         mz.seed_field(lat8, u1, bad)
 
 
+def test_seed_field_refuses_a_seed_in_another_sector(su2, lat12):
+    # a charge-2 hedgehog at 12^3 resolves to charge 1
+    sector = inv.SectorInvariants(alpha=(0, 0, 0), alpha_orders=inv.pi1_orders(su2),
+                                  charges_raw=(2.0,), charges=(2,), residuals=(0.0,))
+    with pytest.raises(SectorError) as info:
+        mz.seed_field(lat12, su2, sector)
+    assert str(info.value) == "no seed field for sector (0, 0, 0);(2,) (got (0, 0, 0);(1,))"
+
+
 def test_minimize_connection_trivial_sector(su2, lat8):
     b = lat.zero_one_form(lat8, su2)
     sector = inv.sector_of(lat.constant_field(lat8, su2))
