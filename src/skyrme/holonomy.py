@@ -416,22 +416,23 @@ def _align_constant(alg: LieAlgebra, rho1: np.ndarray, rho2: np.ndarray,
     searched for.  The solutions X of X rho2_l = rho1_l X, the null space of
     the stacked Sylvester operators, are C0 A for any conjugator C0 and the
     commutant A of rho2, a *-algebra, so the polar factor of any invertible
-    solution conjugates.  C is the `_project_group` factor of the identity's
-    projection onto the null space (1 when rho1 = rho2) or, if that does not
-    conjugate within `tol`, of the generic solution sum_k (1 + k/(pi n)) v_k
-    of the n null vectors v_k, singular only for a measure-zero set of bases.
-    A real kind of odd N takes the sign of that solution with det > 0 (-X
-    solves too); for even N a factor of det -1 is refused.  C lies in U(N),
-    SU(N) or SO(N), not always in G.  No solution (no conjugator exists) or
-    no factor that conjugates raises HolonomyMismatchError."""
+    solution conjugates.  The null space is cut at rounding or, if that leaves
+    it empty, at singular value sqrt(3 N) tol, the most a unitary conjugating
+    to within `tol` leaves.  C is the `_project_group` factor of the identity's
+    projection onto it (1 when rho1 = rho2) or, if that does not conjugate
+    within `tol`, of the generic solution sum_k (1 + k/(pi n)) v_k of the n
+    null vectors v_k, singular only for a measure-zero set of bases; a real
+    kind of odd N takes its sign with det > 0, for even N det -1 is refused.
+    An empty null space or a failed factor raises HolonomyMismatchError."""
     N = alg.rep_dim
     eye = np.eye(N)
     M = np.concatenate([np.kron(eye, r2.T) - np.kron(r1, eye) for r1, r2 in zip(rho1, rho2)])
     _, svals, Vh = np.linalg.svd(M)
-    null = Vh.conj()[svals < 1e-8 * max(1.0, svals.max())]
+    exact, bound = svals < 1e-8 * max(1.0, svals.max()), np.sqrt(len(rho1) * N) * tol
+    null = Vh.conj()[exact if exact.any() else svals <= bound]
     if null.shape[0] == 0:
         raise HolonomyMismatchError(f"holonomies differ (no conjugator exists: smallest "
-                                    f"Sylvester singular value {svals.min():.3e})")
+                                    f"Sylvester singular value {svals.min():.3e} > {bound:.3e})")
     proj_id = sum((vec.conj() @ eye.reshape(-1)) * vec for vec in null).reshape(N, N)
     generic = ((1.0 + np.arange(len(null)) / (np.pi * len(null))) @ null).reshape(N, N)
     if alg.group_kind == "special_orthogonal" and N % 2:

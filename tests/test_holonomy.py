@@ -948,6 +948,36 @@ def test_gauge_from_holonomy_refuses_at_once_when_no_conjugator_exists(su2, lat8
     assert not polar_projections
 
 
+def nearly_trivial(su2, lattice, delta):
+    """Constant su2 form with holonomy exp(delta X), X = diag(i, -i), about
+    the first axis and 1 about the others."""
+    return constant_form(lattice, su2, [1j * np.diag([delta, -delta])] + [np.zeros((2, 2))] * 2)
+
+
+def test_gauge_from_holonomy_answers_holonomies_conjugate_to_within_tol(su2, lat8,
+                                                                         polar_projections):
+    # exp(1e-7 X) against 1: every Sylvester singular value is about 1e-7,
+    # above rounding but below the cut sqrt(3 N) 10 tol, so the null space is
+    # the whole matrix space and the identity's factor conjugates
+    a, zero = nearly_trivial(su2, lat8, 1e-7), lat.zero_one_form(lat8, su2)
+    for first, second in ((zero, a), (a, zero)):
+        polar_projections.clear()
+        u = hol.gauge_from_holonomy(first, second)
+        assert len(polar_projections) == 1
+        assert np.abs(polar_projections[0] - np.eye(2)).max() <= 1e-12
+        assert su2.check_group_elements(u.values) <= 1e-12
+    assert inv.invariant_of_connection(a, zero).charges == (0,)
+
+
+def test_cli_compare_answers_holonomies_conjugate_to_within_its_tol(su2, lat8, tmp_path,
+                                                                    capsys):
+    pz, pa = tmp_path / "z.skya", tmp_path / "a.skya"
+    fileio.write_one_form(pz, lat.zero_one_form(lat8, su2))
+    fileio.write_one_form(pa, nearly_trivial(su2, lat8, 1e-4))
+    assert main(["holonomy", str(pz), "--compare", str(pa), "--tol", "1e-3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "holonomy=equal"
+
+
 @pytest.mark.parametrize("other", [(12, "su2"), (8, "su3")])
 def test_gauge_from_holonomy_rejects_forms_of_other_lattices_or_groups(su2, lat8, other):
     n, spec = other

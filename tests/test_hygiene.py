@@ -253,15 +253,6 @@ UNPASSED_DEFAULTS = {
     ("fileio.py", "read_one_form", "sampling"):
         "the tests that pass \"site\", and perfbench, which passes \"link\" until revised",
 }
-_NOT_LITERAL = object()
-
-
-def _literal(node):
-    """The value of a literal expression node, else `_NOT_LITERAL`."""
-    try:
-        return ast.literal_eval(node)
-    except (ValueError, TypeError, SyntaxError, RecursionError):
-        return _NOT_LITERAL
 
 
 def _init_fields(cls: ast.ClassDef) -> list:
@@ -326,8 +317,8 @@ def test_every_default_is_overridden_by_some_call():
     # a parameter whose default no caller changes is an option without a
     # consumer; the tests do not count, so each such default names its own.
     # A call may pass a parameter by keyword, by a ** mapping, or by
-    # reaching its position, and a * splat reaches every position.  A literal
-    # equal to the default passes the default back, which overrides nothing
+    # reaching its position, and a * splat reaches every position.  An
+    # argument spelled as the default passes it back, which overrides nothing
     sites = {}
     for d in ("src", "perfbench"):
         for path in sorted((ROOT / d).rglob("*.py")):
@@ -336,8 +327,7 @@ def test_every_default_is_overridden_by_some_call():
 
     def passed(callee, param, pos, default):
         def overrides(arg):
-            value = _literal(arg)
-            return value is _NOT_LITERAL or value != _literal(default)
+            return ast.dump(arg) != ast.dump(default)
 
         return any((param in kws and overrides(kws[param])) or dsplat
                    or (pos is not None and (splat or (pos < len(args) and overrides(args[pos]))))
