@@ -6,12 +6,21 @@ axis first from the corner, then the middle axis per slice, then the first
 axis filling the volume.  A form holds link coefficients b, as one-form
 files do, so the gate, the development, `path_transport`, the gauge
 action `log_derivative(u, T)` and the connection descent all see the
-same transports.  The curvature density is computed once on the torus
-from the plaquettes of the transports, and each cube's flatness residual
-is its window sum over the cube interior.
+same transports.
+
+The links the sweep multiplies form a maximal tree, so g puts the form in
+the maximal-tree (axial) gauge of Wilson, Phys. Rev. D 10 (1974) 2445:
+each link becomes its residual R_i(x) = g(x) T_i(x) g(x+e_i)^-1, stored
+as the exact identity on the tree.  Development comes before the flatness
+gate, so a curved form is developed and then refused.  The curvature is
+read off R in the tree gauge: a plaquette of R is that of T conjugated by
+g in G, so its chord and its log's norm are those of T up to rounding, and
+off the seam slab a plaquette in a plane of the first axis takes no
+product.  The curvature density is computed once per site, and each cube's
+flatness residual is its window sum over the cube interior.
 
 The gate is first certified without a matrix log.  Write a plaquette as
-P = A B^H with A = T_i(x) T_j(x+e_i), B = T_j(x) T_i(x+e_j); B is
+P = A B^H with A = R_i(x) R_j(x+e_i), B = R_j(x) R_i(x+e_j); B is
 unitary, so the chord |P - 1|_F equals |A - B|_F.  While every chord is
 below the cutoff c = CHORD_CUTOFF = 0.5, every eigenvalue of P lies
 within c of 1 and
@@ -27,19 +36,18 @@ log derivative the chords are rounding noise.  Otherwise the plaquette
 logs are taken and the gate decides on them exactly as without the bound.
 A plaquette with no log in the algebra gives its cube an infinite residual.
 
-The holonomy is read off one development of the whole torus in the
-maximal-tree (axial) gauge of Wilson, Phys. Rev. D 10 (1974) 2445.  The
-sweep starts with g = 1 at the anchor, the corner of the cover's base star
-(-spacing mod n_i on each axis), and covers the fundamental domain; the
-links it multiplies form a maximal tree.  In the gauge g each link becomes
-its residual R_i(x) = g(x) T_i(x) g(x+e_i)^-1: 1 off the seam (exactly on
-the tree, up to the curvature elsewhere), and on the seam (the links from
-x_i = anchor_i - 1 back to the anchor plane) the holonomy of the loop
-through x; on the line through the anchor it is the generator holonomy
-rho_i.  The constancy gate asks every off-seam residual to lie within `tol`
-of 1 and every seam residual within `tol` of its axis's base seam link.
-Flat forms with conjugate holonomy are gauge equivalent by u = g1^-1 C g2,
-where C rho2_i C^-1 = rho1_i, verified link by link as C^-1 R1 C = R2.
+The holonomy is read off one development of the whole torus.  The sweep
+starts with g = 1 at the anchor, the corner of the cover's base star
+(-spacing mod n_i on each axis), and covers the fundamental domain.  The
+residual links are 1 off the seam (exactly on the tree, up to the
+curvature elsewhere), and on the seam (the links from x_i = anchor_i - 1
+back to the anchor plane) the holonomy of the loop through x; on the line
+through the anchor it is the generator holonomy rho_i.  The constancy gate
+asks every off-seam residual to lie within `tol` of 1 and every seam
+residual within `tol` of its axis's base seam link.  Flat forms with
+conjugate holonomy are gauge equivalent by u = g1^-1 C g2, where
+C rho2_i C^-1 = rho1_i, verified link by link as C^-1 R1 C = R2; against
+a zero form C = 1.
 
 A sector query develops the same form twice in a row, once for its
 holonomy and again for the gauge reconstruction, so `build_atlas` keeps
@@ -163,33 +171,71 @@ def _plaquette_density(alg: LieAlgebra, plaq: np.ndarray, area: float) -> np.nda
 def _develop(a: AlgebraOneForm, corner, shape, windows=None, flatness_gate: float | None = None,
              vertices=None) -> tuple[np.ndarray, np.ndarray]:
     """Integrate u' = u a over the `shape` sites from the wrapped `corner`
-    with u(corner) = 1, once a's curvature passes the gate on every cube of
-    `windows` (three (S, n_i) arrays of wrapped site indices; default the
-    developed cube).  Returns a's `transports` T and the (n1, n2, n3, N, N)
-    development, swept along the last axis from the corner, then the
-    middle axis per slice, then the first axis through the volume.
+    with u(corner) = 1, then gate a's curvature on every cube of `windows`
+    (three (S, n_i) arrays of indices; default the developed cube).
+    Returns the residual links R_i = u T_i u(x+e_i)^-1 of a's `transports`
+    T and the (n1, n2, n3, N, N) development, swept along the last axis
+    from the corner, then the middle axis per slice, then the first axis
+    through the volume.  Over the whole torus (shape = dims) the arrays and
+    `windows` are indexed by site, so R wraps through the seam; over a
+    smaller cube they are indexed from the corner, and a link leaving the
+    cube has no meaning in R.
 
-    The curvature is the plaquette defect of T (zero for a log derivative
-    however steep the field), computed once per torus site, from the chords
-    or else the logs (see the module docstring).  A cube's residual is
-    sqrt(cell volume * window sum of |F|^2 over its interior); the first
+    The sweep's links form a tree, on which R is stored as the exact
+    identity: every first-axis link but the last slab, the middle-axis
+    links of the first plane but its last row, and the last-axis links of
+    the first line but its last.  The first axis takes no product off that
+    slab, and the other two one each way per link.  The curvature is the
+    plaquette defect of R, conjugate to that of T (zero for a log
+    derivative however steep the field), computed once per site from the
+    chords or else the logs (see the module docstring).  A cube's residual
+    is sqrt(cell volume * window sum of |F|^2 over its interior); the first
     above the gate (default 10 * max spacing) raises FlatnessError, naming
-    its vertex when `vertices` lists the cubes'.
+    its corner site, and its vertex when `vertices` lists the cubes'.
     """
     alg, lattice = a.algebra, a.lattice
-    h, N = lattice.spacings, alg.rep_dim
-    x, y, z = ((corner[i] + np.arange(int(shape[i]))) % lattice.dims[i] for i in range(3))
+    h, N, dims = lattice.spacings, alg.rep_dim, lattice.dims
+    T = transports(a)
+    origin = (0, 0, 0)
+    if tuple(shape) != dims:  # a cube: its links, indexed from the corner
+        T = T[(slice(None),) + np.ix_(*((corner[i] + np.arange(shape[i])) % dims[i]
+                                        for i in range(3)))]
+        origin, corner = tuple(corner), (0, 0, 0)
+    x, y, z = ((corner[i] + np.arange(shape[i])) % shape[i] for i in range(3))
+    u = np.empty(tuple(shape) + (N, N), dtype=complex)
+    u[x[0], y[0], z[0]] = np.eye(N)
+    for k in range(1, len(z)):
+        u[x[0], y[0], z[k]] = u[x[0], y[0], z[k - 1]] @ T[2][x[0], y[0], z[k - 1]]
+    for k in range(1, len(y)):
+        u[x[0], y[k]] = u[x[0], y[k - 1]] @ T[1][x[0], y[k - 1]]
+    for k in range(1, len(x)):
+        u[x[k]] = u[x[k - 1]] @ T[0][x[k - 1]]
+
+    # T becomes R in place: the slab s = x[-1] closes the first axis
+    R, s, eye = T, x[-1], np.eye(N)
+    R[0][s] = u[s] @ R[0][s] @ u[x[0]].conj().swapaxes(-1, -2)
+    R[0][x[:-1]] = eye
+    for ax in (1, 2):
+        R[ax] = u @ R[ax] @ np.roll(u, -1, axis=ax).conj().swapaxes(-1, -2)
+    R[1][x[0], y[:-1]] = eye
+    R[2][x[0], y[0], z[:-1]] = eye
+
+    def halves(i, j):
+        """A and B of the plaquettes P = A B^H of R, one per path x -> x + e_i + e_j."""
+        A, B = np.roll(R[j], -1, axis=i), R[j]
+        if i:
+            return R[i] @ A, B @ np.roll(R[i], -1, axis=j)
+        # R[0] is 1 off the slab s, so there A is R[j] at x + e_1 and B is R[j] at x
+        B = B.copy()
+        A[s] = R[0][s] @ A[s]
+        B[s] = B[s] @ np.roll(R[0][s], -1, axis=j - 1)
+        return A, B
+
     if windows is None:
         windows = x[None], y[None], z[None]
     w0, w1, w2 = (w[:, :-1] for w in windows)
     interior = w0[:, :, None, None], w1[:, None, :, None], w2[:, None, None, :]
     flatness_gate = DEFAULT_FLATNESS_FACTOR * max(h) if flatness_gate is None else flatness_gate
-    T = transports(a)
-
-    def halves(i, j):
-        """A and B of the plaquettes P = A B^H, one per path x -> x + e_i + e_j."""
-        return T[i] @ np.roll(T[j], -1, axis=i), T[j] @ np.roll(T[i], -1, axis=j)
-
     bound = 0.0
     for i, j in PLANES:
         A, B = halves(i, j)
@@ -202,29 +248,17 @@ def _develop(a: AlgebraOneForm, corner, shape, windows=None, flatness_gate: floa
         for i, j in PLANES:
             A, B = halves(i, j)
             P = (A @ B.conj().swapaxes(-1, -2)).reshape(-1, N, N)
-            density = density + _plaquette_density(alg, P, h[i] * h[j]).reshape(lattice.dims)
+            density = density + _plaquette_density(alg, P, h[i] * h[j]).reshape(shape)
         resid = np.sqrt(lattice.cell_volume * density[interior].sum(axis=(1, 2, 3)))
     if (resid > flatness_gate).any():
-        s = int(np.argmax(resid > flatness_gate))
-        corner = tuple(int(w[s, 0]) for w in windows)
-        vertex = None if vertices is None else tuple(vertices[s])
+        k = int(np.argmax(resid > flatness_gate))
+        corner = tuple(int(origin[i] + w[k, 0]) % dims[i] for i, w in enumerate(windows))
+        vertex = None if vertices is None else tuple(vertices[k])
         where = "cube" if vertex is None else f"star of vertex {vertex}"
         raise FlatnessError(f"connection not flat on {where} at corner {corner} (residual "
-                            f"{resid[s]:.3e} > {flatness_gate:.3e})", vertex=vertex,
-                            corner=corner, residual=float(resid[s]), gate=float(flatness_gate))
-
-    u = np.empty((len(x), len(y), len(z), N, N), dtype=complex)
-    u[0, 0, 0] = np.eye(N)
-    steps = T[2][x[0], y[0], z[:-1]]
-    for k in range(1, len(z)):
-        u[0, 0, k] = u[0, 0, k - 1] @ steps[k - 1]
-    steps = T[1][x[0]][np.ix_(y[:-1], z)]
-    for k in range(1, len(y)):
-        u[0, k] = u[0, k - 1] @ steps[k - 1]
-    # transports are gathered one x-slab at a time to bound memory
-    for k in range(1, len(x)):
-        u[k] = u[k - 1] @ T[0][x[k - 1]][np.ix_(y, z)]
-    return T, u
+                            f"{resid[k]:.3e} > {flatness_gate:.3e})", vertex=vertex,
+                            corner=corner, residual=float(resid[k]), gate=float(flatness_gate))
+    return R, u
 
 
 def develop_cube(a: AlgebraOneForm, corner, shape,
@@ -232,12 +266,17 @@ def develop_cube(a: AlgebraOneForm, corner, shape,
     """Integrate u' = u a over a cube with u(corner) = 1; returns the
     (n1, n2, n3, N, N) chart on the `shape` sites from the wrapped `corner`.
 
-    Every link of the torus is exponentiated, however small the cube.  The
-    curvature summed over the cube interior must pass the flatness gate
-    (default 10 * max spacing); path dependence would otherwise make the
-    sweep meaningless.
+    Every link of the torus is exponentiated, however small the cube, and
+    the cube's own links are multiplied into the tree gauge of its sweep.
+    The curvature of those residual links summed over the cube interior
+    must pass the flatness gate (default 10 * max spacing); path dependence
+    would otherwise make the sweep meaningless.  The gate is applied after
+    the sweep, so a curved form is developed and then refused.
     """
-    return _develop(a, corner, shape, flatness_gate=flatness_gate)[1]
+    u = _develop(a, corner, shape, flatness_gate=flatness_gate)[1]
+    if tuple(shape) == a.lattice.dims:  # indexed by site: roll to the corner
+        u = np.roll(u, [-c for c in corner], axis=(0, 1, 2))
+    return u
 
 
 def path_transport(T: np.ndarray, path) -> np.ndarray:
@@ -294,6 +333,11 @@ def _seam(cover: CubicalCover, ax: int) -> tuple:
     return tuple((anchor[i] - (i == ax)) % cover.lattice.dims[i] for i in range(3))
 
 
+def _seam_plane(cover: CubicalCover, ax: int) -> tuple:
+    """Index of the plane of seam links of axis `ax` in a dims-indexed array."""
+    return (slice(None),) * ax + (_seam(cover, ax)[ax],)
+
+
 @dataclass
 class DevelopingAtlas:
     """One development of a flat potential over the torus in the tree
@@ -339,15 +383,16 @@ class HolonomyRep:
 def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
                 tol: float = DEFAULT_ATLAS_TOL,
                 flatness_gate: float | None = None) -> DevelopingAtlas:
-    """Gate a's curvature over the stars of `cover`, develop it over the
-    torus from the anchor (the corner of the base star) and read its
-    residual links.  The default cover is `CubicalCover.for_lattice` of a's
-    lattice; this is the one place that chooses it, and a cover of another
-    lattice raises ValueError.  The constancy gate (see the module
-    docstring) bounds the entries of each link's deviation by `tol`;
-    otherwise AtlasError names the worst link's site, axis and deviation.
-    An identically zero form is not developed: g and every residual link
-    are the identity.
+    """Develop a over the torus from the anchor (the corner of the base
+    star), gate its curvature over the stars of `cover` and keep the
+    residual links `_develop` returns, which its gate read too.  The
+    default cover is `CubicalCover.for_lattice` of a's lattice; this is the
+    one place that chooses it, and a cover of another lattice raises
+    ValueError.  The constancy gate (see the module docstring) bounds the
+    entries of each link's deviation by `tol`; otherwise AtlasError names
+    the worst link's site, axis and deviation.  The tree links are the
+    exact identity and deviate by 0.  An identically zero form is not
+    developed: g and every residual link are the identity.
 
     The atlas of the last non-zero form developed is memoized in one slot.
     It is returned again when the algebra object, lattice, cover,
@@ -379,14 +424,11 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
     anchor = cover.star_corner(cover.base)
     R, g = _develop(a, anchor, dims, cover.star_indices().transpose(1, 0, 2), flatness_gate,
                     cover.vertices())
-    g = np.roll(g, anchor, axis=(0, 1, 2))  # indexed by site
     dev = np.empty((3,) + dims)
-    for ax in range(3):  # R_i = g T_i g(x+e_i)^-1 in place of T_i, and its deviation
-        R[ax] = g @ R[ax] @ np.roll(g, -1, axis=ax).conj().swapaxes(-1, -2)
+    for ax in range(3):
         dev[ax] = np.abs(R[ax] - np.eye(g.shape[-1])).max(axis=(-2, -1))
-        base = _seam(cover, ax)
-        seam = (slice(None),) * ax + (base[ax],)
-        dev[ax][seam] = np.abs(R[ax][seam] - R[(ax,) + base]).max(axis=(-2, -1))
+        seam = _seam_plane(cover, ax)
+        dev[ax][seam] = np.abs(R[ax][seam] - R[(ax,) + _seam(cover, ax)]).max(axis=(-2, -1))
     if not (dev <= tol).all():  # a NaN tol or deviation fails; argmax takes the first NaN
         ax, *site = (int(i) for i in np.unravel_index(np.argmax(dev), dev.shape))
         site, deviation = tuple(site), float(dev[(ax, *site)])
@@ -461,6 +503,12 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
     a link defect beyond `tol` raises HolonomyMismatchError.  Forms of
     different algebras or lattices raise ValueError.
 
+    When either form is the zero form, C = 1 and no conjugator is built:
+    the other form's constancy gate has bounded its off-seam links by
+    `tol` from 1, so only its seam planes are checked against 1, and u is
+    a writeable copy of g2, or g1^H when a2 is the zero form.  That u is in
+    G for every group, g2 and spin7 included.
+
     g1 and g2 are G-valued, and C = 1 when rho1 = rho2, so u is G-valued
     then.  When the holonomies are conjugate but not equal, C is the polar
     factor `_align_constant` builds in U(N), SU(N) or SO(N), which for g2 and
@@ -479,12 +527,25 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
     tr_gap = np.abs(rho1.trace(axis1=1, axis2=2) - rho2.trace(axis1=1, axis2=2)).max()
     if not tr_gap <= 10 * tol:
         raise HolonomyMismatchError(f"holonomies differ (trace gap {tr_gap:.3e})")
-    C = _align_constant(a1.algebra, rho1, rho2, tol=10 * tol)
-    # C^-1 R1 C as two GEMMs against the stacked links
-    worst = max(float(np.abs(np.einsum("ji,...jk,kl->...il", C.conj(), A1.residuals[ax], C,
-                                       optimize=True) - A2.residuals[ax]).max())
-                for ax in range(3))
+    zero1, zero2 = a1.is_zero(), a2.is_zero()
+    if zero1 or zero2:
+        # C = 1, and the other form's constancy gate bounded its off-seam links
+        other = A1 if zero2 else A2
+        eye = np.eye(a1.algebra.rep_dim)
+        worst = max(float(np.abs(other.residuals[ax][_seam_plane(A1.cover, ax)] - eye).max())
+                    for ax in range(3))
+    else:
+        C = _align_constant(a1.algebra, rho1, rho2, tol=10 * tol)
+        # C^-1 R1 C as two GEMMs against the stacked links
+        worst = max(float(np.abs(np.einsum("ji,...jk,kl->...il", C.conj(), A1.residuals[ax], C,
+                                           optimize=True) - A2.residuals[ax]).max())
+                    for ax in range(3))
     if not worst <= tol:
         raise HolonomyMismatchError(f"holonomies differ (link defect {worst:.3e})")
+    if zero1:
+        return GroupField(a1.lattice, a1.algebra, A2.g.copy())
+    if zero2:
+        return GroupField(a1.lattice, a1.algebra,
+                          np.ascontiguousarray(A1.g.conj().swapaxes(-1, -2)))
     return GroupField(a1.lattice, a1.algebra,
                       np.matmul(A1.g.conj().swapaxes(-1, -2), C @ A2.g))

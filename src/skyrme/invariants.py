@@ -278,10 +278,21 @@ def _sector(alpha: tuple, alg: LieAlgebra, raw: np.ndarray) -> SectorInvariants:
 
 
 def sector_of(u: GroupField) -> SectorInvariants:
-    """Full invariant tuple of a lattice map; rejects unresolved charges."""
-    alpha = one_dim_invariant(u)
-    v = reference_map(u.lattice, u.algebra, alpha)
-    return _sector(alpha, u.algebra, topological_charge(u, v_ref=v))
+    """Full invariant tuple of a lattice map; rejects unresolved charges.
+
+    A non-finite entry makes numpy fail (an eigensolver's LinAlgError, or
+    the U(1) winding's int of NaN); only then is u searched, and the first
+    such site is named by SectorError."""
+    try:
+        alpha = one_dim_invariant(u)
+        v = reference_map(u.lattice, u.algebra, alpha)
+        return _sector(alpha, u.algebra, topological_charge(u, v_ref=v))
+    except ValueError as exc:  # LinAlgError is a ValueError
+        bad = np.argwhere(~np.isfinite(u.values).all(axis=(-2, -1)))
+        if not len(bad):
+            raise
+        site = tuple(int(i) for i in bad[0])
+        raise SectorError(f"field has a non-finite entry at site {site}") from exc
 
 
 def _in_log_range(b: AlgebraOneForm) -> bool:

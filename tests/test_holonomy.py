@@ -230,6 +230,32 @@ def test_batched_atlas_matches_per_star_development(spec, sampling, n, spacing):
         <= 1e-12
 
 
+@pytest.mark.parametrize("spec", ["su2", "su3", "so3", "g2"])
+@pytest.mark.parametrize("n,spacing", [(6, 2), (8, 4)])
+def test_tree_links_are_exactly_the_identity(spec, n, spacing):
+    # the sweep's links form the tree: every first-axis link off the seam
+    # slab, the second-axis links of the anchor plane off its seam row and
+    # the third-axis links of the anchor line off its seam link.  A site form
+    # is not an exact derivative, so the other links are far from 1, and each
+    # is g T g(x+e)^-1 of the transports
+    alg = al.parse_algebra(spec)
+    _, a = analytic_exp_field(alg, lat.TorusLattice((n, n, n)), amp=0.5, seed=4)
+    cover = hol.CubicalCover(a.lattice, spacing)
+    atlas = hol.build_atlas(a, cover, tol=np.inf)
+    R, g = atlas.residuals, atlas.g
+    x, y, z = ((c + np.arange(n)) % n for c in cover.star_corner(cover.base))
+    tree = np.zeros((3, n, n, n), dtype=bool)
+    tree[0][x[:-1]] = True
+    tree[1][x[0], y[:-1]] = True
+    tree[2][x[0], y[0], z[:-1]] = True
+    assert np.array_equal(R[tree], np.broadcast_to(np.eye(alg.rep_dim), R[tree].shape))
+    T = lat.transports(a)
+    expect = np.stack([g @ T[ax] @ np.roll(g, -1, axis=ax).conj().swapaxes(-1, -2)
+                       for ax in range(3)])
+    assert np.abs(R[~tree] - expect[~tree]).max() <= 1e-12
+    assert np.abs(R[~tree] - np.eye(alg.rep_dim)).max() > 1e-6
+
+
 @pytest.mark.parametrize("spec", ["su2", "su3", "spin7", "g2"])
 @pytest.mark.parametrize("n", [8, 16])
 def test_flat_site_form_passes_the_default_gate(spec, n):
@@ -303,10 +329,12 @@ def test_out_of_range_plaquette_fails_the_gate(su2, lat8):
     assert atlas.g.shape[:3] == a.lattice.dims
 
 
-@pytest.mark.parametrize("spec", ["su3", "spin7"])
+@pytest.mark.parametrize("spec", ["su3", "spin7", "g2", "so3"])
 def test_plaquette_log_outside_the_algebra_fails_the_gate(spec):
-    # on rough su3 and spin7 forms some in-range plaquettes have principal
-    # logs outside the algebra; they too give their stars infinite residuals
+    # on rough su3, spin7 and g2 forms some in-range plaquettes have principal
+    # logs outside the algebra, and on so3 some turn past the log's range;
+    # either gives its star an infinite residual.  The gate reads the
+    # plaquettes of the tree gauge, conjugate to the oracle's by G
     alg = al.parse_algebra(spec)
     L = lat.TorusLattice((6, 6, 6))
     cover = hol.CubicalCover(L, 2)
@@ -321,7 +349,7 @@ def test_plaquette_log_outside_the_algebra_fails_the_gate(spec):
     assert atlas.g.shape[:3] == a.lattice.dims
 
 
-@pytest.mark.parametrize("spec", ["su2", "su3", "spin7"])
+@pytest.mark.parametrize("spec", ["su2", "su3", "spin7", "g2", "so3"])
 def test_certified_gate_decides_as_the_plaquette_logs(spec):
     # a flat form with one link bumped by graded amplitudes, from certified
     # passes through failures to plaquettes past the log's range; each gate is
@@ -956,17 +984,45 @@ def nearly_trivial(su2, lattice, delta):
 
 def test_gauge_from_holonomy_answers_holonomies_conjugate_to_within_tol(su2, lat8,
                                                                          polar_projections):
-    # exp(1e-7 X) against 1: every Sylvester singular value is about 1e-7,
-    # above rounding but below the cut sqrt(3 N) 10 tol, so the null space is
-    # the whole matrix space and the identity's factor conjugates
+    # exp(1e-7 X) against the trivial holonomy of a log derivative: every
+    # Sylvester singular value is about 1e-7, above rounding but below the cut
+    # sqrt(3 N) 10 tol, so the null space is the whole matrix space and the
+    # identity's factor conjugates (a zero form would need no conjugator)
     a, zero = nearly_trivial(su2, lat8, 1e-7), lat.zero_one_form(lat8, su2)
-    for first, second in ((zero, a), (a, zero)):
+    flat = lat.log_derivative(lat.make_random(lat8, su2, seed=5, amplitude=0.5))
+    for first, second in ((flat, a), (a, flat)):
         polar_projections.clear()
         u = hol.gauge_from_holonomy(first, second)
         assert len(polar_projections) == 1
         assert np.abs(polar_projections[0] - np.eye(2)).max() <= 1e-12
         assert su2.check_group_elements(u.values) <= 1e-12
     assert inv.invariant_of_connection(a, zero).charges == (0,)
+
+
+@pytest.mark.parametrize("spec", ["su2", "su3", "so3", "g2", "spin7"])
+def test_a_zero_form_on_either_side_needs_no_conjugator(spec, lat8, polar_projections):
+    # against a zero form C = 1: u is the other form's own development g2, or
+    # g1^H when the second form is zero, so it is in G for every group
+    alg = al.parse_algebra(spec)
+    a = lat.log_derivative(lat.make_random(lat8, alg, seed=3, amplitude=0.5))
+    zero = lat.zero_one_form(lat8, alg)
+    g = hol.build_atlas(a).g
+    u = hol.gauge_from_holonomy(zero, a)
+    assert u.values.flags.writeable and np.array_equal(u.values, g)
+    u = hol.gauge_from_holonomy(a, zero)
+    assert u.values.flags.writeable and np.array_equal(u.values, g.conj().swapaxes(-1, -2))
+    assert not polar_projections
+
+
+def test_a_zero_form_refuses_a_holonomy_beyond_tol_by_its_seam_links(su2, lat8,
+                                                                      polar_projections):
+    # exp(1e-4 X) passes the trace gate at 10 tol, but its seam links are
+    # 1e-4 from the zero form's identity links, beyond the default tol
+    a, zero = nearly_trivial(su2, lat8, 1e-4), lat.zero_one_form(lat8, su2)
+    for first, second in ((zero, a), (a, zero)):
+        with pytest.raises(HolonomyMismatchError, match=r"link defect 1\.000e-04"):
+            hol.gauge_from_holonomy(first, second)
+    assert not polar_projections
 
 
 def test_cli_compare_answers_holonomies_conjugate_to_within_its_tol(su2, lat8, tmp_path,

@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -432,3 +433,15 @@ def test_charge_integrality_refinement(su2):
         q = inv.topological_charge(lat.make_hedgehog(L, su2, 0.45))[0]
         resids.append(abs(q - 1.0))
     assert resids[0] > resids[1] > resids[2]
+
+
+@pytest.mark.parametrize("spec", ["su2", "so3", "u1"])
+@pytest.mark.parametrize("site", [(3, 2, 1), (3, 0, 0)])
+def test_sector_of_names_a_non_finite_site(spec, site, lat8):
+    # numpy fails on the NaN (an eigensolver, or on u1's base line the int of
+    # the winding), and only then is the field searched for the site
+    alg = al.parse_algebra(spec)
+    u = lat.make_random(lat8, alg, seed=0, amplitude=0.5)
+    u.values[site][0, 0] = np.nan
+    with pytest.raises(SectorError, match=re.escape(f"non-finite entry at site {site}")):
+        inv.sector_of(u)
