@@ -346,7 +346,7 @@ class LieAlgebra:
         dev = np.abs(np.einsum("...ji,...jk->...ik", g.conj(), g) - eye).max(axis=(-2, -1))
         if self.group_kind == "special_orthogonal":
             dev = np.maximum(dev, np.abs(g.imag).max(axis=(-2, -1)))
-        if self.group_kind in ("special_unitary", "special_orthogonal", "symplectic"):
+        if self.group_kind in ("special_unitary", "special_orthogonal"):
             dev = np.maximum(dev, np.abs(np.linalg.det(g) - 1.0))
         worst = np.unravel_index(np.argmax(dev), dev.shape)  # NaN is the first maximum
         if not dev[worst] <= _GROUP_TOL:  # NaN fails too
@@ -521,7 +521,7 @@ def _build_atomic(spec: str) -> LieAlgebra:
         return LieAlgebra(spec, family, _u1_basis(), factors=[], pi1=0, group_kind="unitary")
     if family in ("su", "spin", "sp"):
         basis = {"su": _su_basis, "spin": _spin_basis, "sp": _sp_basis}[family](n)
-        kind = "symplectic" if family == "sp" else "special_unitary"
+        kind = "special_unitary"  # Sp(n) lies in SU(2n)
     else:
         basis = _g2_basis() if family == "g2" else _so3_basis()
         kind = "special_orthogonal"
@@ -681,7 +681,8 @@ def group_log(alg: LieAlgebra, g, threshold: float = 1.0):
     defect over the batch.  Raises LogRangeError when any matrix has an
     eigenvalue farther than `threshold` from 1, or a log outside the basis
     span; its `site` is the batch index of the worst matrix, `mask` marks
-    every failing one and `value` is the worst |lambda - 1| (None for span).
+    every failing one (a NaN included) and `value` is the worst
+    |lambda - 1| (None for span).
     """
     g = np.asarray(g, dtype=complex)
     w, V = np.linalg.eig(g)
@@ -699,7 +700,7 @@ def group_log(alg: LieAlgebra, g, threshold: float = 1.0):
         defect = np.abs(alg.to_matrix(alg.to_coords(L)[0]) - L).max(axis=(-2, -1))
         return LogRangeError(f"{alg.name}: log left the algebra (span residual {res:.2e})",
                              site=np.unravel_index(np.argmax(defect), defect.shape),
-                             mask=defect > SPAN_TOL)
+                             mask=~(defect <= SPAN_TOL))  # NaN fails too
     return alg.to_coords(L, error=span_error)
 
 

@@ -31,7 +31,8 @@ class LogRangeError(SkyrmeError):
 
     Raised by a range check, it says where: `value` is the worst
     |lambda - 1| (None when a log left the algebra's span) and `mask` marks
-    every failing element of the batch.
+    every failing element of the batch, a NaN included, so a raise marks
+    at least one and the rest can be retried without it.
     From link logs, `axis` (1-based, as in the message) and `site` name the
     worst link x -> x + e_axis, and `mask` has shape (3,) + lattice dims,
     indexed by axis - 1.  From the 1-d invariant's lift, `axis`, `site`

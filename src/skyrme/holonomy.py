@@ -32,9 +32,11 @@ for F = log P / (h_i h_j) projected onto the basis span (the projection
 does not increase the Frobenius norm; kappa is `LieAlgebra.kappa`).  When
 every chord is below c and every cube's residual computed from this bound
 passes the gate, the true residuals pass too and no log is taken; on a
-log derivative the chords are rounding noise.  Otherwise the plaquette
-logs are taken and the gate decides on them exactly as without the bound.
-A plaquette with no log in the algebra gives its cube an infinite residual.
+log derivative the chords are rounding noise.  Otherwise the plaquettes of
+all three planes are logged in one batched `group_log`, and the gate
+decides on them exactly as without the bound.  A plaquette with no log in
+the algebra gives its cube an infinite residual: the LogRangeError's mask
+marks every such plaquette, and the others are logged again.
 
 The holonomy is read off one development of the whole torus.  The sweep
 starts with g = 1 at the anchor, the corner of the cover's base star
@@ -151,23 +153,6 @@ class CubicalCover:
 # development
 # ----------------------------------------------------------------------
 
-def _plaquette_density(alg: LieAlgebra, plaq: np.ndarray, area: float) -> np.ndarray:
-    """|log P / area|^2 for a batch (k, N, N) of plaquettes P.
-
-    A plaquette without a log in the algebra (an eigenvalue 1.99 or more
-    from 1, or a principal log outside the basis span) has infinite density,
-    so its cube fails any finite gate.  They are found by bisecting the
-    batch, so a gate that passes takes one batched log per plane."""
-    try:
-        return alg.norm_sq(group_log(alg, plaq, threshold=1.99)[0] / area)
-    except LogRangeError:
-        if len(plaq) == 1:
-            return np.array([np.inf])
-    half = len(plaq) // 2
-    return np.concatenate([_plaquette_density(alg, plaq[:half], area),
-                           _plaquette_density(alg, plaq[half:], area)])
-
-
 def _develop(a: AlgebraOneForm, corner, shape, windows=None, flatness_gate: float | None = None,
              vertices=None) -> tuple[np.ndarray, np.ndarray]:
     """Integrate u' = u a over the `shape` sites from the wrapped `corner`
@@ -188,10 +173,12 @@ def _develop(a: AlgebraOneForm, corner, shape, windows=None, flatness_gate: floa
     slab, and the other two one each way per link.  The curvature is the
     plaquette defect of R, conjugate to that of T (zero for a log
     derivative however steep the field), computed once per site from the
-    chords or else the logs (see the module docstring).  A cube's residual
-    is sqrt(cell volume * window sum of |F|^2 over its interior); the first
-    above the gate (default 10 * max spacing) raises FlatnessError, naming
-    its corner site, and its vertex when `vertices` lists the cubes'.
+    chords or else from one batched log of every plaquette, its unloggable
+    ones read off the error's mask (see the module docstring).  A cube's
+    residual is sqrt(cell volume * window sum of |F|^2 over its interior);
+    the first above the gate (default 10 * max spacing) raises
+    FlatnessError, naming its corner site, and its vertex when `vertices`
+    lists the cubes'.
     """
     alg, lattice = a.algebra, a.lattice
     h, N, dims = lattice.spacings, alg.rep_dim, lattice.dims
@@ -244,12 +231,22 @@ def _develop(a: AlgebraOneForm, corner, shape, windows=None, flatness_gate: floa
         bound = bound + np.where(chord_sq < CHORD_CUTOFF ** 2, per_chord * chord_sq, np.inf)
     resid = np.sqrt(lattice.cell_volume * bound[interior].sum(axis=(1, 2, 3)))
     if not (resid <= flatness_gate).all():
-        density = 0.0
-        for i, j in PLANES:
-            A, B = halves(i, j)
-            P = (A @ B.conj().swapaxes(-1, -2)).reshape(-1, N, N)
-            density = density + _plaquette_density(alg, P, h[i] * h[j]).reshape(shape)
-        resid = np.sqrt(lattice.cell_volume * density[interior].sum(axis=(1, 2, 3)))
+        P = np.stack([A @ B.conj().swapaxes(-1, -2)
+                      for A, B in (halves(i, j) for i, j in PLANES)])
+        area = np.array([h[i] * h[j] for i, j in PLANES])
+        # a plaquette with an eigenvalue 1.99 or more from 1, or a log off the
+        # basis span, keeps an infinite density; each refusal drops at least one
+        density = np.full(P.shape[:4], np.inf)
+        logged = np.ones(P.shape[:4], dtype=bool)
+        while logged.any():
+            try:
+                F = group_log(alg, P[logged], threshold=1.99)[0] / area[logged.nonzero()[0], None]
+            except LogRangeError as exc:
+                logged[logged] = ~exc.mask
+                continue
+            density[logged] = alg.norm_sq(F)
+            break
+        resid = np.sqrt(lattice.cell_volume * sum(density)[interior].sum(axis=(1, 2, 3)))
     if (resid > flatness_gate).any():
         k = int(np.argmax(resid > flatness_gate))
         corner = tuple(int(origin[i] + w[k, 0]) % dims[i] for i, w in enumerate(windows))
@@ -309,15 +306,15 @@ def path_transport(T: np.ndarray, path) -> np.ndarray:
 def _project_group(alg: LieAlgebra, M: np.ndarray) -> np.ndarray:
     """Polar factors of a batch (..., N, N) of matrices M in the matrix group
     of `group_kind`: the nearest elements of U(N), then det-normalized into
-    SU(N) for special unitary and symplectic kinds, or of SO(N) for a real
-    kind.  That group contains G and can be larger (SO(7) for g2, SU(8) for
-    spin7), so the factor of a matrix off G need not lie in G.  Raises
-    AtlasError if any real M projects onto the wrong orthogonal component."""
+    SU(N) for the special unitary kind, or of SO(N) for a real kind.  That
+    group contains G and can be larger (SO(7) for g2, SU(8) for spin7), so
+    the factor of a matrix off G need not lie in G.  Raises AtlasError if
+    any real M projects onto the wrong orthogonal component."""
     if alg.group_kind == "special_orthogonal":
         M = M.real.astype(complex)
     W, _, Vh = np.linalg.svd(M)
     g = W @ Vh
-    if alg.group_kind in ("special_unitary", "symplectic"):
+    if alg.group_kind == "special_unitary":
         det = np.linalg.det(g)
         g = g * np.exp(-1j * np.angle(det) / alg.rep_dim)[..., None, None]
     elif alg.group_kind == "special_orthogonal":

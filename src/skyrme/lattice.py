@@ -176,8 +176,12 @@ def log_derivative(u: GroupField, T: np.ndarray | None = None) -> AlgebraOneForm
         comps.append(coords / h[ax])
     if worst is not None:
         _, value, axis, site = worst
-        what = ("has a log that left the algebra" if value is None
-                else f"has |lambda - 1| = {value:.4f} >= {LINK_LOG_THRESHOLD}")
+        if value is None:
+            what = "has a log that left the algebra"
+        elif value > 2 + 1e-9:  # beyond rounding, no unit-circle eigenvalue is this far
+            what = f"is not in the group (|lambda - 1| = {value:.3e} > 2)"
+        else:
+            what = f"has |lambda - 1| = {value:.4f} >= {LINK_LOG_THRESHOLD}"
         raise LogRangeError(
             f"field too rough for this lattice: link at site {site} on axis {axis} "
             f"{what} ({int(mask.sum())} links out of range)",

@@ -124,16 +124,12 @@ class MinimizeTrace:
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write("iter,energy,grad_norm,step,alpha,c_rounded,c_residual\n")
-        snap = {it: s for it, s in self.sectors}
-        last = None
+        snap, last = dict(self.sectors), None  # the input's sector is iteration 0
         for i, (e, g, s) in enumerate(zip(self.energies, self.grad_norms, self.steps)):
             last = snap.get(i, last)
-            if last is None:
-                a = c = r = ""
-            else:
-                a = "(" + " ".join(str(v) for v in last.alpha) + ")"
-                c = "(" + " ".join(str(v) for v in last.charges) + ")"
-                r = "(" + " ".join(f"{v:.4f}" for v in last.residuals) + ")"
+            a = "(" + " ".join(str(v) for v in last.alpha) + ")"
+            c = "(" + " ".join(str(v) for v in last.charges) + ")"
+            r = "(" + " ".join(f"{v:.4f}" for v in last.residuals) + ")"
             out.write(f"{i},{e:.12e},{g:.6e},{s:.6e},{a},{c},{r}\n")
         return out.getvalue()
 

@@ -63,7 +63,7 @@ def optimal_left_constant(alg, u_vals, w_vals):
     S = np.einsum("xij,xkj->ik", u_vals.reshape(-1, n, n), w_vals.conj().reshape(-1, n, n))
     W, _, Vh = np.linalg.svd(S)
     g = W @ Vh
-    if alg.group_kind in ("special_unitary", "symplectic"):
+    if alg.group_kind == "special_unitary":
         g = g * np.exp(-1j * np.angle(np.linalg.det(g)) / n)
     return g
 

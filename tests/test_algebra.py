@@ -314,6 +314,29 @@ def test_group_log_range_gate(su2):
     assert c[2] == pytest.approx(2.5)
 
 
+def test_span_error_mask_marks_a_nan_log(su2):
+    # a near-defective matrix with both eigenvalues at e^{0.3i} logs to NaN;
+    # the mask marks it, so a caller that drops the marked matrices and logs
+    # the rest again always makes progress
+    far = np.array([[np.exp(0.3j), 1e300], [0, np.exp(0.3j)]])
+    with pytest.raises(LogRangeError, match="left the algebra") as info:
+        al.group_log(su2, np.stack([np.eye(2), far]), threshold=1.99)
+    assert info.value.mask.tolist() == [False, True]
+
+
+@pytest.mark.parametrize("spec, block", [("sp1", slice(0, 2)), ("sp2", slice(0, 4)),
+                                         ("su2+sp1", slice(2, 4)), ("sp1+su2", slice(0, 2))])
+def test_symplectic_blocks_keep_their_unit_determinant(spec, block):
+    # Sp(n) lies in SU(2n), so a sum with an sp block keeps the det = 1
+    # check: a phase on the sp block's matrices takes them off the group
+    alg = al.parse_algebra(spec)
+    g = al.group_exp(alg, 0.3 * np.random.default_rng(2).standard_normal((4, alg.dim)))
+    assert alg.group_kind == "special_unitary" and alg.check_group_elements(g) < 1e-12
+    g[:, block, block] *= np.exp(0.4j)
+    with pytest.raises(LogRangeError, match="group constraints"):
+        alg.check_group_elements(g)
+
+
 def test_unsupported_specs():
     with pytest.raises(UnsupportedAlgebraError):
         al.parse_algebra("su9")

@@ -275,6 +275,13 @@ def test_cli_holonomy_rejects_a_spacing_that_does_not_divide(tmp_path, capsys, s
     assert "--spacing 3" in err and "must divide" in err
 
 
+def test_cli_holonomy_rejects_a_spacing_below_two(tmp_path, capsys, su2, lat8):
+    pa = tmp_path / "a.skya"
+    fileio.write_one_form(pa, lat.zero_one_form(lat8, su2))
+    assert main(["holonomy", str(pa), "--spacing", "1"]) == 2
+    assert "--spacing 1: cover spacing must be at least 2 sites" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_cli_holonomy_rejects_a_tol_that_is_not_finite_and_positive(tmp_path, capsys, su2,
                                                                     lat8, tol):

@@ -53,6 +53,11 @@ def test_cover_rejects_bad_spacing():
         hol.CubicalCover(lat.TorusLattice((8, 8, 8)), 8)
 
 
+def test_cover_rejects_a_spacing_below_two(lat8):
+    with pytest.raises(ValueError, match="cover spacing must be at least 2 sites"):
+        hol.CubicalCover(lat8, 1)
+
+
 @pytest.mark.parametrize("dims", [(9, 9, 9), (6, 6, 9)])
 def test_default_cover_looks_above_a_quarter_of_the_first_axis(dims):
     # no spacing up to dims[0] // 4 = 2 divides these dims, but 3 does
@@ -349,6 +354,29 @@ def test_plaquette_log_outside_the_algebra_fails_the_gate(spec):
     assert atlas.g.shape[:3] == a.lattice.dims
 
 
+@pytest.mark.parametrize("spec", ["su3", "spin7", "g2", "so3"])
+def test_exact_pass_logs_every_plaquette_in_one_batch(spec, monkeypatch):
+    # the plaquettes a refused log marks are dropped and the rest logged
+    # again, so a rough form takes a few logs of shrinking batches, the
+    # first of all three planes, and no bisection
+    alg = al.parse_algebra(spec)
+    L = lat.TorusLattice((6, 6, 6))
+    a = lat.AlgebraOneForm(L, alg,
+                           np.random.default_rng(5).standard_normal((3, 6, 6, 6, alg.dim)) * 8)
+    sizes = []
+    group_log = hol.group_log
+
+    def counted(alg, g, *args, **kwargs):
+        sizes.append(len(g))
+        return group_log(alg, g, *args, **kwargs)
+
+    monkeypatch.setattr(hol, "group_log", counted)
+    with pytest.raises(FlatnessError):
+        hol.build_atlas(a, hol.CubicalCover(L, 2), flatness_gate=1e300)
+    assert sizes[0] == 3 * 6 ** 3 and len(sizes) <= 3
+    assert all(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+
 @pytest.mark.parametrize("spec", ["su2", "su3", "spin7", "g2", "so3"])
 def test_certified_gate_decides_as_the_plaquette_logs(spec):
     # a flat form with one link bumped by graded amplitudes, from certified
@@ -402,7 +430,7 @@ def test_flat_link_form_is_certified_without_a_log(spec, monkeypatch):
     hol._last_atlas = None
     monkeypatch.setattr(hol, "CHORD_CUTOFF", 0.0)
     exact = hol.build_atlas(a, cover)
-    assert len(logs) == 3
+    assert logs == [(3 * 8 ** 3,)]  # one batch: every plaquette of the three planes
     assert np.array_equal(atlas.g, exact.g)
     assert np.array_equal(atlas.residuals, exact.residuals)
     assert np.array_equal(atlas.holonomy().elements, exact.holonomy().elements)
@@ -434,7 +462,7 @@ def test_zero_form_atlas_skips_development(spec, sampling, monkeypatch):
     monkeypatch.setattr(hol, "_develop", refuse)
     atlas = hol.build_atlas(z, cover)
     assert not atlas.g.flags.writeable and not atlas.residuals.flags.writeable
-    assert np.abs(atlas.g - np.roll(developed, anchor, axis=(0, 1, 2))).max() <= 1e-14
+    assert np.abs(atlas.g - developed).max() <= 1e-14  # both indexed by site
     assert atlas.residuals.shape == (3,) + z.lattice.dims + (alg.rep_dim,) * 2
     assert np.array_equal(atlas.residuals, np.broadcast_to(np.eye(alg.rep_dim),
                                                            atlas.residuals.shape))

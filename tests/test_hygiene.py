@@ -5,8 +5,9 @@ sampling and only its constructor compares one, a fixed list of functions
 chooses a cover or exponentiates link coefficients, `algebra.py` nests no
 two loops over the algebra's dimension, `holonomy.py` loops over cover
 vertices only in `CubicalCover`, `invariants.py` builds `SectorInvariants`
-at one site, and every default of a public parameter is overridden by some call in the
-package or its benchmark, or is listed with the consumer that keeps it."""
+at one site, no function calls itself, and every default of a public parameter is
+overridden by some call in the package or its benchmark, or is listed with the consumer
+that keeps it."""
 
 import ast
 from collections import Counter
@@ -230,6 +231,26 @@ def test_link_coefficients_have_one_exponential():
              and any(isinstance(m, ast.Attribute) and m.attr == "coeffs" for m in ast.walk(n))}
     assert calls <= LINK_EXPONENTIALS, \
         f"link coefficients exponentiated outside `transports`: {sorted(calls - LINK_EXPONENTIALS)}"
+
+
+def _self_calls(fn):
+    """Lines where the function `fn` calls its own name: bare, or through
+    `self` or `cls`; another object's method of the same name is not `fn`."""
+    for n in ast.walk(fn):
+        f = getattr(n, "func", None)
+        if isinstance(n, ast.Call) and (getattr(f, "id", None) == fn.name or (
+                isinstance(f, ast.Attribute) and f.attr == fn.name
+                and getattr(f.value, "id", None) in ("self", "cls"))):
+            yield n.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    # kernels take one batch: the failing part of a batch is read off its
+    # error's mask, not found by recursing over sub-batches
+    calls = [(fn.name, line) for fn in ast.walk(ast.parse(path.read_text()))
+             if isinstance(fn, ast.FunctionDef) for line in _self_calls(fn)]
+    assert not calls, f"{path.name}: functions calling themselves at {calls}"
 
 
 def test_sector_invariants_are_built_at_one_site():

@@ -445,3 +445,26 @@ def test_sector_of_names_a_non_finite_site(spec, site, lat8):
     u.values[site][0, 0] = np.nan
     with pytest.raises(SectorError, match=re.escape(f"non-finite entry at site {site}")):
         inv.sector_of(u)
+
+
+@pytest.mark.parametrize("spec, axis, site", [("su2", 2, (3, 2, 1)), ("u1", 1, (2, 2, 1))])
+def test_sector_of_says_a_huge_link_is_not_in_the_group(spec, axis, site, lat8):
+    # no unitary matrix has an eigenvalue farther than 2 from 1, so past 2
+    # the link is off the group and its distance prints in three digits
+    u = lat.make_random(lat8, al.parse_algebra(spec), seed=1)
+    u.values[3, 2, 1][0, 0] = 1e300
+    with pytest.raises(LogRangeError, match=r"is not in the group \(\|lambda - 1\| = ") as info:
+        inv.sector_of(u)
+    assert (info.value.site, info.value.axis) == (site, axis)
+    assert len(str(info.value)) < 200
+
+
+def test_a_link_in_the_group_keeps_its_range_message(su2, lat8):
+    u = lat.constant_field(lat8, su2)
+    u.values[2, 3, 4] = al.group_exp(su2, [0, 0, 1.2])
+    u.values[2, 4, 4] = al.group_exp(su2, [0, 0, -1.5])
+    with pytest.raises(LogRangeError) as info:
+        inv.sector_of(u)
+    assert str(info.value) == (f"field too rough for this lattice: link at site (2, 3, 4) on "
+                               f"axis 2 has |lambda - 1| = {2 * np.sin(1.35):.4f} >= 1.8 "
+                               f"(1 links out of range)")

@@ -156,6 +156,16 @@ def test_unresolved_sector_mid_run_names_its_iteration(su2, lat8, monkeypatch):
     assert info.value.__cause__ is cause
 
 
+def test_unresolved_input_sector_raises_its_own_error(su2, lat8):
+    # the input's sector is checked first, so a hedgehog too coarse for 8^3
+    # fails with the SectorError of `sector_of`, not the mid-run wrapper
+    u0 = lat.make_hedgehog(lat8, su2, 0.45)
+    with pytest.raises(SectorError) as info:
+        mz.minimize_map(u0)
+    assert str(info.value) == "lattice too coarse to resolve sector (residual 0.300)"
+    assert info.value.__cause__ is None
+
+
 def test_sector_drift_mid_run_names_both_sectors(su2, lat8, monkeypatch):
     def drifted(got):
         return inv.SectorInvariants(alpha=got.alpha, alpha_orders=got.alpha_orders,
