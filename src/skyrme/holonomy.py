@@ -14,10 +14,12 @@ each link becomes its residual R_i(x) = g(x) T_i(x) g(x+e_i)^-1, stored
 as the exact identity on the tree.  Development comes before the flatness
 gate, so a curved form is developed and then refused.  The curvature is
 read off R in the tree gauge: a plaquette of R is that of T conjugated by
-g in G, so its chord and its log's norm are those of T up to rounding, and
-off the seam slab a plaquette in a plane of the first axis takes no
-product.  The curvature density is computed once per site, and each cube's
-flatness residual is its window sum over the cube interior.
+g in G, so its chord and its log's norm are those of T up to rounding.
+Off the seam slab a plaquette in a plane of the first axis takes no
+product, and plane (2, 0) reuses the halves of plane (0, 2) with A and B
+swapped, so only plane (1, 2) is multiplied through.  The curvature
+density is computed once per site, and each cube's flatness residual is
+its window sum over the cube interior.
 
 The gate is first certified without a matrix log.  Write a plaquette as
 P = A B^H with A = R_i(x) R_j(x+e_i), B = R_j(x) R_i(x+e_j); B is
@@ -170,7 +172,10 @@ def _develop(a: AlgebraOneForm, corner, shape, windows=None, flatness_gate: floa
     identity: every first-axis link but the last slab, the middle-axis
     links of the first plane but its last row, and the last-axis links of
     the first line but its last.  The first axis takes no product off that
-    slab, and the other two one each way per link.  The curvature is the
+    slab, and the other two one each way per link.  The plaquette halves
+    take products only in plane (1, 2) and on the slab: plane (2, 0) is
+    plane (0, 2) with its halves swapped, the same bits, in the chord pass
+    and the exact pass alike.  The curvature is the
     plaquette defect of R, conjugate to that of T (zero for a log
     derivative however steep the field), computed once per site from the
     chords or else from one batched log of every plaquette, its unloggable
@@ -209,14 +214,15 @@ def _develop(a: AlgebraOneForm, corner, shape, windows=None, flatness_gate: floa
 
     def halves(i, j):
         """A and B of the plaquettes P = A B^H of R, one per path x -> x + e_i + e_j."""
-        A, B = np.roll(R[j], -1, axis=i), R[j]
-        if i:
-            return R[i] @ A, B @ np.roll(R[i], -1, axis=j)
-        # R[0] is 1 off the slab s, so there A is R[j] at x + e_1 and B is R[j] at x
-        B = B.copy()
+        if i == 1:  # plane (1, 2), the one plane multiplied through
+            return R[1] @ np.roll(R[2], -1, axis=1), R[2] @ np.roll(R[1], -1, axis=2)
+        # R[0] is 1 off the slab s, so there A is R[k] at x + e_1 and B is R[k] at
+        # x; plane (2, 0) is plane (0, 2) with A and B swapped, bit for bit
+        k = i or j
+        A, B = np.roll(R[k], -1, axis=0), R[k].copy()
         A[s] = R[0][s] @ A[s]
-        B[s] = B[s] @ np.roll(R[0][s], -1, axis=j - 1)
-        return A, B
+        B[s] = B[s] @ np.roll(R[0][s], -1, axis=k - 1)
+        return (A, B) if i == 0 else (B, A)
 
     if windows is None:
         windows = x[None], y[None], z[None]

@@ -44,7 +44,6 @@ __all__ = [
     "constant_field",
     "zero_one_form",
     "multiply",
-    "right_translate",
     "inverse_field",
 ]
 
@@ -270,10 +269,6 @@ def multiply(u: GroupField, w: GroupField) -> GroupField:
     """Pointwise product (u w)(x) = u(x) w(x)."""
     return GroupField(u.lattice, u.algebra,
                       np.einsum("...ij,...jk->...ik", u.values, w.values))
-
-
-def right_translate(u: GroupField, g) -> GroupField:
-    return GroupField(u.lattice, u.algebra, u.values @ np.asarray(g, dtype=complex))
 
 
 def inverse_field(u: GroupField) -> GroupField:

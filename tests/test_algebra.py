@@ -17,6 +17,7 @@ from conftest import (
     oracle_to_matrix,
 )
 from skyrme import algebra as al
+from skyrme import lattice as lat
 from skyrme.holonomy import CHORD_CUTOFF
 from skyrme.errors import (
     CertificationError,
@@ -456,11 +457,85 @@ def test_norm_and_basis_maps_match_oracles(spec, seed, shape, layout):
 
 @settings(max_examples=40, deadline=None)
 @given(spec=st.sampled_from(PROPERTY_SPECS), seed=st.integers(0, 2 ** 32 - 1),
-       shape=BATCH_SHAPES, layout=LAYOUTS, scale=st.floats(1e-3, 1.5))
+       shape=BATCH_SHAPES, layout=LAYOUTS,
+       scale=st.one_of(st.sampled_from([0.0, 1e-12, 2.0]), st.floats(0.0, 2.0)))
 def test_group_exp_matches_expm(spec, seed, shape, layout, scale):
+    # the scales reach Q = 0 and the small-w series of the 3 x 3 closed form
     alg = _algebra(spec)
     X = _coords(np.random.default_rng(seed), alg.dim, shape, layout, scale)
     _assert_rel_close(al.group_exp(alg, X), oracle_group_exp(alg, X))
+
+
+def _unitary(rng, n, real=False):
+    """Haar-random element of SO(n) (real) or SU(n): QR of a Gaussian matrix."""
+    Z = rng.standard_normal((n, n)) + (0 if real else 1j * rng.standard_normal((n, n)))
+    q, r = np.linalg.qr(Z)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    if real:
+        q[:, 0] *= np.linalg.det(q)  # det is +-1
+        return q
+    return q * np.linalg.det(q) ** (-1.0 / n)
+
+
+def _degenerate_spectra(spec, a, eps, rng):
+    """(matrix, exact exponential) pairs for conjugates of diagonal elements
+    with nearly equal eigenvalues: diag(ia, i(a+eps), -i(2a+eps)) and the
+    pattern (theta, 0, -theta), theta = a + eps, as each group holds them.
+    so3 holds only the rotation about one axis; su2+u1 holds its su2 block
+    diag(ib, -ib) beside the phase i phi, with (b, phi) = (a, a + eps) and
+    (a + eps, 0)."""
+    if spec == "so3":
+        O, t = _unitary(rng, 3, real=True), a + eps
+        Lz = np.array([[0, -t, 0], [t, 0, 0], [0, 0, 0]], dtype=complex)
+        Rz = np.array([[np.cos(t), -np.sin(t), 0], [np.sin(t), np.cos(t), 0], [0, 0, 1]])
+        return [(O @ Lz @ O.T, O @ Rz @ O.T)]
+    if spec == "su3":
+        U = _unitary(rng, 3)
+        spectra = [(a, a + eps, -2 * a - eps), (a + eps, 0.0, -a - eps)]
+    else:
+        U = np.eye(3, dtype=complex)
+        U[:2, :2] = _unitary(rng, 2)
+        spectra = [(a, -a, a + eps), (a + eps, -a - eps, 0.0)]
+    return [(U @ np.diag(1j * np.array(s)) @ U.conj().T,
+             U @ np.diag(np.exp(1j * np.array(s))) @ U.conj().T) for s in spectra]
+
+
+@pytest.mark.parametrize("spec", ["su3", "so3", "su2+u1"])
+@pytest.mark.parametrize("a", [1e-9, 1e-4, 0.3, 1.0, 2.0])
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-7])
+def test_group_exp_on_degenerate_spectra(spec, a, eps):
+    # the 3 x 3 closed form meets coincident and nearly coincident eigenvalues
+    # where arccos is steepest, and stays unitary and block diagonal
+    alg = _algebra(spec)
+    for M, exact in _degenerate_spectra(spec, a, eps, np.random.default_rng(7)):
+        X, _ = alg.to_coords(M, error=AssertionError)
+        g = al.group_exp(alg, X)
+        assert np.abs(g - exact).max() <= 1e-14
+        assert np.abs(g.conj().T @ g - np.eye(3)).max() <= 1e-14
+        if spec == "su2+u1":
+            assert (g[:2, 2] == 0).all() and (g[2, :2] == 0).all()
+
+
+@pytest.mark.parametrize("spec,closed", [("su3", True), ("so3", True), ("su2+u1", True),
+                                         ("su2", False), ("g2", False), ("spin7", False)])
+def test_group_exp_takes_the_closed_form_on_every_3x3_group_only(spec, closed, monkeypatch):
+    # the path is chosen by the representation size alone: a 3 x 3 group
+    # takes no eigh, the link transports of an su3 form included
+    alg = _algebra(spec)
+    rng = np.random.default_rng(3)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(H, *args, **kwargs):
+        calls.append(np.shape(H))
+        return eigh(H, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    al.group_exp(alg, 0.5 * rng.standard_normal((4, alg.dim)))
+    if spec == "su3":
+        L = lat.TorusLattice((4, 4, 4))
+        lat.transports(lat.AlgebraOneForm(L, alg, rng.standard_normal((3, 4, 4, 4, alg.dim))))
+    assert (calls == []) == closed
 
 
 # ----------------------------------------------------------------------

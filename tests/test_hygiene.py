@@ -2,7 +2,8 @@
 no top-level name goes unused, no module imports another's private name,
 only `algebra.py` reads the algebra's tables, no module reads a form's
 sampling and only its constructor compares one, a fixed list of functions
-chooses a cover or exponentiates link coefficients, `algebra.py` nests no
+chooses a cover or exponentiates link coefficients, `np.linalg` is called
+only in `algebra.py` and a listed set of owners, `algebra.py` nests no
 two loops over the algebra's dimension, `holonomy.py` loops over cover
 vertices only in `CubicalCover`, `invariants.py` builds `SectorInvariants`
 at one site, no function calls itself, and every default of a public parameter is
@@ -231,6 +232,29 @@ def test_link_coefficients_have_one_exponential():
              and any(isinstance(m, ast.Attribute) and m.attr == "coeffs" for m in ast.walk(n))}
     assert calls <= LINK_EXPONENTIALS, \
         f"link coefficients exponentiated outside `transports`: {sorted(calls - LINK_EXPONENTIALS)}"
+
+
+# (module, function) -> the `np.linalg` routines it may call outside
+# `algebra.py`, which owns every decomposition of a group element or an
+# algebra table: the polar projection and the conjugator's Sylvester null
+# space, the descent's range report of one link, and a hedgehog's radii
+LINALG_OWNERS = {("holonomy.py", "_project_group"): {"svd", "det"},
+                 ("holonomy.py", "_align_constant"): {"svd", "det"},
+                 ("minimize.py", "_link_distance"): {"eigvals"},
+                 ("lattice.py", "make_hedgehog"): {"norm"}}
+
+
+def test_linear_algebra_has_listed_owners():
+    calls = {(path.name, name, n.func.attr) for path in MODULES if path.name != "algebra.py"
+             for name, node in _functions(ast.parse(path.read_text()))
+             for n in ast.walk(node)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+             and isinstance(n.func.value, ast.Attribute) and n.func.value.attr == "linalg"}
+    stray = sorted(c for c in calls if c[2] not in LINALG_OWNERS.get(c[:2], ()))
+    assert not stray, f"np.linalg called outside algebra.py and its listed owners: {stray}"
+    # every listed routine is still called, so the list names no dead owner
+    listed = {(m, f, r) for (m, f), rs in LINALG_OWNERS.items() for r in rs}
+    assert listed <= calls, f"listed but never called: {sorted(listed - calls)}"
 
 
 def _self_calls(fn):

@@ -231,7 +231,7 @@ def test_sector_of_noisy_reference_is_invariant(spec, data, seed, amplitude, shi
                      lat.make_random(LAT8, alg, seed=seed, amplitude=amplitude))
     g = al.group_exp(alg, 2.0 * np.random.default_rng(seed).standard_normal(alg.dim))
     fields = [u, lat.GroupField(LAT8, alg, np.roll(u.values, shift, axis=(0, 1, 2))),
-              lat.GroupField(LAT8, alg, g @ u.values), lat.right_translate(u, g),
+              lat.GroupField(LAT8, alg, g @ u.values), lat.GroupField(LAT8, alg, u.values @ g),
               lat.GroupField(LAT8, alg, g @ u.values @ g.conj().T)]
     for w in fields:
         s = inv.sector_of(w)
@@ -250,7 +250,7 @@ def test_sector_of_hedgehog(su2, lat16):
 def test_sector_right_translation_invariance(su2, lat16):
     u = lat.make_hedgehog(lat16, su2, 0.45)
     g = al.group_exp(su2, [0.3, 0.7, -0.2])
-    assert inv.sector_of(lat.right_translate(u, g)).same_sector(inv.sector_of(u))
+    assert inv.sector_of(lat.GroupField(lat16, su2, u.values @ g)).same_sector(inv.sector_of(u))
 
 
 def test_sector_rejects_unresolved(su2, lat8):
