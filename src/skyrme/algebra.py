@@ -44,6 +44,7 @@ __all__ = [
     "theta_density",
     "group_exp",
     "group_log",
+    "mat_mul",
     "certification_report",
     "table_constant",
     "ATOMIC_SPECS",
@@ -662,8 +663,32 @@ def theta_density(alg: LieAlgebra, k: int, X, Y, Z) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# exponential and principal logarithm
+# batched products, exponential and principal logarithm
 # ----------------------------------------------------------------------
+
+def mat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Batched product of (..., N, N) matrices, broadcast like `np.matmul`.
+
+    The path is chosen by N alone.  For N <= 3 the product is
+    C = sum_k A[..., :, k, None] B[..., None, k, :], N broadcast
+    multiply-adds; above N = 3 it is `np.matmul`, whose per-matrix loop
+    costs about 0.3 us a matrix at any N from 2 to 8.  Measured on a 2-vCPU
+    Xeon VM (complex128, best of 7): 1728 products take 0.48 ms through
+    `np.matmul` and 0.21 ms broadcast at N = 3 (5184: 1.41 and 1.15 ms,
+    past the L2 cache), and 0.43 and 0.09 ms at N = 2.  At N = 4 the two
+    are even at 1728 (0.47 and 0.44 ms), and the broadcast form is 1.6x
+    slower at 5184 and 4x on one matrix; at N = 8 it is 6.7x slower.  One
+    3 x 3 product alone takes 2.8 us through `np.matmul` and 9.3 us
+    broadcast.  The two paths add in different orders, so they agree to
+    rounding, not bit for bit."""
+    n = A.shape[-1]
+    if n > 3:
+        return np.matmul(A, B)
+    C = A[..., :, 0, None] * B[..., None, 0, :]
+    for k in range(1, n):
+        C += A[..., :, k, None] * B[..., None, k, :]
+    return C
+
 
 def group_exp(alg: LieAlgebra, X) -> np.ndarray:
     """exp of algebra coordinates into the matrix group, batched.
@@ -707,9 +732,9 @@ def _exp3(M: np.ndarray) -> np.ndarray:
     diag = (..., [0, 1, 2], [0, 1, 2])
     m = Q[diag].real.sum(axis=-1) / 3.0
     Q[diag] -= m[..., None]
-    Q2 = np.einsum("...ab,...bc->...ac", Q, Q)
+    Q2 = mat_mul(Q, Q)
     c1 = 0.5 * Q2[diag].real.sum(axis=-1)
-    c0 = np.einsum("...ab,...ba->...", Q2, Q).real / 3.0
+    c0 = (Q2.real * Q.real + Q2.imag * Q.imag).sum(axis=(-2, -1)) / 3.0  # Q_ba = conj Q_ab
     small = c1 < 1e-100
     c1 = np.where(small, 1.0, c1)
     theta = np.arccos(np.minimum(np.abs(c0) / (2.0 * (c1 / 3.0) ** 1.5), 1.0))

@@ -89,10 +89,11 @@ def _read_block(fh, lattice: TorusLattice, rep: int) -> np.ndarray:
 
 
 def _check_finite(block: np.ndarray, what: str) -> None:
-    """Reject a NaN or Inf entry of a (dims, N, N) block, naming its site."""
-    bad = np.argwhere(~np.isfinite(block).all(axis=(-2, -1)))
-    if len(bad):
-        raise FileFormatError(f"non-finite {what} at site {tuple(int(i) for i in bad[0])}")
+    """Reject a NaN or Inf entry of a (dims, N, N) block, naming its site;
+    the site is searched for only once the whole block has failed."""
+    if not np.isfinite(block).all():
+        bad = np.argwhere(~np.isfinite(block).all(axis=(-2, -1)))[0]
+        raise FileFormatError(f"non-finite {what} at site {tuple(int(i) for i in bad)}")
 
 
 def write_field(path, u: GroupField) -> None:

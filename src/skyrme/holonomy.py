@@ -56,6 +56,11 @@ a zero form C = 1.
 A sector query develops the same form twice in a row, once for its
 holonomy and again for the gauge reconstruction, so `build_atlas` keeps
 the atlas of the last developed non-zero form in one slot (see there).
+
+Every batched product of the development (the sweep, the residual links,
+the plaquette halves and the exact pass's plaquettes) and the
+reconstruction's g1^H C g2 is one kernel, `algebra.mat_mul`, which takes
+broadcast multiply-adds on 2 x 2 and 3 x 3 matrices and `np.matmul` above.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, group_log
+from .algebra import LieAlgebra, group_log, mat_mul
 from .errors import AtlasError, FlatnessError, HolonomyMismatchError, LogRangeError
 from .lattice import PLANES, AlgebraOneForm, GroupField, TorusLattice, transports
 
@@ -197,31 +202,32 @@ def _develop(a: AlgebraOneForm, corner, shape, windows=None, flatness_gate: floa
     u = np.empty(tuple(shape) + (N, N), dtype=complex)
     u[x[0], y[0], z[0]] = np.eye(N)
     for k in range(1, len(z)):
-        u[x[0], y[0], z[k]] = u[x[0], y[0], z[k - 1]] @ T[2][x[0], y[0], z[k - 1]]
+        u[x[0], y[0], z[k]] = mat_mul(u[x[0], y[0], z[k - 1]], T[2][x[0], y[0], z[k - 1]])
     for k in range(1, len(y)):
-        u[x[0], y[k]] = u[x[0], y[k - 1]] @ T[1][x[0], y[k - 1]]
+        u[x[0], y[k]] = mat_mul(u[x[0], y[k - 1]], T[1][x[0], y[k - 1]])
     for k in range(1, len(x)):
-        u[x[k]] = u[x[k - 1]] @ T[0][x[k - 1]]
+        u[x[k]] = mat_mul(u[x[k - 1]], T[0][x[k - 1]])
 
     # T becomes R in place: the slab s = x[-1] closes the first axis
     R, s, eye = T, x[-1], np.eye(N)
-    R[0][s] = u[s] @ R[0][s] @ u[x[0]].conj().swapaxes(-1, -2)
+    R[0][s] = mat_mul(mat_mul(u[s], R[0][s]), u[x[0]].conj().swapaxes(-1, -2))
     R[0][x[:-1]] = eye
     for ax in (1, 2):
-        R[ax] = u @ R[ax] @ np.roll(u, -1, axis=ax).conj().swapaxes(-1, -2)
+        R[ax] = mat_mul(mat_mul(u, R[ax]), np.roll(u, -1, axis=ax).conj().swapaxes(-1, -2))
     R[1][x[0], y[:-1]] = eye
     R[2][x[0], y[0], z[:-1]] = eye
 
     def halves(i, j):
         """A and B of the plaquettes P = A B^H of R, one per path x -> x + e_i + e_j."""
         if i == 1:  # plane (1, 2), the one plane multiplied through
-            return R[1] @ np.roll(R[2], -1, axis=1), R[2] @ np.roll(R[1], -1, axis=2)
+            return (mat_mul(R[1], np.roll(R[2], -1, axis=1)),
+                    mat_mul(R[2], np.roll(R[1], -1, axis=2)))
         # R[0] is 1 off the slab s, so there A is R[k] at x + e_1 and B is R[k] at
         # x; plane (2, 0) is plane (0, 2) with A and B swapped, bit for bit
         k = i or j
         A, B = np.roll(R[k], -1, axis=0), R[k].copy()
-        A[s] = R[0][s] @ A[s]
-        B[s] = B[s] @ np.roll(R[0][s], -1, axis=k - 1)
+        A[s] = mat_mul(R[0][s], A[s])
+        B[s] = mat_mul(B[s], np.roll(R[0][s], -1, axis=k - 1))
         return (A, B) if i == 0 else (B, A)
 
     if windows is None:
@@ -237,7 +243,7 @@ def _develop(a: AlgebraOneForm, corner, shape, windows=None, flatness_gate: floa
         bound = bound + np.where(chord_sq < CHORD_CUTOFF ** 2, per_chord * chord_sq, np.inf)
     resid = np.sqrt(lattice.cell_volume * bound[interior].sum(axis=(1, 2, 3)))
     if not (resid <= flatness_gate).all():
-        P = np.stack([A @ B.conj().swapaxes(-1, -2)
+        P = np.stack([mat_mul(A, B.conj().swapaxes(-1, -2))
                       for A, B in (halves(i, j) for i, j in PLANES)])
         area = np.array([h[i] * h[j] for i, j in PLANES])
         # a plaquette with an eigenvalue 1.99 or more from 1, or a log off the
@@ -264,6 +270,18 @@ def _develop(a: AlgebraOneForm, corner, shape, windows=None, flatness_gate: floa
     return R, u
 
 
+def _refuse_nonfinite(a: AlgebraOneForm, cause: Exception | None = None) -> None:
+    """Raise FlatnessError, from `cause`, naming the first link of a with a
+    non-finite coefficient, whose curvature no gate can bound; return if
+    there is none.  Called only once a development has failed, so finite
+    input pays nothing."""
+    bad = np.argwhere(~np.isfinite(a.coeffs).all(axis=-1))
+    if len(bad):
+        ax, *site = (int(i) for i in bad[0])
+        raise FlatnessError(f"connection has a non-finite coefficient at site {tuple(site)} "
+                            f"along axis {ax + 1}") from cause
+
+
 def develop_cube(a: AlgebraOneForm, corner, shape,
                  flatness_gate: float | None = None) -> np.ndarray:
     """Integrate u' = u a over a cube with u(corner) = 1; returns the
@@ -274,9 +292,15 @@ def develop_cube(a: AlgebraOneForm, corner, shape,
     The curvature of those residual links summed over the cube interior
     must pass the flatness gate (default 10 * max spacing); path dependence
     would otherwise make the sweep meaningless.  The gate is applied after
-    the sweep, so a curved form is developed and then refused.
+    the sweep, so a curved form is developed and then refused.  A
+    non-finite coefficient that fails the development raises FlatnessError
+    naming its link.
     """
-    u = _develop(a, corner, shape, flatness_gate=flatness_gate)[1]
+    try:
+        u = _develop(a, corner, shape, flatness_gate=flatness_gate)[1]
+    except ValueError as exc:  # numpy's LinAlgError on a non-finite link
+        _refuse_nonfinite(a, exc)
+        raise
     if tuple(shape) == a.lattice.dims:  # indexed by site: roll to the corner
         u = np.roll(u, [-c for c in corner], axis=(0, 1, 2))
     return u
@@ -394,8 +418,10 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
     ValueError.  The constancy gate (see the module docstring) bounds the
     entries of each link's deviation by `tol`; otherwise AtlasError names
     the worst link's site, axis and deviation.  The tree links are the
-    exact identity and deviate by 0.  An identically zero form is not
-    developed: g and every residual link are the identity.
+    exact identity and deviate by 0.  A non-finite coefficient raises
+    FlatnessError naming its site and axis, whatever the gates.  An
+    identically zero form is not developed: g and every residual link are
+    the identity.
 
     The atlas of the last non-zero form developed is memoized in one slot.
     It is returned again when the algebra object, lattice, cover,
@@ -425,14 +451,19 @@ def build_atlas(a: AlgebraOneForm, cover: CubicalCover | None = None,
     coeffs = a.coeffs.copy()
     coeffs.flags.writeable = False
     anchor = cover.star_corner(cover.base)
-    R, g = _develop(a, anchor, dims, cover.star_indices().transpose(1, 0, 2), flatness_gate,
-                    cover.vertices())
+    try:
+        R, g = _develop(a, anchor, dims, cover.star_indices().transpose(1, 0, 2), flatness_gate,
+                        cover.vertices())
+    except ValueError as exc:  # numpy's LinAlgError on a non-finite link
+        _refuse_nonfinite(a, exc)
+        raise
     dev = np.empty((3,) + dims)
     for ax in range(3):
         dev[ax] = np.abs(R[ax] - np.eye(g.shape[-1])).max(axis=(-2, -1))
         seam = _seam_plane(cover, ax)
         dev[ax][seam] = np.abs(R[ax][seam] - R[(ax,) + _seam(cover, ax)]).max(axis=(-2, -1))
     if not (dev <= tol).all():  # a NaN tol or deviation fails; argmax takes the first NaN
+        _refuse_nonfinite(a)
         ax, *site = (int(i) for i in np.unravel_index(np.argmax(dev), dev.shape))
         site, deviation = tuple(site), float(dev[(ax, *site)])
         raise AtlasError(f"residual link at site {site} along axis {ax + 1} deviates by "
@@ -551,4 +582,4 @@ def gauge_from_holonomy(a1: AlgebraOneForm, a2: AlgebraOneForm,
         return GroupField(a1.lattice, a1.algebra,
                           np.ascontiguousarray(A1.g.conj().swapaxes(-1, -2)))
     return GroupField(a1.lattice, a1.algebra,
-                      np.matmul(A1.g.conj().swapaxes(-1, -2), C @ A2.g))
+                      mat_mul(A1.g.conj().swapaxes(-1, -2), mat_mul(C, A2.g)))

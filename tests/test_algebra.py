@@ -539,6 +539,49 @@ def test_group_exp_takes_the_closed_form_on_every_3x3_group_only(spec, closed, m
 
 
 # ----------------------------------------------------------------------
+# the batched product kernel
+# ----------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 8), complex_a=st.booleans(), complex_b=st.booleans(),
+       batch=st.lists(st.integers(0, 4), max_size=3),
+       shared=st.sampled_from(["none", "left", "right", "ones"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mat_mul_matches_matmul(n, complex_a, complex_b, batch, shared, seed):
+    # real and complex factors, empty batches, and an (N, N) factor or a
+    # batch of ones broadcast against a batch, within 1e-14 |A| |B| a matrix
+    rng = np.random.default_rng(seed)
+
+    def draw(shape, cplx):
+        M = rng.standard_normal(tuple(shape) + (n, n))
+        return M + 1j * rng.standard_normal(M.shape) if cplx else M
+
+    A = draw(() if shared == "left" else batch, complex_a)
+    B = draw(() if shared == "right" else [1] * len(batch) if shared == "ones" else batch,
+             complex_b)
+    C, ref = al.mat_mul(A, B), np.matmul(A, B)
+    assert C.shape == ref.shape and C.dtype == ref.dtype
+    bound = 1e-14 * np.linalg.norm(A, axis=(-2, -1)) * np.linalg.norm(B, axis=(-2, -1))
+    assert (np.abs(C - ref).max(axis=(-2, -1), initial=0.0) <= bound).all()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mat_mul_calls_matmul_above_3x3_only(n, monkeypatch):
+    calls = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        calls.append(n)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    M = np.ones((5, n, n), dtype=complex)
+    al.mat_mul(M, M)
+    al.mat_mul(M[0], M)
+    assert (calls == []) == (n <= 3)
+
+
+# ----------------------------------------------------------------------
 # the chord bound behind the flatness certificate of holonomy._develop
 # ----------------------------------------------------------------------
 

@@ -483,6 +483,33 @@ def test_atlas_gates_refuse_a_nan_tol(su2, lat8):
         hol._align_constant(su2, rho, rho, tol=np.nan)
 
 
+@pytest.mark.parametrize("spec", ["su2", "su3", "g2"])
+@pytest.mark.parametrize("gate", [None, 0.0, np.inf])
+def test_a_non_finite_coefficient_is_refused_by_its_link(spec, gate):
+    # numpy fails on the NaN link (an eigensolver's LinAlgError), or at an
+    # infinite gate the constancy gate does; either way the link is named
+    alg = al.parse_algebra(spec)
+    a = lat.zero_one_form(lat.TorusLattice((8, 8, 8)), alg)
+    a.coeffs[1, 2, 3, 4, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(FlatnessError) as info:
+        hol.build_atlas(a, flatness_gate=gate)
+    assert info.value.exit_code == 5
+    assert "non-finite coefficient at site (2, 3, 4) along axis 2" in str(info.value)
+    if gate is None:
+        with np.errstate(invalid="ignore"), pytest.raises(FlatnessError) as info:
+            hol.develop_cube(a, (0, 0, 0), (5, 5, 5))
+        assert "site (2, 3, 4) along axis 2" in str(info.value)
+
+
+def test_a_numpy_failure_on_finite_coefficients_propagates(su2, lat8, monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(hol, "transports", fail)
+    with pytest.raises(np.linalg.LinAlgError):
+        hol.build_atlas(abelian_form(lat8, su2, 0.7))
+
+
 def test_atlas_log_derivative_scores(su2, lat16, cover16):
     # the constancy gate's deviations: a log derivative is flat with trivial
     # holonomy, so every residual link is 1 to rounding

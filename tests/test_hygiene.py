@@ -5,10 +5,11 @@ sampling and only its constructor compares one, a fixed list of functions
 chooses a cover or exponentiates link coefficients, `np.linalg` is called
 only in `algebra.py` and a listed set of owners, `algebra.py` nests no
 two loops over the algebra's dimension, `holonomy.py` loops over cover
-vertices only in `CubicalCover`, `invariants.py` builds `SectorInvariants`
-at one site, no function calls itself, and every default of a public parameter is
-overridden by some call in the package or its benchmark, or is listed with the consumer
-that keeps it."""
+vertices only in `CubicalCover`, `holonomy._develop` and `algebra._exp3`
+multiply matrices only through `mat_mul`, `invariants.py` builds
+`SectorInvariants` at one site, no function calls itself, and every
+default of a public parameter is overridden by some call in the package or
+its benchmark, or is listed with the consumer that keeps it."""
 
 import ast
 from collections import Counter
@@ -255,6 +256,25 @@ def test_linear_algebra_has_listed_owners():
     # every listed routine is still called, so the list names no dead owner
     listed = {(m, f, r) for (m, f), rs in LINALG_OWNERS.items() for r in rs}
     assert listed <= calls, f"listed but never called: {sorted(listed - calls)}"
+
+
+# (module, function) whose matrix products all go through `algebra.mat_mul`,
+# the one owner of the small-matrix product kernel on the sector path
+PRODUCT_KERNEL_CALLERS = {("holonomy.py", "_develop"), ("algebra.py", "_exp3")}
+
+
+def test_the_sector_kernels_multiply_only_through_mat_mul():
+    found, stray = set(), []
+    for path in MODULES:
+        for name, node in _functions(ast.parse(path.read_text())):
+            if (path.name, name) in PRODUCT_KERNEL_CALLERS:
+                found.add((path.name, name))
+                stray += [(path.name, name, n.lineno) for n in ast.walk(node)
+                          if (isinstance(n, (ast.BinOp, ast.AugAssign))
+                              and isinstance(n.op, ast.MatMult))
+                          or (isinstance(n, ast.Attribute) and n.attr in ("matmul", "einsum"))]
+    assert found == PRODUCT_KERNEL_CALLERS, f"listed but not found: {PRODUCT_KERNEL_CALLERS - found}"
+    assert not stray, f"products outside `mat_mul` at {stray}"
 
 
 def _self_calls(fn):
